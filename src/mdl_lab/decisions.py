@@ -25,17 +25,23 @@ super-additivity of (H, L) -> sqrt(H * L).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .enclosure import FracInterval, ZERO_INTERVAL, hellinger_term, sqrt_interval
 from .errors import LossFunctionError
 from .measures import Word
-from .metrics import COROLLARY_CONSTANTS, DEFAULT_NODE_GUARD, BoundReport, PredictionNode, walk_support
+from .metrics import (
+    COROLLARY_CONSTANTS,
+    DEFAULT_NODE_GUARD,
+    BoundReport,
+    PredictionNode,
+    prefix_key,
+    walk_support,
+)
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
 
 Belief = Union[Fraction, float]
@@ -48,6 +54,11 @@ class LossFunction:
     via a callable; stationary losses ignore the history.  Construction
     rejects tables whose shifted form loss(x, a) - loss(x, x) leaves
     [0, 1]: a correct prediction may never cost more than a wrong one.
+
+    ``history_key`` maps a history to what the rule reads of it, so
+    histories with equal keys get equal tables; exact tree walks merge
+    on it.  It defaults to a constant for stationary losses and to the
+    history itself otherwise.
     """
 
     def __init__(
@@ -55,10 +66,14 @@ class LossFunction:
         rule: Callable[[Word], dict],
         stationary: bool,
         name: str = "loss",
+        history_key: Optional[Callable[[Word], Hashable]] = None,
     ):
         self._rule = rule
         self.stationary = stationary
         self.name = name
+        if history_key is None:
+            history_key = _constant_key if stationary else prefix_key
+        self.history_key = history_key
         if stationary:
             self._validate(self.table(()))
 
@@ -95,10 +110,20 @@ class LossFunction:
                 (x, a): t[(x, a)] - t[(x, x)] for x in (0, 1) for a in (0, 1)
             }
 
-        return LossFunction(rule, self.stationary, name=f"{self.name}_shifted")
+        return LossFunction(
+            rule, self.stationary, name=f"{self.name}_shifted", history_key=self.history_key
+        )
 
     def __repr__(self) -> str:
         return f"LossFunction({self.name})"
+
+
+def _constant_key(history: Word) -> None:
+    return None
+
+
+def _ones_parity(history: Word) -> int:
+    return sum(history) % 2
 
 
 def zero_one_loss() -> LossFunction:
@@ -118,9 +143,9 @@ def history_parity_loss(even: dict, odd: dict, name: str = "history_parity") -> 
     LossFunction._validate(odd_f)
 
     def rule(history: Word):
-        return even_f if sum(history) % 2 == 0 else odd_f
+        return even_f if _ones_parity(history) == 0 else odd_f
 
-    return LossFunction(rule, stationary=False, name=name)
+    return LossFunction(rule, stationary=False, name=name, history_key=_ones_parity)
 
 
 def bayes_optimal_action(belief: Belief, loss: LossFunction, history: Word = ()) -> int:
@@ -229,7 +254,7 @@ def decision_traces(
             if inst_ok[k]:
                 inst_ok[k] = _regret_ineq_certified(step_phi - step_mu, h, step_mu)
 
-    walk_support(cls, horizon, visit, tie_break, guard)
+    walk_support(cls, horizon, visit, tie_break, guard, history_key=loss.history_key)
     return {
         k: DecisionTrace(
             predictor=k,
@@ -292,8 +317,8 @@ def monte_carlo_decision_trace(
     workers: int = 1,
 ) -> MonteCarloDecisionTrace:
     """Unbiased estimate of the decision ledgers from sampled paths."""
-    from .measures import derived_rng
-    from .metrics import PredictionNode, draw_symbol, ordered_parallel_map
+    from .measures import _draw_exact, derived_rng
+    from .metrics import PredictionNode, _stderr, ordered_parallel_map
 
     if cls.alphabet.size != 2:
         raise ValueError("the decision layer is binary-alphabet only")
@@ -319,7 +344,7 @@ def monte_carlo_decision_trace(
             )
             rows.append((step_phi, step_mu))
             actions.append(action)
-            node = node.child_node(draw_symbol(mu_cond, rng))
+            node = node.child_node(_draw_exact(mu_cond, rng))
         return rows, actions
 
     results = ordered_parallel_map(one, range(samples), workers)
@@ -335,13 +360,6 @@ def monte_carlo_decision_trace(
             sq_phi[t] += p * p
             sq_mu[t] += m * m
 
-    def stderr(total, sumsq):
-        mean = total / n
-        if n < 2:
-            return 0.0
-        var = max(0.0, sumsq / n - mean * mean) * n / (n - 1)
-        return math.sqrt(var / n)
-
     return MonteCarloDecisionTrace(
         predictor=predictor_kind,
         horizon=horizon,
@@ -349,8 +367,8 @@ def monte_carlo_decision_trace(
         seed=seed,
         l_phi=[v / n for v in l_phi],
         l_mu=[v / n for v in l_mu],
-        stderr_phi=[stderr(t, s) for t, s in zip(l_phi, sq_phi)],
-        stderr_mu=[stderr(t, s) for t, s in zip(l_mu, sq_mu)],
+        stderr_phi=[_stderr(t / n, s, n) for t, s in zip(l_phi, sq_phi)],
+        stderr_mu=[_stderr(t / n, s, n) for t, s in zip(l_mu, sq_mu)],
         sample_actions=results[0][1] if results else [],
     )
 

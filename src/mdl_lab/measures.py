@@ -67,6 +67,12 @@ class SemimeasureCursor:
     ``value`` is nu(prefix); ``child_value(a)`` is nu(prefix + (a,));
     ``advance(a)`` returns a new cursor one symbol deeper.  Cursors are
     immutable, so tree walks may branch by advancing one cursor twice.
+
+    ``state_key()`` is a hashable summary of the cursor's state.  Two
+    cursors of one model at one depth with equal keys have equal
+    ``value`` and ``child_value``, and advancing both by the same symbol
+    gives equal keys again, so their subtrees are identical.  Lumped tree
+    walks merge prefixes on these keys.
     """
 
     __slots__ = ()
@@ -79,6 +85,9 @@ class SemimeasureCursor:
         raise NotImplementedError
 
     def advance(self, a: int) -> "SemimeasureCursor":
+        raise NotImplementedError
+
+    def state_key(self):
         raise NotImplementedError
 
 
@@ -162,6 +171,9 @@ class _GenericCursor(SemimeasureCursor):
 
     def advance(self, a: int) -> "_GenericCursor":
         return _GenericCursor(self._model, self._prefix + (a,), self.child_value(a))
+
+    def state_key(self):
+        return self._prefix  # nothing is known about the model: never merge
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +260,9 @@ class _IidCursor(SemimeasureCursor):
     def advance(self, a: int) -> "_IidCursor":
         return _IidCursor(self._model, self.child_value(a))
 
+    def state_key(self):
+        return self._value
+
 
 # ----------------------------------------------------------------------
 # Deterministic (eventually periodic) models
@@ -324,6 +339,9 @@ class _DeterministicCursor(SemimeasureCursor):
     def advance(self, a: int) -> "_DeterministicCursor":
         ok = self._alive and a == self._model.target_symbol(self._pos)
         return _DeterministicCursor(self._model, self._pos + 1, ok)
+
+    def state_key(self):
+        return self._alive
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +443,9 @@ class _FactorizableCursor(SemimeasureCursor):
 
     def advance(self, a: int) -> "_FactorizableCursor":
         return _FactorizableCursor(self._model, self._step + 1, self.child_value(a))
+
+    def state_key(self):
+        return self._value  # the step is the depth
 
 
 # ----------------------------------------------------------------------
@@ -568,6 +589,9 @@ class _MartingaleCursor(SemimeasureCursor):
             return _MartingaleCursor(f0, d0, self._len + 1)
         return _MartingaleCursor(f1, d1, self._len + 1)
 
+    def state_key(self):
+        return (self._f, self._dead)
+
 
 # ----------------------------------------------------------------------
 # Leaky wrapper
@@ -630,6 +654,9 @@ class _LeakyCursor(SemimeasureCursor):
         return _LeakyCursor(
             self._model, self._base.advance(a), self._scale * self._model._keep
         )
+
+    def state_key(self):
+        return self._base.state_key()  # the scale is fixed by the depth
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Union
 
 from .enclosure import (
     ZERO_INTERVAL,
@@ -43,7 +43,7 @@ from .enclosure import (
     ln_interval,
 )
 from .errors import AllZeroError, TooLargeError, ZeroHistoryError
-from .measures import Word, derived_rng
+from .measures import Word, _draw_exact, derived_rng
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
 from .predictors import (
     ALL_KINDS,
@@ -308,33 +308,69 @@ def walk_support(
     visit: Callable[[PredictionNode], None],
     tie_break: TieBreak = LARGEST_WEIGHT,
     guard: int = DEFAULT_NODE_GUARD,
+    history_key: Optional[Callable[[Word], Hashable]] = None,
 ) -> int:
-    """Depth-first visit of every prefix of positive true probability.
+    """Visit every state of positive true probability, level by level.
 
-    Visits prefixes of length 0 .. horizon-1 in lexicographic order
-    (predictions at the visited prefix concern the next step).  Raises
-    TooLargeError when more than ``guard`` nodes would be explored.
+    Visits lengths 0 .. horizon-1 in increasing order (predictions at the
+    visited prefix concern the next step).  Prefixes of one length merge
+    into one node when every model cursor has the same ``state_key()``
+    and ``history_key(prefix)`` agrees: such prefixes have equal
+    predictions and identical subtrees.  The merged node carries the
+    lexicographically first of its prefixes and, as ``weight``, the exact
+    sum of their true-measure weights, so visits that accumulate linearly
+    in the weight give exactly the sums of a prefix-by-prefix walk.
+
+    ``history_key`` is for visits that read ``node.prefix``: the key of
+    ``prefix + (a,)`` must depend only on the key of ``prefix`` and ``a``.
+    The default merges regardless of history; :func:`prefix_key` never
+    merges.  Memory is the widest lumped level.  Raises TooLargeError as
+    soon as more than ``guard`` lumped nodes have been built; returns the
+    number of nodes visited.
     """
     if cls.true_index is None:
         raise ValueError("walking the support needs a designated true model")
-    root = PredictionNode(
-        cls, tie_break, (), [m.cursor() for m in cls.models], Fraction(1)
-    )
-    nodes = 0
-    stack = [root]
     k = cls.alphabet.size
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        if nodes > guard:
-            raise TooLargeError(f"enumeration exceeded {guard} nodes")
-        visit(node)
-        if node.t + 1 < horizon:
+    level = [
+        PredictionNode(cls, tie_break, (), [m.cursor() for m in cls.models], Fraction(1))
+    ]
+    nodes = 1
+    depth = 0
+    while True:
+        for node in level:
+            visit(node)
+        depth += 1
+        if depth >= horizon:
+            return nodes
+        merged: dict = {}
+        for node in level:
             mu_cond = node.true_conditionals()
-            for a in reversed(range(k)):
-                if mu_cond[a] > 0:
-                    stack.append(node.child_node(a))
-    return nodes
+            for a in range(k):
+                if mu_cond[a] == 0:
+                    continue
+                weight = node.weight * mu_cond[a]
+                cursors = [c.advance(a) for c in node.cursors]
+                prefix = node.prefix + (a,)
+                key = tuple(c.state_key() for c in cursors)
+                if history_key is not None:
+                    key += (history_key(prefix),)
+                entry = merged.get(key)
+                if entry is None:
+                    nodes += 1
+                    if nodes > guard:
+                        raise TooLargeError(f"enumeration exceeded {guard} nodes")
+                    merged[key] = [prefix, cursors, weight]
+                else:
+                    entry[2] += weight
+        level = [
+            PredictionNode(cls, tie_break, prefix, cursors, weight)
+            for prefix, cursors, weight in merged.values()
+        ]
+
+
+def prefix_key(prefix: Word) -> Word:
+    """History key of a visit that reads the whole prefix."""
+    return prefix
 
 
 def expect(
@@ -471,7 +507,9 @@ def cumulative_distances(
         kl[t] = add_extended(kl[t], math.inf if d.kl == math.inf else w * d.kl)
         ab[t] = ab[t] + w * d.absolute
 
-    walk_support(cls, horizon, visit, tie_break, guard)
+    # A predictor object reads the whole history, so its walk never merges.
+    history_key = None if kind is not None else prefix_key
+    walk_support(cls, horizon, visit, tie_break, guard, history_key=history_key)
     return CumulativeLedger(mode, horizon, sq, he, kl, ab)
 
 
@@ -502,7 +540,7 @@ def monte_carlo_distances(
             phi = node.prediction(predictor_kind)
             d = step_distances(mu_cond, phi, FLOAT)
             rows.append((d.square, d.hellinger, d.kl, d.absolute))
-            symbol = draw_symbol(mu_cond, rng)
+            symbol = _draw_exact(mu_cond, rng)
             node = node.child_node(symbol)
         return rows
 
@@ -542,18 +580,6 @@ def _stderr(mean: float, sumsq: float, n: int) -> float:
         return math.inf if mean == math.inf else 0.0
     var = max(0.0, sumsq / n - mean * mean) * n / (n - 1)
     return math.sqrt(var / n)
-
-
-def draw_symbol(probs: Sequence[Fraction], rng) -> int:
-    """Exact inverse-CDF draw over a rational distribution."""
-    den = math.lcm(*(p.denominator for p in probs))
-    r = rng.randrange(den)
-    acc = 0
-    for a, p in enumerate(probs):
-        acc += p.numerator * (den // p.denominator)
-        if r < acc:
-            return a
-    raise AssertionError("true conditionals do not sum to 1")
 
 
 def ordered_parallel_map(fn, items, workers: int):

@@ -49,6 +49,9 @@ class TestLossFunctions:
         assert loss((1, 1), 0, 1) == 1
         assert loss((1,), 0, 1) == F(1, 2)
         assert not loss.stationary
+        # Exact walks merge histories on the parity of ones, shifted or not.
+        assert loss.history_key((1, 0, 1)) == loss.history_key(()) == 0
+        assert loss.shifted().history_key is loss.history_key
 
 
 class TestBayesOptimalAction:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdl_lab import decisions, metrics
 from mdl_lab.errors import TooLargeError
 from mdl_lab.measures import IidModel
 from mdl_lab.metrics import (
@@ -14,13 +15,22 @@ from mdl_lab.metrics import (
     inverse_weight,
     monte_carlo_distances,
     step_distances,
+    walk_support,
 )
 from mdl_lab.model_class import (
     WeightedClass,
     bernoulli_class,
+    bernoulli_sharpness_class,
     example1_class,
+    example5_class,
 )
-from mdl_lab.suites import random_distribution, random_measure_class, suite_rng
+from mdl_lab.suites import (
+    random_distribution,
+    random_measure_class,
+    random_semimeasure_class,
+    random_stationary_loss,
+    suite_rng,
+)
 
 
 def exact_distribution_pair(rng):
@@ -212,3 +222,68 @@ class TestCheckBounds:
         )
         with pytest.raises(ValueError):
             check_bounds(cls, 4)
+
+
+# ----------------------------------------------------------------------
+# Lumped walk against the prefix-by-prefix walk
+# ----------------------------------------------------------------------
+
+LUMP_HORIZON = 7
+LUMP_CLASSES = (
+    [("measure", case, random_measure_class(80, case)) for case in range(6)]
+    + [("semimeasure", case, random_semimeasure_class(81, case)) for case in range(6)]
+    + [
+        ("example1", 0, example1_class(5)),
+        ("example2", 0, bernoulli_sharpness_class(6)),
+        ("example5", 0, example5_class()),
+    ]
+)
+DECISION_KINDS = ("rho_norm", "rho", "static", "static_norm")
+
+
+def _walk_outputs(cls):
+    """Every ledger computed by a tree walk, exact and float."""
+    stationary = random_stationary_loss(suite_rng(82, 0))
+    parity = decisions.history_parity_loss(
+        even={(0, 0): 0, (0, 1): 1, (1, 0): F(1, 2), (1, 1): 0},
+        odd={(0, 0): F(1, 3), (0, 1): 1, (1, 0): 1, (1, 1): 0},
+    )
+    out = {"bounds": check_bounds(cls, LUMP_HORIZON)}
+    for name, loss in (("stationary", stationary), ("parity", parity.shifted())):
+        out[name] = decisions.decision_traces(cls, DECISION_KINDS, loss, LUMP_HORIZON)
+    for kind in ("xi", "rho", "static", "hybrid"):
+        out[kind] = cumulative_distances(cls, kind, LUMP_HORIZON)
+        out[f"{kind}_float"] = cumulative_distances(cls, kind, LUMP_HORIZON, mode="float")
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,case,cls", LUMP_CLASSES, ids=[f"{f}{c}" for f, c, _ in LUMP_CLASSES]
+)
+def test_lumped_walk_matches_prefix_walk(monkeypatch, family, case, cls):
+    lumped = _walk_outputs(cls)
+
+    def prefix_walk(cls, horizon, visit, tie_break, guard, history_key=None):
+        return walk_support(cls, horizon, visit, tie_break, guard, history_key=metrics.prefix_key)
+
+    monkeypatch.setattr(metrics, "walk_support", prefix_walk)
+    monkeypatch.setattr(decisions, "walk_support", prefix_walk)
+    plain = _walk_outputs(cls)
+
+    for key, value in plain.items():
+        if not key.endswith("_float"):
+            assert lumped[key] == value, key  # every Fraction and endpoint
+            continue
+        for metric in metrics.METRICS:
+            for a, b in zip(lumped[key].per_step(metric), value.per_step(metric)):
+                assert a == pytest.approx(b, rel=1e-12, abs=0), (key, metric)
+
+
+def test_lumped_node_counts_example2():
+    # Example 2 has seven i.i.d. members, so the state at depth t is the
+    # number of ones: t + 1 nodes per level instead of 2^t.
+    cls = bernoulli_sharpness_class(6)
+    counts = {h: walk_support(cls, h, lambda node: None) for h in (12, 14, 20)}
+    assert counts == {12: 78, 14: 105, 20: 210}
+    with pytest.raises(TooLargeError):
+        walk_support(cls, 12, lambda node: None, guard=77)
