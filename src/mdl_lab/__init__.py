@@ -8,7 +8,8 @@ The library provides:
 * ``model_class``   -- weighted countable hypothesis classes and the MAP
                        (two-part code-length) estimator with tie-breaking.
 * ``predictors``    -- Bayes mixture, dynamic / static / hybrid MDL
-                       predictors, and normalization.
+                       predictors read from one cursor-built prediction
+                       node, and normalization.
 * ``metrics``       -- instantaneous and cumulative square / Hellinger /
                        KL / absolute distances, exact expectation over the
                        true measure, and the bound-verification reports.
@@ -23,8 +24,8 @@ The library provides:
 * ``experiments``   -- the registry of reproduction experiments driven by
                        the ``mdl-lab`` command line tool.
 
-All core quantities can be computed in exact rational arithmetic ("exact"
-mode); a log-domain float mode is available for long horizons.
+Every prediction and bound is computed in exact rationals and certified
+enclosures; floats appear only in the optional float ledgers.
 """
 
 __version__ = "0.1.0"

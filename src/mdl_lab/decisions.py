@@ -33,16 +33,18 @@ import numpy as np
 
 from .enclosure import FracInterval, ZERO_INTERVAL, hellinger_term, sqrt_interval
 from .errors import LossFunctionError
-from .measures import Word
+from .measures import Word, _draw_exact, derived_rng
 from .metrics import (
     COROLLARY_CONSTANTS,
     DEFAULT_NODE_GUARD,
     BoundReport,
-    PredictionNode,
+    _stderr,
+    ordered_parallel_map,
     prefix_key,
     walk_support,
 )
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
+from .predictors import PredictionNode
 
 Belief = Union[Fraction, float]
 
@@ -57,8 +59,9 @@ class LossFunction:
 
     ``history_key`` maps a history to what the rule reads of it, so
     histories with equal keys get equal tables; exact tree walks merge
-    on it.  It defaults to a constant for stationary losses and to the
-    history itself otherwise.
+    on it, and a non-stationary table is validated once per key (on
+    every read when the key is the whole history).  It defaults to a
+    constant for stationary losses and to the history itself otherwise.
     """
 
     def __init__(
@@ -74,6 +77,7 @@ class LossFunction:
         if history_key is None:
             history_key = _constant_key if stationary else prefix_key
         self.history_key = history_key
+        self._validated_keys: set = set()
         if stationary:
             self._validate(self.table(()))
 
@@ -95,7 +99,13 @@ class LossFunction:
     def table(self, history: Word) -> dict:
         table = self._rule(history)
         if not self.stationary:
-            self._validate(table)
+            key = self.history_key(history)
+            if key not in self._validated_keys:
+                self._validate(table)
+                # Whole-history keys are not kept: on sampled paths the
+                # kept histories would hold samples * horizon^2 symbols.
+                if self.history_key is not prefix_key:
+                    self._validated_keys.add(key)
         return table
 
     def __call__(self, history: Word, outcome: int, action: int) -> Fraction:
@@ -317,9 +327,6 @@ def monte_carlo_decision_trace(
     workers: int = 1,
 ) -> MonteCarloDecisionTrace:
     """Unbiased estimate of the decision ledgers from sampled paths."""
-    from .measures import _draw_exact, derived_rng
-    from .metrics import PredictionNode, _stderr, ordered_parallel_map
-
     if cls.alphabet.size != 2:
         raise ValueError("the decision layer is binary-alphabet only")
 

@@ -62,6 +62,9 @@ class FracInterval:
         return FracInterval(-self.hi, -self.lo)
 
     def __mul__(self, other) -> "FracInterval":
+        if isinstance(other, (Fraction, int)) and other >= 0:
+            # For q >= 0 the four-product min and max are lo*q and hi*q.
+            return FracInterval(self.lo * other, self.hi * other)
         other = _coerce(other)
         products = (
             self.lo * other.lo,

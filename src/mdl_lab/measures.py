@@ -19,7 +19,6 @@ from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AlphabetMismatchError, SamplingError
-from .values import EXACT, LogFloat, Value, check_mode
 
 Word = tuple  # tuple of int symbols
 
@@ -102,15 +101,8 @@ class Semimeasure:
     def evaluate_exact(self, x: Word) -> Fraction:
         raise NotImplementedError
 
-    def log_evaluate(self, x: Word) -> LogFloat:
-        return LogFloat.from_fraction(self.evaluate_exact(x))
-
-    def evaluate(self, x, mode: str = EXACT) -> Value:
-        check_mode(mode)
-        w = self.alphabet.word(x)
-        if mode == EXACT:
-            return self.evaluate_exact(w)
-        return self.log_evaluate(w)
+    def evaluate(self, x) -> Fraction:
+        return self.evaluate_exact(self.alphabet.word(x))
 
     def conditional_exact(self, a: int, x: Word) -> Fraction:
         """nu(xa)/nu(x), defined as 0 when nu(x) = 0."""
@@ -119,15 +111,8 @@ class Semimeasure:
             return Fraction(0)
         return self.evaluate_exact(x + (a,)) / vx
 
-    def conditional(self, a: int, x, mode: str = EXACT) -> Value:
-        check_mode(mode)
-        w = self.alphabet.word(x)
-        if mode == EXACT:
-            return self.conditional_exact(a, w)
-        vx = self.log_evaluate(w)
-        if vx.is_zero:
-            return LogFloat.zero()
-        return self.log_evaluate(w + (a,)) / vx
+    def conditional(self, a: int, x) -> Fraction:
+        return self.conditional_exact(a, self.alphabet.word(x))
 
     # -- structure -----------------------------------------------------
 
@@ -210,18 +195,6 @@ class IidModel(Semimeasure):
                     return Fraction(0)
                 out *= self.theta[a] ** c
         return out
-
-    def log_evaluate(self, x: Word) -> LogFloat:
-        counts = [0] * self.alphabet.size
-        for s in x:
-            counts[s] += 1
-        ln = 0.0
-        for a, c in enumerate(counts):
-            if c:
-                if self.theta[a] == 0:
-                    return LogFloat.zero()
-                ln += c * LogFloat.from_fraction(self.theta[a]).ln
-        return LogFloat(ln)
 
     def conditional_exact(self, a: int, x: Word) -> Fraction:
         if self.evaluate_exact(x) == 0:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Hashable, List, Optional, Union
 
 from .enclosure import (
     ZERO_INTERVAL,
@@ -42,18 +42,17 @@ from .enclosure import (
     kl_term,
     ln_interval,
 )
-from .errors import AllZeroError, TooLargeError, ZeroHistoryError
+from .errors import TooLargeError
 from .measures import Word, _draw_exact, derived_rng
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
 from .predictors import (
     ALL_KINDS,
-    HYBRID,
     RHO,
     RHO_NORM,
     STATIC,
     STATIC_NORM,
-    TRUE,
     XI,
+    PredictionNode,
 )
 from .values import EXACT, FLOAT, check_mode
 
@@ -132,174 +131,6 @@ def _kl_float(mu, phi) -> float:
             return math.inf
         total += p * math.log(p / q)
     return total
-
-
-# ----------------------------------------------------------------------
-# Fused prediction node: every predictor's values at one prefix
-# ----------------------------------------------------------------------
-
-
-class PredictionNode:
-    """All model and predictor values at one history prefix.
-
-    Built from per-model cursors, so each node costs O(|C| * k) exact
-    operations regardless of depth.  Everything here is exact; float-mode
-    consumers convert at the edges.
-    """
-
-    __slots__ = (
-        "cls",
-        "tie_break",
-        "prefix",
-        "weight",
-        "cursors",
-        "values",
-        "child_values",
-        "_cache",
-    )
-
-    def __init__(self, cls: WeightedClass, tie_break: TieBreak, prefix: Word, cursors, weight: Fraction):
-        self.cls = cls
-        self.tie_break = tie_break
-        self.prefix = prefix
-        self.cursors = cursors
-        self.weight = weight  # mu(prefix)
-        self.values = [c.value for c in cursors]
-        k = cls.alphabet.size
-        self.child_values = [[c.child_value(a) for c in cursors] for a in range(k)]
-        self._cache: dict = {}
-
-    # -- raw aggregates --------------------------------------------------
-
-    @property
-    def t(self) -> int:
-        return len(self.prefix)
-
-    def rho(self) -> Fraction:
-        out = self._cache.get("rho")
-        if out is None:
-            w = self.cls.weights
-            out = max(w[i] * v for i, v in enumerate(self.values))
-            self._cache["rho"] = out
-        return out
-
-    def rho_child(self, a: int) -> Fraction:
-        key = ("rho_child", a)
-        out = self._cache.get(key)
-        if out is None:
-            w = self.cls.weights
-            out = max(w[i] * v for i, v in enumerate(self.child_values[a]))
-            self._cache[key] = out
-        return out
-
-    def xi(self) -> Fraction:
-        out = self._cache.get("xi")
-        if out is None:
-            out = sum(
-                (w * v for w, v in zip(self.cls.weights, self.values)), Fraction(0)
-            )
-            self._cache["xi"] = out
-        return out
-
-    def xi_child(self, a: int) -> Fraction:
-        key = ("xi_child", a)
-        out = self._cache.get(key)
-        if out is None:
-            out = sum(
-                (w * v for w, v in zip(self.cls.weights, self.child_values[a])),
-                Fraction(0),
-            )
-            self._cache[key] = out
-        return out
-
-    def map_index(self) -> int:
-        """Maximizer index at the prefix, under the node's tie-break."""
-        out = self._cache.get("map_index")
-        if out is None:
-            out = self._argmax(self.values, len(self.prefix))
-            self._cache["map_index"] = out
-        return out
-
-    def map_child_index(self, a: int) -> int:
-        key = ("map_child", a)
-        out = self._cache.get(key)
-        if out is None:
-            out = self._argmax(self.child_values[a], len(self.prefix) + 1)
-            self._cache[key] = out
-        return out
-
-    def _argmax(self, values, x_len: int) -> int:
-        w = self.cls.weights
-        scored = [w[i] * v for i, v in enumerate(values)]
-        best = max(scored)
-        tied = tuple(i for i, s in enumerate(scored) if s == best)
-        return self.tie_break.choose(tied, w, x_len)
-
-    # -- predictions ------------------------------------------------------
-
-    def true_conditionals(self) -> List[Fraction]:
-        i = self.cls.true_index
-        if i is None:
-            raise ValueError("class has no designated true model")
-        base = self.values[i]
-        return [cv[i] / base for cv in self.child_values]
-
-    def prediction(self, kind: str) -> List[Fraction]:
-        out = self._cache.get(("pred", kind))
-        if out is None:
-            out = self._prediction(kind)
-            self._cache[("pred", kind)] = out
-        return out
-
-    def _prediction(self, kind: str) -> List[Fraction]:
-        k = self.cls.alphabet.size
-        if kind == TRUE:
-            return self.true_conditionals()
-        if kind == XI:
-            base = self.xi()
-            if base == 0:
-                raise ZeroHistoryError(f"xi = 0 at {self.prefix}")
-            return [self.xi_child(a) / base for a in range(k)]
-        if kind == RHO:
-            base = self.rho()
-            if base == 0:
-                raise ZeroHistoryError(f"rho = 0 at {self.prefix}")
-            return [self.rho_child(a) / base for a in range(k)]
-        if kind == RHO_NORM:
-            return _normalize_list(self.prediction(RHO))
-        if kind == STATIC:
-            i = self.map_index()
-            base = self.values[i]
-            if base == 0:
-                raise ZeroHistoryError(f"nu^x = 0 at {self.prefix}")
-            return [self.child_values[a][i] / base for a in range(k)]
-        if kind == STATIC_NORM:
-            return _normalize_list(self.prediction(STATIC))
-        if kind == HYBRID:
-            i = self.map_index()
-            base = self.values[i]
-            if base == 0:
-                raise ZeroHistoryError(f"nu^x = 0 at {self.prefix}")
-            return [
-                self.child_values[a][self.map_child_index(a)] / base for a in range(k)
-            ]
-        raise ValueError(f"unknown predictor kind {kind!r}")
-
-    def child_node(self, a: int) -> "PredictionNode":
-        return PredictionNode(
-            self.cls,
-            self.tie_break,
-            self.prefix + (a,),
-            [c.advance(a) for c in self.cursors],
-            self.weight * self.true_conditionals()[a],
-        )
-
-
-def _normalize_list(values: Sequence[Fraction]) -> List[Fraction]:
-    total = sum(values)
-    if total == 0:
-        raise AllZeroError("prediction entries all zero; cannot normalize")
-    return [v / total for v in values]
 
 
 def walk_support(

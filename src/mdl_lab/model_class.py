@@ -18,10 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import IndeterminateTailError
 from .measures import Alphabet, Semimeasure, Word
-from .values import EXACT, LogFloat, Value, check_mode, log2_frac
-
-# Relative tolerance below which two log-float candidates count as tied.
-LOGFLOAT_TIE_RTOL = 1e-12
+from .values import log2_frac
 
 
 @dataclass(frozen=True)
@@ -68,16 +65,13 @@ class MapResult:
     """Outcome of one MAP search.
 
     ``value`` is the two-part estimator value w_nu * nu(x) of the chosen
-    model; ``tie_set`` lists every index achieving the maximum (exactly
-    in exact mode, within a relative tolerance in float mode, in which
-    case ``approximate`` is set).
+    model; ``tie_set`` lists every index achieving the maximum exactly.
     """
 
     index: int
-    value: Value
+    value: Fraction
     tied: bool
     tie_set: Tuple[int, ...]
-    approximate: bool = False
 
 
 class WeightedClass:
@@ -162,70 +156,49 @@ class WeightedClass:
         return "{" + ", ".join(parts) + "}" + tail
 
 
-def _candidates(cls: WeightedClass, x: Word, mode: str):
-    if mode == EXACT:
-        return [w * m.evaluate_exact(x) for m, w in zip(cls.models, cls.weights)]
-    return [
-        LogFloat.from_fraction(w) * m.log_evaluate(x)
-        for m, w in zip(cls.models, cls.weights)
-    ]
+def check_tail(cls: WeightedClass, best: Fraction) -> None:
+    """Refuse a MAP choice the unmaterialized tail could still overturn.
 
-
-def _tail_threshold(cls: WeightedClass) -> Fraction:
-    # Any non-materialized candidate is at most its own weight; the sum
-    # bound caps each one, and with verified descending order the last
-    # materialized weight caps them further.
-    bound = cls.tail_bound
+    ``best`` is the materialized maximum of w_nu * nu(x).  Any
+    non-materialized candidate is at most its own weight; the sum bound
+    caps each one, and with verified descending order the last
+    materialized weight caps them further.
+    """
+    if cls.tail_bound is None:
+        return
+    threshold = cls.tail_bound
     if cls.descending_weights:
-        bound = min(bound, cls.weights[-1])
-    return bound
+        threshold = min(threshold, cls.weights[-1])
+    if best <= threshold:
+        raise IndeterminateTailError(
+            f"materialized maximum {best} does not exceed the tail "
+            f"bound {threshold}; materialize more of the class"
+        )
 
 
 def map_estimator(
     cls: WeightedClass,
     x,
     tie_break: TieBreak = LARGEST_WEIGHT,
-    mode: str = EXACT,
 ) -> MapResult:
     """argmax over the class of w_nu * nu(x) under the tie-break policy."""
-    check_mode(mode)
     word = cls.word(x)
-    values = _candidates(cls, word, mode)
+    values = [w * m.evaluate_exact(word) for m, w in zip(cls.models, cls.weights)]
     best = max(values)
-    if mode == EXACT:
-        tie_set = tuple(i for i, v in enumerate(values) if v == best)
-        approximate = False
-    else:
-        if best.is_zero:
-            tie_set = tuple(i for i, v in enumerate(values) if v.is_zero)
-        else:
-            tie_set = tuple(
-                i
-                for i, v in enumerate(values)
-                if not v.is_zero and best.ln - v.ln <= LOGFLOAT_TIE_RTOL
-            )
-        approximate = len(tie_set) > 1
-    if cls.tail_bound is not None:
-        threshold = _tail_threshold(cls)
-        best_exact = best if mode == EXACT else Fraction(float(best))
-        if best_exact <= threshold:
-            raise IndeterminateTailError(
-                f"materialized maximum {best_exact} does not exceed the tail "
-                f"bound {threshold}; materialize more of the class"
-            )
+    tie_set = tuple(i for i, v in enumerate(values) if v == best)
+    check_tail(cls, best)
     index = tie_break.choose(tie_set, cls.weights, len(word))
     return MapResult(
         index=index,
         value=values[index],
         tied=len(tie_set) > 1,
         tie_set=tie_set,
-        approximate=approximate,
     )
 
 
-def two_part_value(cls: WeightedClass, x, mode: str = EXACT) -> Value:
+def two_part_value(cls: WeightedClass, x) -> Fraction:
     """rho(x) = max_nu w_nu * nu(x); independent of tie-breaking."""
-    return map_estimator(cls, x, LARGEST_WEIGHT, mode).value
+    return map_estimator(cls, x, LARGEST_WEIGHT).value
 
 
 def two_part_value_at(
@@ -233,17 +206,10 @@ def two_part_value_at(
     chooser,
     x,
     tie_break: TieBreak = LARGEST_WEIGHT,
-    mode: str = EXACT,
-) -> Value:
+) -> Fraction:
     """rho^y(x) = w_{nu^y} * nu^y(x): select at y, evaluate at x."""
-    check_mode(mode)
-    chosen = map_estimator(cls, chooser, tie_break, mode).index
-    word = cls.word(x)
-    if mode == EXACT:
-        return cls.weights[chosen] * cls.models[chosen].evaluate_exact(word)
-    return LogFloat.from_fraction(cls.weights[chosen]) * cls.models[
-        chosen
-    ].log_evaluate(word)
+    chosen = map_estimator(cls, chooser, tie_break).index
+    return cls.weights[chosen] * cls.models[chosen].evaluate_exact(cls.word(x))
 
 
 def complexity(cls: WeightedClass, index: int) -> float:

@@ -9,10 +9,19 @@ Given a class C with weights w and history x, the next-symbol values are
 * hybrid MDL:      nu^{xa}(xa) / nu^x(x) -- re-select per continuation
                    but drop the weights from the quotient
 
-Dynamic re-selects the maximizer for the history and all k continuations
-(k+1 MAP searches per step); static needs one.  Both report their search
-counts through :class:`~mdl_lab.model_class.EvalStats` so efficiency
-claims can be measured rather than asserted.
+All four are quotients of the model values nu(x) and nu(xa), so one
+engine computes them: a :class:`PredictionNode` holds those values at
+one history, read from per-model cursors.  Tree walks build nodes level
+by level; ``predict_*`` advance every cursor along x and read one node.
+Exact rationals and certified enclosures; float only for ledgers: every
+value here is an exact rational, and the float ledgers of
+:mod:`mdl_lab.metrics` convert at the edges.
+
+Dynamic and hybrid re-select the maximizer for the history and all k
+continuations (k+1 MAP searches per step); static needs one.  Both report
+their search counts through :class:`~mdl_lab.model_class.EvalStats`, and
+on a truncated class each search refuses when the unmaterialized tail
+could still hold the winner.
 
 Bayes, dynamic and static entries always lie in [0, 1].  Hybrid entries
 can exceed 1 when re-selection jumps to a model with a larger bare value;
@@ -23,19 +32,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .enclosure import FracInterval
 from .errors import AllZeroError, ZeroHistoryError
 from .measures import Word
-from .model_class import (
+from .model_class import (  # noqa: F401  map_estimator stays a name of this module
     LARGEST_WEIGHT,
     EvalStats,
     TieBreak,
     WeightedClass,
+    check_tail,
     map_estimator,
 )
-from .values import EXACT, LogFloat, Value, check_mode
 
 # Predictor kinds.
 TRUE = "true"
@@ -48,24 +57,19 @@ HYBRID = "hybrid"
 
 ALL_KINDS = (TRUE, XI, RHO, RHO_NORM, STATIC, STATIC_NORM, HYBRID)
 
-_FLOAT_SUM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
     """Per-symbol next-step values; a sub-probability unless normalized."""
 
-    values: Tuple[Value, ...]
+    values: Tuple[Fraction, ...]
     normalized: bool
 
-    def entry(self, a: int) -> Value:
+    def entry(self, a: int) -> Fraction:
         return self.values[a]
 
-    def sum_value(self) -> Value:
-        total = self.values[0]
-        for v in self.values[1:]:
-            total = total + v
-        return total
+    def sum_value(self) -> Fraction:
+        return sum(self.values, Fraction(0))
 
     def as_floats(self) -> Tuple[float, ...]:
         return tuple(float(v) for v in self.values)
@@ -75,133 +79,285 @@ class PredictiveDistribution:
         return float(self.values[a])
 
 
-def _check_sums_to_one(values, mode: str) -> bool:
-    if mode == EXACT:
-        return sum(values) == 1
-    total = 0.0
-    for v in values:
-        total += float(v)
-    return abs(total - 1.0) <= _FLOAT_SUM_TOL
+def _distribution(values) -> PredictiveDistribution:
+    return PredictiveDistribution(tuple(values), sum(values) == 1)
 
 
-def _distribution(values, mode: str) -> PredictiveDistribution:
-    return PredictiveDistribution(tuple(values), _check_sums_to_one(values, mode))
+# ----------------------------------------------------------------------
+# Fused prediction node: every predictor's values at one prefix
+# ----------------------------------------------------------------------
 
 
-def bayes_mixture(cls: WeightedClass, x, mode: str = EXACT) -> Value:
+class PredictionNode:
+    """All model and predictor values at one history prefix.
+
+    Built from per-model cursors, so each node costs O(|C| * k) exact
+    operations regardless of depth.  Everything here is exact; float-mode
+    consumers convert at the edges.  ``weight`` is mu(prefix), the
+    true-measure weight a tree walk or sampled path carries; it is None
+    for a node built to answer one query.
+    """
+
+    __slots__ = (
+        "cls",
+        "tie_break",
+        "prefix",
+        "weight",
+        "cursors",
+        "values",
+        "child_values",
+        "_cache",
+    )
+
+    def __init__(
+        self,
+        cls: WeightedClass,
+        tie_break: TieBreak,
+        prefix: Word,
+        cursors,
+        weight: Optional[Fraction] = None,
+    ):
+        self.cls = cls
+        self.tie_break = tie_break
+        self.prefix = prefix
+        self.cursors = cursors
+        self.weight = weight
+        self.values = [c.value for c in cursors]
+        k = cls.alphabet.size
+        self.child_values = [[c.child_value(a) for c in cursors] for a in range(k)]
+        self._cache: dict = {}
+
+    # -- raw aggregates --------------------------------------------------
+
+    @property
+    def t(self) -> int:
+        return len(self.prefix)
+
+    def rho(self) -> Fraction:
+        out = self._cache.get("rho")
+        if out is None:
+            w = self.cls.weights
+            out = max(w[i] * v for i, v in enumerate(self.values))
+            self._cache["rho"] = out
+        return out
+
+    def rho_child(self, a: int) -> Fraction:
+        key = ("rho_child", a)
+        out = self._cache.get(key)
+        if out is None:
+            w = self.cls.weights
+            out = max(w[i] * v for i, v in enumerate(self.child_values[a]))
+            self._cache[key] = out
+        return out
+
+    def xi(self) -> Fraction:
+        out = self._cache.get("xi")
+        if out is None:
+            out = sum(
+                (w * v for w, v in zip(self.cls.weights, self.values)), Fraction(0)
+            )
+            self._cache["xi"] = out
+        return out
+
+    def xi_child(self, a: int) -> Fraction:
+        key = ("xi_child", a)
+        out = self._cache.get(key)
+        if out is None:
+            out = sum(
+                (w * v for w, v in zip(self.cls.weights, self.child_values[a])),
+                Fraction(0),
+            )
+            self._cache[key] = out
+        return out
+
+    def map_index(self) -> int:
+        """Maximizer index at the prefix, under the node's tie-break."""
+        out = self._cache.get("map_index")
+        if out is None:
+            out = self._argmax(self.values, len(self.prefix))
+            self._cache["map_index"] = out
+        return out
+
+    def map_child_index(self, a: int) -> int:
+        key = ("map_child", a)
+        out = self._cache.get(key)
+        if out is None:
+            out = self._argmax(self.child_values[a], len(self.prefix) + 1)
+            self._cache[key] = out
+        return out
+
+    def _argmax(self, values, x_len: int) -> int:
+        w = self.cls.weights
+        scored = [w[i] * v for i, v in enumerate(values)]
+        best = max(scored)
+        tied = tuple(i for i, s in enumerate(scored) if s == best)
+        return self.tie_break.choose(tied, w, x_len)
+
+    # -- predictions ------------------------------------------------------
+
+    def true_conditionals(self) -> List[Fraction]:
+        i = self.cls.true_index
+        if i is None:
+            raise ValueError("class has no designated true model")
+        base = self.values[i]
+        return [cv[i] / base for cv in self.child_values]
+
+    def prediction(self, kind: str) -> List[Fraction]:
+        out = self._cache.get(("pred", kind))
+        if out is None:
+            out = self._prediction(kind)
+            self._cache[("pred", kind)] = out
+        return out
+
+    def _prediction(self, kind: str) -> List[Fraction]:
+        k = self.cls.alphabet.size
+        if kind == TRUE:
+            return self.true_conditionals()
+        if kind == XI:
+            base = self.xi()
+            if base == 0:
+                raise ZeroHistoryError(f"xi = 0 at {self.prefix}")
+            return [self.xi_child(a) / base for a in range(k)]
+        if kind == RHO:
+            base = self.rho()
+            if base == 0:
+                raise ZeroHistoryError(f"rho = 0 at {self.prefix}")
+            return [self.rho_child(a) / base for a in range(k)]
+        if kind == RHO_NORM:
+            return _normalize_list(self.prediction(RHO))
+        if kind == STATIC:
+            i = self.map_index()
+            base = self.values[i]
+            if base == 0:
+                raise ZeroHistoryError(f"nu^x = 0 at {self.prefix}")
+            return [self.child_values[a][i] / base for a in range(k)]
+        if kind == STATIC_NORM:
+            return _normalize_list(self.prediction(STATIC))
+        if kind == HYBRID:
+            i = self.map_index()
+            base = self.values[i]
+            if base == 0:
+                raise ZeroHistoryError(f"nu^x = 0 at {self.prefix}")
+            return [
+                self.child_values[a][self.map_child_index(a)] / base for a in range(k)
+            ]
+        raise ValueError(f"unknown predictor kind {kind!r}")
+
+    def child_node(self, a: int) -> "PredictionNode":
+        return PredictionNode(
+            self.cls,
+            self.tie_break,
+            self.prefix + (a,),
+            [c.advance(a) for c in self.cursors],
+            self.weight * self.true_conditionals()[a],
+        )
+
+
+def _normalize_list(values: Sequence[Fraction]) -> List[Fraction]:
+    total = sum(values)
+    if total == 0:
+        raise AllZeroError("prediction entries all zero; cannot normalize")
+    return [v / total for v in values]
+
+
+def _node_at(
+    cls: WeightedClass, x, tie_break: TieBreak = LARGEST_WEIGHT
+) -> PredictionNode:
+    """The node at history x: every model's cursor advanced along x."""
+    word = cls.word(x)
+    cursors = [m.cursor() for m in cls.models]
+    for a in word:
+        cursors = [c.advance(a) for c in cursors]
+    return PredictionNode(cls, tie_break, word, cursors)
+
+
+# ----------------------------------------------------------------------
+# Functional predictors: thin readers of one node
+# ----------------------------------------------------------------------
+
+
+def bayes_mixture(cls: WeightedClass, x) -> Fraction:
     """xi(x) = sum_nu w_nu nu(x) over the materialized models.
 
     For truncated infinite classes this is the lower end of the interval
     returned by :func:`bayes_mixture_bounds`.
     """
-    check_mode(mode)
     word = cls.word(x)
-    if mode == EXACT:
-        return sum(
-            (w * m.evaluate_exact(word) for m, w in zip(cls.models, cls.weights)),
-            Fraction(0),
-        )
-    total = LogFloat.zero()
-    for m, w in zip(cls.models, cls.weights):
-        total = total + LogFloat.from_fraction(w) * m.log_evaluate(word)
-    return total
+    return sum(
+        (w * m.evaluate_exact(word) for m, w in zip(cls.models, cls.weights)),
+        Fraction(0),
+    )
 
 
 def bayes_mixture_bounds(cls: WeightedClass, x) -> FracInterval:
     """Exact interval containing xi(x) when a weight tail is unmaterialized."""
-    lower = bayes_mixture(cls, x, EXACT)
+    lower = bayes_mixture(cls, x)
     tail = cls.tail_bound or Fraction(0)
     return FracInterval(lower, lower + tail)
 
 
-def predict_bayes(cls: WeightedClass, x, mode: str = EXACT) -> PredictiveDistribution:
+def _search(cls: WeightedClass, best: Fraction, stats: Optional[EvalStats]) -> None:
+    """Account for one MAP search whose materialized maximum is ``best``."""
+    check_tail(cls, best)
+    if stats is not None:
+        stats.add_search(cls)
+
+
+def predict_bayes(cls: WeightedClass, x) -> PredictiveDistribution:
     """Entries xi(a|x) = xi(xa) / xi(x)."""
-    check_mode(mode)
-    word = cls.word(x)
-    base = bayes_mixture(cls, word, mode)
-    if _is_zero(base):
-        raise ZeroHistoryError(f"xi(x) = 0 at history {word}")
-    values = [bayes_mixture(cls, word + (a,), mode) / base for a in cls.alphabet.symbols()]
-    return _distribution(values, mode)
+    return _distribution(_node_at(cls, x).prediction(XI))
 
 
 def predict_dynamic(
     cls: WeightedClass,
     x,
     tie_break: TieBreak = LARGEST_WEIGHT,
-    mode: str = EXACT,
     stats: Optional[EvalStats] = None,
 ) -> PredictiveDistribution:
     """Entries rho(a|x) = rho(xa) / rho(x); k+1 MAP searches."""
-    check_mode(mode)
-    word = cls.word(x)
-    parent = map_estimator(cls, word, tie_break, mode)
-    if stats is not None:
-        stats.add_search(cls)
-    if _is_zero(parent.value):
-        raise ZeroHistoryError(f"rho(x) = 0 at history {word}")
-    values = []
-    for a in cls.alphabet.symbols():
-        child = map_estimator(cls, word + (a,), tie_break, mode)
-        if stats is not None:
-            stats.add_search(cls)
-        values.append(child.value / parent.value)
-    return _distribution(values, mode)
+    return _reselecting(cls, x, tie_break, stats, RHO)
 
 
 def predict_static(
     cls: WeightedClass,
     x,
     tie_break: TieBreak = LARGEST_WEIGHT,
-    mode: str = EXACT,
     stats: Optional[EvalStats] = None,
 ) -> PredictiveDistribution:
     """Entries nu^x(xa) / nu^x(x) for the single maximizer at the history."""
-    check_mode(mode)
-    word = cls.word(x)
-    chosen = map_estimator(cls, word, tie_break, mode)
-    if stats is not None:
-        stats.add_search(cls)
-    if _is_zero(chosen.value):
-        raise ZeroHistoryError(f"rho(x) = 0 at history {word}")
-    model = cls.models[chosen.index]
-    base = model.evaluate(word, mode)
-    values = [model.evaluate(word + (a,), mode) / base for a in cls.alphabet.symbols()]
-    return _distribution(values, mode)
+    node = _node_at(cls, x, tie_break)
+    _search(cls, node.rho(), stats)
+    return _distribution(node.prediction(STATIC))
 
 
 def predict_hybrid(
     cls: WeightedClass,
     x,
     tie_break: TieBreak = LARGEST_WEIGHT,
-    mode: str = EXACT,
     stats: Optional[EvalStats] = None,
 ) -> PredictiveDistribution:
     """Entries nu^{xa}(xa) / nu^x(x): re-select per child, drop the weights."""
-    check_mode(mode)
-    word = cls.word(x)
-    at_x = map_estimator(cls, word, tie_break, mode)
-    if stats is not None:
-        stats.add_search(cls)
-    base = cls.models[at_x.index].evaluate(word, mode)
-    if _is_zero(base):
-        raise ZeroHistoryError(f"nu^x(x) = 0 at history {word}")
-    values = []
+    return _reselecting(cls, x, tie_break, stats, HYBRID)
+
+
+def _reselecting(cls, x, tie_break, stats, kind: str) -> PredictiveDistribution:
+    """Dynamic or hybrid: one search at x, then one per continuation xa."""
+    node = _node_at(cls, x, tie_break)
+    _search(cls, node.rho(), stats)
+    values = node.prediction(kind)  # a zero history raises before the child searches
     for a in cls.alphabet.symbols():
-        child = map_estimator(cls, word + (a,), tie_break, mode)
-        if stats is not None:
-            stats.add_search(cls)
-        numerator = cls.models[child.index].evaluate(word + (a,), mode)
-        values.append(numerator / base)
-    return _distribution(values, mode)
+        _search(cls, node.rho_child(a), stats)
+    return _distribution(values)
 
 
-def predict_true(cls: WeightedClass, x, mode: str = EXACT) -> PredictiveDistribution:
-    """Conditionals of the designated true model (baseline, not a learner)."""
+def predict_true(cls: WeightedClass, x) -> PredictiveDistribution:
+    """Conditionals of the designated true model (baseline, not a learner).
+
+    Entries are 0 at a history of true probability 0.
+    """
     word = cls.word(x)
     mu = cls.true_model
-    values = [mu.conditional(a, word, mode) for a in cls.alphabet.symbols()]
-    return _distribution(values, mode)
+    return _distribution([mu.conditional(a, word) for a in cls.alphabet.symbols()])
 
 
 def normalize(dist: PredictiveDistribution) -> PredictiveDistribution:
@@ -209,7 +365,7 @@ def normalize(dist: PredictiveDistribution) -> PredictiveDistribution:
     if dist.normalized:
         return dist
     total = dist.sum_value()
-    if _is_zero(total):
+    if total == 0:
         raise AllZeroError("cannot normalize an all-zero prediction")
     return PredictiveDistribution(
         tuple(v / total for v in dist.values), normalized=True
@@ -220,51 +376,28 @@ def normalizer_product(
     cls: WeightedClass,
     x,
     tie_break: Optional[TieBreak] = None,
-    mode: str = EXACT,
-) -> Value:
+) -> Fraction:
     """Running product N_rho(x) of per-step prediction sums.
 
     N_rho(x) = prod_{t=1..len(x)+1} [sum_a rho(x_<t a)] / rho(x_<t);
     the value is 1 for every x when the class holds a single proper
     measure, and tie-breaking never enters because only rho values do.
     """
-    check_mode(mode)
     del tie_break  # the product involves only rho values
     word = cls.word(x)
-    if mode == EXACT:
-        product = Fraction(1)
-    else:
-        product = LogFloat.one()
+    product = Fraction(1)
     for t in range(len(word) + 1):
-        prefix = word[:t]
-        parent = _rho(cls, prefix, mode)
-        if _is_zero(parent):
-            raise ZeroHistoryError(f"rho = 0 along the prefix {prefix}")
-        total = _rho(cls, prefix + (0,), mode)
-        for a in range(1, cls.alphabet.size):
-            total = total + _rho(cls, prefix + (a,), mode)
-        product = product * (total / parent)
+        product *= predict_dynamic(cls, word[:t]).sum_value()
     return product
-
-
-def _rho(cls: WeightedClass, word: Word, mode: str) -> Value:
-    return map_estimator(cls, word, LARGEST_WEIGHT, mode).value
-
-
-def _is_zero(v: Value) -> bool:
-    if isinstance(v, LogFloat):
-        return v.is_zero
-    return v == 0
 
 
 @dataclass
 class Predictor:
-    """A prediction rule bound to a class, tie-break policy and mode."""
+    """A prediction rule bound to a class and a tie-break policy."""
 
     kind: str
     cls: WeightedClass
     tie_break: TieBreak = LARGEST_WEIGHT
-    mode: str = EXACT
     stats: EvalStats = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -274,26 +407,25 @@ class Predictor:
             self.stats = EvalStats()
 
     def predict(self, x) -> PredictiveDistribution:
-        k, c, tb, m = self.kind, self.cls, self.tie_break, self.mode
+        k, c, tb = self.kind, self.cls, self.tie_break
         if k == TRUE:
-            return predict_true(c, x, m)
+            return predict_true(c, x)
         if k == XI:
-            return predict_bayes(c, x, m)
+            return predict_bayes(c, x)
         if k == RHO:
-            return predict_dynamic(c, x, tb, m, self.stats)
+            return predict_dynamic(c, x, tb, self.stats)
         if k == RHO_NORM:
-            return normalize(predict_dynamic(c, x, tb, m, self.stats))
+            return normalize(predict_dynamic(c, x, tb, self.stats))
         if k == STATIC:
-            return predict_static(c, x, tb, m, self.stats)
+            return predict_static(c, x, tb, self.stats)
         if k == STATIC_NORM:
-            return normalize(predict_static(c, x, tb, m, self.stats))
-        return predict_hybrid(c, x, tb, m, self.stats)
+            return normalize(predict_static(c, x, tb, self.stats))
+        return predict_hybrid(c, x, tb, self.stats)
 
 
 def make_predictor(
     kind: str,
     cls: WeightedClass,
     tie_break: TieBreak = LARGEST_WEIGHT,
-    mode: str = EXACT,
 ) -> Predictor:
-    return Predictor(kind, cls, tie_break, mode)
+    return Predictor(kind, cls, tie_break)

@@ -1,19 +1,19 @@
-"""Numeric value representation: exact rationals and log-domain floats.
+"""Numeric conventions: exact rationals and certified enclosures; float
+only for ledgers.
 
-Every probability-like quantity in the library is either an exact
-``fractions.Fraction`` in [0, 1] or a :class:`LogFloat`, a nonnegative
-real stored as its natural logarithm with an explicit zero.  Exact mode
-is the verification default; log-float mode is meant for horizons where
-exact denominators become unwieldy (roughly beyond 10^3 steps).
+Every probability-like quantity in the library is an exact
+``fractions.Fraction``; irrational bound terms are certified rational
+enclosures (:mod:`mdl_lab.enclosure`).  Floats appear only in the float
+ledgers, selected by ``mode="float"`` (:func:`check_mode`), which convert
+exact values at the edges.  Also: rational wire format and exact integer
+log2 helpers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
-Mode = str  # "exact" | "float"
 EXACT = "exact"
 FLOAT = "float"
 
@@ -22,116 +22,6 @@ def check_mode(mode: str) -> str:
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
     return mode
-
-
-class LogFloat:
-    """A nonnegative real number stored in the natural-log domain.
-
-    The payload ``ln`` is ``-inf`` for the distinguished zero and is
-    otherwise an ordinary float (values above 1 are permitted; predictive
-    quotients stay in [0, 1] but intermediate sums may not).
-    """
-
-    __slots__ = ("ln",)
-
-    def __init__(self, ln: float):
-        self.ln = ln
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LogFloat":
-        return cls(-math.inf)
-
-    @classmethod
-    def one(cls) -> "LogFloat":
-        return cls(0.0)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "LogFloat":
-        if q < 0:
-            raise ValueError("LogFloat represents nonnegative reals")
-        if q == 0:
-            return cls.zero()
-        # math.log accepts arbitrarily large ints, so huge exact
-        # numerators/denominators convert without overflow.
-        return cls(math.log(q.numerator) - math.log(q.denominator))
-
-    @classmethod
-    def from_float(cls, v: float) -> "LogFloat":
-        if v < 0:
-            raise ValueError("LogFloat represents nonnegative reals")
-        return cls.zero() if v == 0 else cls(math.log(v))
-
-    # -- predicates ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.ln == -math.inf
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __mul__(self, other: "LogFloat") -> "LogFloat":
-        if self.is_zero or other.is_zero:
-            return LogFloat.zero()
-        return LogFloat(self.ln + other.ln)
-
-    def __truediv__(self, other: "LogFloat") -> "LogFloat":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogFloat zero")
-        if self.is_zero:
-            return LogFloat.zero()
-        return LogFloat(self.ln - other.ln)
-
-    def __add__(self, other: "LogFloat") -> "LogFloat":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        hi, lo = (self.ln, other.ln) if self.ln >= other.ln else (other.ln, self.ln)
-        return LogFloat(hi + math.log1p(math.exp(lo - hi)))
-
-    # -- comparisons (by log payload) -----------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LogFloat) and self.ln == other.ln
-
-    def __lt__(self, other: "LogFloat") -> bool:
-        return self.ln < other.ln
-
-    def __le__(self, other: "LogFloat") -> bool:
-        return self.ln <= other.ln
-
-    def __gt__(self, other: "LogFloat") -> bool:
-        return self.ln > other.ln
-
-    def __ge__(self, other: "LogFloat") -> bool:
-        return self.ln >= other.ln
-
-    def __hash__(self) -> int:
-        return hash(("LogFloat", self.ln))
-
-    def __float__(self) -> float:
-        return 0.0 if self.is_zero else math.exp(self.ln)
-
-    def __repr__(self) -> str:
-        return f"LogFloat(ln={self.ln!r})"
-
-
-Value = Union[Fraction, LogFloat]
-
-
-def value_to_float(v: Value) -> float:
-    return float(v)
-
-
-def as_value(q: Fraction, mode: str) -> Value:
-    """Represent an exact rational in the requested numeric mode."""
-    return q if mode == EXACT else LogFloat.from_fraction(q)
-
-
-def zero_value(mode: str) -> Value:
-    return Fraction(0) if mode == EXACT else LogFloat.zero()
 
 
 def relative_close(a: float, b: float, rel: float = 1e-9) -> bool:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdl_lab.decisions import (
+    LossFunction,
     bayes_optimal_action,
     check_regret_bound,
     decision_trace,
@@ -52,6 +53,47 @@ class TestLossFunctions:
         # Exact walks merge histories on the parity of ones, shifted or not.
         assert loss.history_key((1, 0, 1)) == loss.history_key(()) == 0
         assert loss.shifted().history_key is loss.history_key
+
+    def test_nonstationary_invalid_table_raises_on_first_read(self):
+        # Tables are validated once per history key: a key whose table is
+        # invalid must still raise the first time, and every time after.
+        good = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+        bad = {(0, 0): 0, (0, 1): 2, (1, 0): 1, (1, 1): 0}
+        loss = LossFunction(
+            lambda history: bad if len(history) % 3 == 2 else good,
+            stationary=False,
+            history_key=lambda history: len(history) % 3,
+        )
+        assert loss.table(()) is good
+        assert loss.table((1,)) is good
+        for history in ((0, 1), (1, 1), (0, 1, 0, 0, 1)):
+            with pytest.raises(LossFunctionError):
+                loss.table(history)
+        assert loss.table((1, 0, 1)) is good
+        with pytest.raises(LossFunctionError):
+            decision_traces(bernoulli_class([F(1, 3), F(2, 3)]), ["rho"], loss, 4)
+
+    def test_nonstationary_table_validated_once_per_key(self, monkeypatch):
+        calls = []
+        validate = LossFunction._validate
+        monkeypatch.setattr(
+            LossFunction, "_validate", staticmethod(lambda t: calls.append(t) or validate(t))
+        )
+        loss = history_parity_loss(
+            even={(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
+            odd={(0, 0): 0, (0, 1): F(1, 2), (1, 0): F(1, 2), (1, 1): 0},
+        )
+        calls.clear()
+        for history in ((), (1,), (1, 1), (0, 1), (1, 0, 1), (0, 0, 0)):
+            loss.table(history)
+        assert len(calls) == 2  # one per parity
+        # A rule keyed by the whole history keeps no keys and validates
+        # on every read.
+        whole = LossFunction(lambda history: loss.table(history), stationary=False)
+        calls.clear()
+        for history in ((), (1,), (1,), (0, 1)):
+            whole.table(history)
+        assert len(calls) == 4 and not whole._validated_keys
 
 
 class TestBayesOptimalAction:

@@ -31,6 +31,19 @@ class TestInterval:
         assert (a * F(2)) == FracInterval(F(2), F(4))
         assert abs(FracInterval(F(-3), F(1))) == FracInterval(F(0), F(3))
 
+    @given(
+        rationals_01,
+        rationals_01,
+        st.fractions(min_value=0, max_value=20, max_denominator=30),
+        st.integers(0, 5),
+    )
+    def test_scalar_product_matches_four_products(self, a, b, q, n):
+        # Intervals straddle zero; weights and integer factors include 0.
+        iv = FracInterval(min(a, b) - F(1, 3), max(a, b))
+        for scalar in (q, n, 0, -q, -n):
+            four_products = iv * FracInterval.exact(scalar)
+            assert iv * scalar == four_products == scalar * iv
+
     def test_certainly_comparisons(self):
         assert FracInterval(F(0), F(1)).certainly_le(F(1))
         assert not FracInterval(F(0), F(1)).certainly_le(F(1, 2))

@@ -74,14 +74,9 @@ class TestMapEstimator:
     def test_exact_tie_detection(self):
         cls = example3_class()
         res = map_estimator(cls, "1")
-        assert res.tied and res.tie_set == (0, 1) and not res.approximate
+        assert res.tied and res.tie_set == (0, 1)
         res_eps = map_estimator(cls, "10")
         assert res_eps.tied  # both models keep matching on any 1-prefix
-
-    def test_float_mode_flags_approximate_ties(self):
-        cls = example3_class()
-        res = map_estimator(cls, "1", mode="float")
-        assert res.tied and res.approximate
 
     def test_tie_break_policies(self):
         cls = example1_class(5)

@@ -5,14 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mdl_lab.errors import AllZeroError, ZeroHistoryError
-from mdl_lab.measures import IidModel
+from mdl_lab.errors import AllZeroError, IndeterminateTailError, ZeroHistoryError
+from mdl_lab.measures import DeterministicModel, IidModel
 from mdl_lab.model_class import (
+    LARGEST_WEIGHT,
+    LOWEST_INDEX,
+    EvalStats,
     WeightedClass,
     bernoulli_class,
     example1_class,
     example3_class,
+    map_estimator,
     round_robin,
+    two_part_value,
 )
 from mdl_lab.predictors import (
     PredictiveDistribution,
@@ -281,10 +286,116 @@ class TestPredictorObjects:
         with pytest.raises(ValueError):
             make_predictor("oracle", bernoulli_class([F(1, 2)]))
 
-    def test_float_mode_predictions_close(self):
-        cls = example1_class(5)
-        for kind in ("xi", "rho", "rho_norm", "static", "static_norm", "hybrid"):
-            exact = make_predictor(kind, cls).predict("11")
-            approx = make_predictor(kind, cls, mode="float").predict("11")
-            for e, a in zip(exact.as_floats(), approx.as_floats()):
-                assert abs(e - a) < 1e-9
+
+# ----------------------------------------------------------------------
+# The node-reading facade against quotients of point evaluations
+# ----------------------------------------------------------------------
+
+TIE_BREAKS = (LARGEST_WEIGHT, LOWEST_INDEX, round_robin(1))
+FACADE = {
+    "xi": lambda cls, x, tb, stats: predict_bayes(cls, x),
+    "rho": predict_dynamic,
+    "static": predict_static,
+    "hybrid": predict_hybrid,
+}
+SEARCHES = {"xi": 0, "rho": 3, "static": 1, "hybrid": 3}
+
+
+def quotient_reference(kind, cls, x, tb):
+    """Each prediction as a quotient of from-scratch point evaluations."""
+    children = [x + (a,) for a in cls.alphabet.symbols()]
+    if kind == "xi":
+        base = bayes_mixture(cls, x)
+        if base == 0:
+            raise ZeroHistoryError(x)
+        return tuple(bayes_mixture(cls, xa) / base for xa in children)
+    if kind == "rho":
+        base = two_part_value(cls, x)
+        if base == 0:
+            raise ZeroHistoryError(x)
+        return tuple(two_part_value(cls, xa) / base for xa in children)
+    chosen = cls.models[map_estimator(cls, x, tb).index]
+    base = chosen.evaluate_exact(x)
+    if base == 0:
+        raise ZeroHistoryError(x)
+    if kind == "static":
+        return tuple(chosen.evaluate_exact(xa) / base for xa in children)
+    return tuple(
+        cls.models[map_estimator(cls, xa, tb).index].evaluate_exact(xa) / base
+        for xa in children
+    )
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ZeroHistoryError, IndeterminateTailError) as exc:
+        return type(exc)
+
+
+def _assert_facade_matches(cls, words):
+    for x in words:
+        for tb in TIE_BREAKS:
+            for kind, predict in FACADE.items():
+                stats = EvalStats()
+                got = _outcome(lambda: predict(cls, x, tb, stats).values)
+                want = _outcome(lambda: quotient_reference(kind, cls, x, tb))
+                assert got == want, (cls.describe(), x, tb, kind)
+                if isinstance(got, tuple):
+                    assert stats.map_searches == SEARCHES[kind]
+
+
+def _all_words(max_len):
+    return [w for n in range(max_len + 1) for w in itertools.product((0, 1), repeat=n)]
+
+
+class TestFacadeDifferential:
+    def test_random_measure_classes(self):
+        for case in range(12):
+            _assert_facade_matches(random_measure_class(41, case), _all_words(5))
+
+    def test_random_semimeasure_classes(self):
+        for case in range(12):
+            _assert_facade_matches(random_semimeasure_class(42, case), _all_words(5))
+
+    def test_named_classes(self):
+        for cls in (example1_class(4), example3_class()):
+            _assert_facade_matches(cls, _all_words(5))
+
+
+class TestTailRefusal:
+    def truncated_classes(self):
+        geometric = WeightedClass(
+            [DeterministicModel((1,) * i, (0,)) for i in range(4)],
+            [F(1, 2 ** (i + 1)) for i in range(4)],
+            tail_bound=F(1, 16),
+            descending_weights=True,
+        )
+        yield geometric
+        for case in range(6):
+            base = random_measure_class(43, case)
+            yield WeightedClass(
+                base.models,
+                [w / 2 for w in base.weights],
+                tail_bound=F(1, 2 ** (3 + case % 3)),
+            )
+
+    def test_predictors_refuse_where_map_estimator_refuses(self):
+        refusals = 0
+        for cls in self.truncated_classes():
+            for x in _all_words(5):
+                at_x = _outcome(lambda: map_estimator(cls, x).index)
+                at_children = [
+                    _outcome(lambda: map_estimator(cls, x + (a,)).index) for a in (0, 1)
+                ]
+                refused = at_x is IndeterminateTailError
+                refused_child = IndeterminateTailError in at_children
+                refusals += refused
+                for tb in TIE_BREAKS:
+                    static = _outcome(lambda: predict_static(cls, x, tb))
+                    assert (static is IndeterminateTailError) == refused
+                    for predict in (predict_dynamic, predict_hybrid):
+                        got = _outcome(lambda: predict(cls, x, tb))
+                        assert (got is IndeterminateTailError) == (refused or refused_child)
+                _assert_facade_matches(cls, [x])
+        assert refusals > 0

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdl_lab.values import (
-    LogFloat,
     ceil_log2_frac,
     decimal_string,
     format_rational,
@@ -15,40 +14,6 @@ from mdl_lab.values import (
     parse_rational,
     relative_close,
 )
-
-
-class TestLogFloat:
-    def test_zero_and_one(self):
-        assert LogFloat.zero().is_zero
-        assert float(LogFloat.zero()) == 0.0
-        assert float(LogFloat.one()) == 1.0
-
-    def test_mul_div(self):
-        a = LogFloat.from_fraction(F(1, 4))
-        b = LogFloat.from_fraction(F(1, 2))
-        assert math.isclose(float(a * b), 1 / 8)
-        assert math.isclose(float(a / b), 1 / 2)
-        assert (a * LogFloat.zero()).is_zero
-
-    def test_add_is_logsumexp(self):
-        a = LogFloat.from_fraction(F(3, 8))
-        b = LogFloat.from_fraction(F(1, 8))
-        assert math.isclose(float(a + b), 0.5)
-        assert float(LogFloat.zero() + a) == float(a)
-
-    def test_division_by_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            LogFloat.one() / LogFloat.zero()
-
-    def test_huge_fraction_converts(self):
-        q = F(3**400, 7**500)
-        lf = LogFloat.from_fraction(q)
-        assert math.isclose(lf.ln, 400 * math.log(3) - 500 * math.log(7))
-
-    def test_ordering(self):
-        values = [F(0), F(1, 3), F(1, 2), F(9, 10)]
-        logs = [LogFloat.from_fraction(v) for v in values]
-        assert logs == sorted(logs)
 
 
 class TestRationalWire:
