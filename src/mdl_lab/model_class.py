@@ -219,14 +219,9 @@ def complexity(cls: WeightedClass, index: int) -> float:
 
 @dataclass
 class EvalStats:
-    """Observability counters for estimator work done by predictors."""
+    """Observability counter of the MAP searches done by predictors."""
 
     map_searches: int = 0
-    model_evaluations: int = 0
-
-    def add_search(self, cls: WeightedClass):
-        self.map_searches += 1
-        self.model_evaluations += len(cls)
 
 
 # ----------------------------------------------------------------------

@@ -300,7 +300,7 @@ def _search(cls: WeightedClass, best: Fraction, stats: Optional[EvalStats]) -> N
     """Account for one MAP search whose materialized maximum is ``best``."""
     check_tail(cls, best)
     if stats is not None:
-        stats.add_search(cls)
+        stats.map_searches += 1
 
 
 def predict_bayes(cls: WeightedClass, x) -> PredictiveDistribution:

@@ -7,17 +7,24 @@ history dependence).  Almost-sure statements are not falsifiable at a
 finite horizon, so the verdicts here use an explicit finite proxy: a
 trace "stabilized" when no change of choice occurs within the final
 observation window.  Window and horizon always travel with the verdict.
+
+A trace compares w_nu * nu(x_1:t) across the class at every prefix.  When
+every member is factorizable these values share one growing denominator,
+so the trace keeps one exact integer numerator per model and updates it by
+a small multiply per step.  A class with any other member (the martingale,
+leaky or generic models) is traced on exact cursor Fractions instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from math import lcm
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ZeroHistoryError
-from .measures import derived_rng, sample_path
-from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
+from .measures import Word, derived_rng, sample_path
+from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass, check_tail
 from .metrics import ordered_parallel_map
 
 
@@ -59,25 +66,56 @@ class StabilizationVerdict:
         return self.stabilized_by is not None
 
 
+def _weighted_scores(cls: WeightedClass, word: Word) -> Iterator[Tuple[list, int]]:
+    """Scores proportional to w_nu * nu(x_1:t) for t = 0..len(word).
+
+    Each item is (scores, denominator) with score_i / denominator ==
+    w_i * nu_i(x_1:t) exactly.  Factorizable classes give integers over
+    one common denominator; any other class gives cursor Fractions over 1.
+    """
+    models, weights = cls.models, cls.weights
+    if all(m.is_factorizable for m in models):
+        den = lcm(*(w.denominator for w in weights))
+        scores = [w.numerator * (den // w.denominator) for w in weights]
+        yield scores, den
+        for t, a in enumerate(word, start=1):
+            probs = [m.step_distribution(t)[a] for m in models]
+            step = lcm(*(p.denominator for p in probs))
+            scores = [s * (p.numerator * (step // p.denominator)) for s, p in zip(scores, probs)]
+            den *= step
+            yield scores, den
+        return
+    cursors = [m.cursor() for m in models]
+    yield [w * c.value for w, c in zip(weights, cursors)], 1
+    for a in word:
+        cursors = [c.advance(a) for c in cursors]
+        yield [w * c.value for w, c in zip(weights, cursors)], 1
+
+
 def map_trace(
     cls: WeightedClass,
     x,
     tie_break: TieBreak = LARGEST_WEIGHT,
 ) -> MapTrace:
-    """Exact maximizer index at every prefix of x (incremental cursors)."""
-    word = cls.word(x)
-    cursors = [m.cursor() for m in cls.models]
+    """Exact maximizer index at every prefix of x.
+
+    Agrees with :func:`map_estimator` at every prefix: the same index and
+    tie flag, :class:`IndeterminateTailError` where the unmaterialized
+    tail could overturn the choice, and :class:`ZeroHistoryError` once
+    every member gives the prefix probability zero.  Factorizable classes
+    are compared on exact integers over a common denominator, all other
+    classes on incremental cursor values.
+    """
     weights = cls.weights
     indices: List[int] = []
     ties: List[bool] = []
-    for t in range(len(word) + 1):
-        if t > 0:
-            cursors = [c.advance(word[t - 1]) for c in cursors]
-        scored = [w * c.value for w, c in zip(weights, cursors)]
-        best = max(scored)
+    for t, (scores, den) in enumerate(_weighted_scores(cls, cls.word(x))):
+        best = max(scores)
+        if cls.tail_bound is not None:
+            check_tail(cls, Fraction(best, den))
         if best == 0:
             raise ZeroHistoryError(f"rho = 0 after {t} symbols")
-        tied = tuple(i for i, s in enumerate(scored) if s == best)
+        tied = tuple(i for i, s in enumerate(scores) if s == best)
         indices.append(tie_break.choose(tied, weights, t))
         ties.append(len(tied) > 1)
     return MapTrace(indices, ties)
@@ -195,13 +233,12 @@ def hybrid_value_series(
     """
     word = cls.word(x)
     trace = map_trace(cls, word, tie_break)
+    cursors = [m.cursor() for m in cls.models]
     values = []
-    for t in range(1, len(word) + 1):
-        num_model = cls.models[trace.indices[t]]
-        den_model = cls.models[trace.indices[t - 1]]
-        num = num_model.evaluate_exact(word[:t])
-        den = den_model.evaluate_exact(word[: t - 1])
-        values.append(num / den)
+    for t, a in enumerate(word, start=1):
+        den = cursors[trace.indices[t - 1]].value
+        cursors = [c.advance(a) for c in cursors]
+        values.append(cursors[trace.indices[t]].value / den)
     return values
 
 

@@ -1,15 +1,25 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from mdl_lab.measures import OscillatingMartingaleMeasure
+from mdl_lab.errors import IndeterminateTailError, ZeroHistoryError
+from mdl_lab.measures import (
+    DeterministicModel,
+    FactorizableModel,
+    IidModel,
+    OscillatingMartingaleMeasure,
+)
 from mdl_lab.model_class import (
     LARGEST_WEIGHT,
+    LOWEST_INDEX,
+    WeightedClass,
     bernoulli_class,
     example1_class,
     example3_class,
     example4_class,
     example5_class,
+    map_estimator,
     round_robin,
 )
 from mdl_lab.stabilization import (
@@ -21,6 +31,112 @@ from mdl_lab.stabilization import (
     profile_class,
     stabilization_verdict,
 )
+from mdl_lab.suites import random_measure_class, random_semimeasure_class
+
+TIE_BREAKS = (LARGEST_WEIGHT, LOWEST_INDEX, round_robin(1))
+
+
+def _all_words(max_len):
+    return [w for n in range(max_len + 1) for w in itertools.product((0, 1), repeat=n)]
+
+
+def _truncated(base, tail_bound):
+    return WeightedClass(base.models, [w / 2 for w in base.weights], tail_bound=tail_bound)
+
+
+def _geometric_truncated_class():
+    """nu_i on 1^i 0^inf with weight 2^-(i+1); four materialized, tail 1/16."""
+    return WeightedClass(
+        [DeterministicModel((1,) * i, (0,)) for i in range(4)],
+        [F(1, 2 ** (i + 1)) for i in range(4)],
+        tail_bound=F(1, 16),
+        descending_weights=True,
+    )
+
+
+def _reference_trace(cls, word, tie_break):
+    """Per-prefix map_estimator: indices, tie flags and (error, prefix length)."""
+    indices, ties = [], []
+    for t in range(len(word) + 1):
+        try:
+            res = map_estimator(cls, word[:t], tie_break)
+        except IndeterminateTailError:
+            return indices, ties, (IndeterminateTailError, t)
+        if res.value == 0:
+            return indices, ties, (ZeroHistoryError, t)
+        indices.append(res.index)
+        ties.append(res.tied)
+    return indices, ties, None
+
+
+def _assert_trace_matches(cls, words):
+    """map_trace equals per-prefix map_estimator; returns the errors seen."""
+    errors = []
+    for tb in TIE_BREAKS:
+        for word in words:
+            indices, ties, error = _reference_trace(cls, word, tb)
+            if error is None:
+                trace = map_trace(cls, word, tb)
+                assert (trace.indices, trace.tie_flags) == (indices, ties), (word, tb)
+                continue
+            kind, t = error
+            with pytest.raises(kind):
+                map_trace(cls, word[:t], tb)
+            if t > 0:
+                trace = map_trace(cls, word[: t - 1], tb)
+                assert (trace.indices, trace.tie_flags) == (indices, ties), (word, tb)
+            errors.append(kind)
+    return errors
+
+
+class TestMapTraceDifferential:
+    def test_factorizable_classes_never_use_cursors(self, monkeypatch):
+        def no_cursor(self):
+            raise AssertionError("the factorizable trace advanced a cursor")
+
+        for kind in (IidModel, DeterministicModel, FactorizableModel):
+            monkeypatch.setattr(kind, "cursor", no_cursor)
+        classes = [random_measure_class(51, case) for case in range(16)]
+        classes += [
+            _truncated(random_measure_class(52, case), F(1, 2 ** (3 + case % 3)))
+            for case in range(6)
+        ]
+        classes += [
+            _geometric_truncated_class(),
+            example1_class(4),
+            example3_class(),
+            example4_class(),
+            example4_class(F(3, 7), F(4, 7)),
+        ]
+        errors = []
+        for cls in classes:
+            assert all(m.is_factorizable for m in cls.models)
+            errors += _assert_trace_matches(cls, _all_words(6))
+        assert ZeroHistoryError in errors and IndeterminateTailError in errors
+
+    def test_cursor_path_classes(self):
+        leaky = [
+            cls
+            for cls in (random_semimeasure_class(53, case) for case in range(12))
+            if not all(m.is_factorizable for m in cls.models)
+        ]
+        assert len(leaky) >= 3
+        for cls in [example5_class()] + leaky[:4]:
+            _assert_trace_matches(cls, _all_words(6))
+
+    def test_truncated_class_refuses_where_map_estimator_refuses(self):
+        cls = _geometric_truncated_class()
+        ones = (1,) * 6
+        refusals = []
+        for t in range(len(ones) + 1):
+            try:
+                map_estimator(cls, ones[:t])
+            except IndeterminateTailError:
+                refusals.append(t)
+        assert refusals[0] == 3  # only nu_3 survives 1^3, at weight 1/16
+        assert map_trace(cls, ones[:2]).indices == [0, 1, 2]
+        with pytest.raises(IndeterminateTailError):
+            map_trace(cls, ones[:3])
 
 
 class TestMapTrace:
@@ -119,6 +235,18 @@ class TestHybridSeries:
             for t, v in enumerate(series[1:], start=2)
         )
         assert alternation_count(series) == 9
+
+    def test_matches_quotients_of_evaluate_exact(self):
+        for cls in (example3_class(), example4_class(F(3, 7), F(4, 7)), example5_class()):
+            for tb in (LARGEST_WEIGHT, round_robin()):
+                for word in _all_words(6) + [(1,) * 12]:
+                    trace = map_trace(cls, word, tb)
+                    want = [
+                        cls.models[trace.indices[t]].evaluate_exact(word[:t])
+                        / cls.models[trace.indices[t - 1]].evaluate_exact(word[: t - 1])
+                        for t in range(1, len(word) + 1)
+                    ]
+                    assert hybrid_value_series(cls, word, tb) == want
 
     def test_sign_change_counter(self):
         assert increment_sign_changes([F(1), F(2), F(1), F(2), F(1)]) == 3
