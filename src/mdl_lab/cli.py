@@ -66,7 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--horizon", type=int)
     run.add_argument("--samples", type=int)
     run.add_argument("--mode", choices=("exact", "float"))
-    run.add_argument("--workers", type=int)
+    run.add_argument(
+        "--workers",
+        type=int,
+        help="threads for sampled paths (default 1); results are identical for "
+        "any count, and 2 threads ran at 0.86-0.87x the speed of 1 on a "
+        "2-vCPU host, so more do not speed runs up",
+    )
     run.add_argument("--out", help="output directory (default: runs/<experiment>)")
     run.add_argument(
         "--param",

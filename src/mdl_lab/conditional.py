@@ -26,6 +26,7 @@ from scipy import integrate
 
 from .errors import DegenerateLikelihoodError, ZeroHistoryError
 from .measures import Alphabet, BINARY, FactorizableModel, derived_rng
+from .metrics import mean_stderr
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
 from .predictors import PredictiveDistribution
 
@@ -489,13 +490,11 @@ def monte_carlo_regression_hellinger(
             for j, m in enumerate(models):
                 scores[j] += m.log_density(x, u)
         totals.append(total)
-    n = samples
-    mean = sum(totals) / n
-    var = sum((t - mean) ** 2 for t in totals) / (n - 1) if n > 1 else 0.0
+    mean, stderr = mean_stderr(totals)
     return RegressionHellingerSummary(
         mean=mean,
-        stderr=math.sqrt(var / n),
+        stderr=stderr,
         bound=21.0 / float(weights[true_index]),
-        samples=n,
+        samples=samples,
         horizon=len(inputs),
     )

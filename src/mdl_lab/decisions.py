@@ -33,13 +33,13 @@ import numpy as np
 
 from .enclosure import FracInterval, ZERO_INTERVAL, hellinger_term, sqrt_interval
 from .errors import LossFunctionError
-from .measures import Word, _draw_exact, derived_rng
+from .measures import Word
 from .metrics import (
     COROLLARY_CONSTANTS,
     DEFAULT_NODE_GUARD,
     BoundReport,
-    _stderr,
-    ordered_parallel_map,
+    mean_stderr,
+    monte_carlo_rows,
     prefix_key,
     walk_support,
 )
@@ -330,53 +330,33 @@ def monte_carlo_decision_trace(
     if cls.alphabet.size != 2:
         raise ValueError("the decision layer is binary-alphabet only")
 
-    def one(i: int):
-        rng = derived_rng(seed, i)
-        node = PredictionNode(
-            cls, tie_break, (), [m.cursor() for m in cls.models], Fraction(1)
+    def row(node: PredictionNode, mu_cond: list) -> Tuple[float, float, int]:
+        table = loss.table(node.prefix)
+        phi1 = node.prediction(predictor_kind)[1]
+        action = bayes_optimal_action(phi1, loss, node.prefix)
+        mu_action = bayes_optimal_action(mu_cond[1], loss, node.prefix)
+        step_phi = float(
+            mu_cond[0] * table[(0, action)] + mu_cond[1] * table[(1, action)]
         )
-        rows = []
-        actions = []
-        for _ in range(horizon):
-            table = loss.table(node.prefix)
-            mu_cond = node.true_conditionals()
-            phi1 = node.prediction(predictor_kind)[1]
-            action = bayes_optimal_action(phi1, loss, node.prefix)
-            mu_action = bayes_optimal_action(mu_cond[1], loss, node.prefix)
-            step_phi = float(
-                mu_cond[0] * table[(0, action)] + mu_cond[1] * table[(1, action)]
-            )
-            step_mu = float(
-                mu_cond[0] * table[(0, mu_action)] + mu_cond[1] * table[(1, mu_action)]
-            )
-            rows.append((step_phi, step_mu))
-            actions.append(action)
-            node = node.child_node(_draw_exact(mu_cond, rng))
-        return rows, actions
+        step_mu = float(
+            mu_cond[0] * table[(0, mu_action)] + mu_cond[1] * table[(1, mu_action)]
+        )
+        return step_phi, step_mu, action
 
-    results = ordered_parallel_map(one, range(samples), workers)
-    n = samples
-    l_phi = [0.0] * horizon
-    l_mu = [0.0] * horizon
-    sq_phi = [0.0] * horizon
-    sq_mu = [0.0] * horizon
-    for rows, _ in results:
-        for t, (p, m) in enumerate(rows):
-            l_phi[t] += p
-            l_mu[t] += m
-            sq_phi[t] += p * p
-            sq_mu[t] += m * m
-
+    paths = monte_carlo_rows(cls, horizon, samples, seed, row, tie_break, workers)
+    steps = list(zip(*paths))
+    phi = [mean_stderr([r[0] for r in step]) for step in steps]
+    mu = [mean_stderr([r[1] for r in step]) for step in steps]
     return MonteCarloDecisionTrace(
         predictor=predictor_kind,
         horizon=horizon,
-        samples=n,
+        samples=samples,
         seed=seed,
-        l_phi=[v / n for v in l_phi],
-        l_mu=[v / n for v in l_mu],
-        stderr_phi=[_stderr(t / n, s, n) for t, s in zip(l_phi, sq_phi)],
-        stderr_mu=[_stderr(t / n, s, n) for t, s in zip(l_mu, sq_mu)],
-        sample_actions=results[0][1] if results else [],
+        l_phi=[mean for mean, _ in phi],
+        l_mu=[mean for mean, _ in mu],
+        stderr_phi=[se for _, se in phi],
+        stderr_mu=[se for _, se in mu],
+        sample_actions=[r[2] for r in paths[0]],
     )
 
 

@@ -138,6 +138,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown tie_break {self.tie_break!r}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        for name in ("horizon", "samples"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be a mapping")
 

@@ -10,7 +10,9 @@ The per-step distances between the true conditionals and a prediction are
 applied verbatim to raw prediction entries (no implicit normalization;
 the unnormalized variants are bounded as-is).  Cumulative ledgers take
 expectations over the true measure by exact enumeration of the sequence
-tree, pruning zero-probability subtrees, or by seeded Monte Carlo.
+tree (:func:`walk_support`), pruning zero-probability subtrees, or by
+seeded Monte Carlo: :func:`monte_carlo_rows` is the one sampled-path
+driver and :func:`mean_stderr` the one reduction of its columns.
 
 In exact mode, square and absolute sums are exact rationals while
 Hellinger and KL sums are certified rational enclosures, so every bound
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Optional, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from .enclosure import (
     ZERO_INTERVAL,
@@ -204,43 +206,6 @@ def prefix_key(prefix: Word) -> Word:
     return prefix
 
 
-def expect(
-    cls: WeightedClass,
-    horizon: int,
-    f: Callable[[Word], object],
-    mode: str = EXACT,
-    guard: int = DEFAULT_NODE_GUARD,
-):
-    """E f(x_{1:n}) = sum over length-n strings of mu(x) f(x).
-
-    Enumerates the sequence tree depth-first, pruning subtrees of zero
-    true probability; exact in exact mode.
-    """
-    check_mode(mode)
-    if cls.true_index is None:
-        raise ValueError("expectation needs a designated true model")
-    mu = cls.true_model
-    total = Fraction(0) if mode == EXACT else 0.0
-    nodes = 0
-    stack = [((), mu.cursor())]
-    k = cls.alphabet.size
-    while stack:
-        prefix, cur = stack.pop()
-        nodes += 1
-        if nodes > guard:
-            raise TooLargeError(f"enumeration exceeded {guard} nodes")
-        if len(prefix) == horizon:
-            contribution = cur.value * f(prefix) if mode == EXACT else float(
-                cur.value
-            ) * f(prefix)
-            total = total + contribution
-            continue
-        for a in reversed(range(k)):
-            if cur.child_value(a) > 0:
-                stack.append((prefix + (a,), cur.advance(a)))
-    return total
-
-
 # ----------------------------------------------------------------------
 # Cumulative ledgers
 # ----------------------------------------------------------------------
@@ -344,6 +309,67 @@ def cumulative_distances(
     return CumulativeLedger(mode, horizon, sq, he, kl, ab)
 
 
+def monte_carlo_rows(
+    cls: WeightedClass,
+    horizon: int,
+    samples: int,
+    seed: int,
+    row: Callable[[PredictionNode, list], object],
+    tie_break: TieBreak = LARGEST_WEIGHT,
+    workers: int = 1,
+) -> List[list]:
+    """Per-step rows along ``samples`` paths drawn from the true model.
+
+    Path i starts at the root node and, at each of ``horizon`` steps,
+    records ``row(node, mu_cond)`` and then draws the next symbol from
+    the true conditionals ``mu_cond`` with ``derived_rng(seed, i)``.  The
+    per-path row lists come back in index order, so the result is
+    identical for any worker count.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+    def one_path(i: int) -> list:
+        rng = derived_rng(seed, i)
+        node = PredictionNode(
+            cls, tie_break, (), [m.cursor() for m in cls.models], Fraction(1)
+        )
+        rows = []
+        for _ in range(horizon):
+            mu_cond = node.true_conditionals()
+            rows.append(row(node, mu_cond))
+            node = node.child_node(_draw_exact(mu_cond, rng))
+        return rows
+
+    return ordered_parallel_map(one_path, range(samples), workers)
+
+
+def mean_stderr(column: Sequence[float]) -> Tuple[float, float]:
+    """Sample mean of a column and the standard error of that mean.
+
+    The mean is summed left to right in index order (``sum`` of floats is
+    compensated from Python 3.12 on, which would move the last bit).  The
+    stderr is sqrt(sum((v - mean)^2) / (n - 1) / n), the two-pass form
+    that does not cancel catastrophically (Chan, Golub & LeVeque, 1983).
+    A column holding inf gives (inf, inf).  A column of equal values,
+    n = 1 included, has stderr 0.0: its summed mean can miss the common
+    value by an ulp, which the deviations would turn into a spurious stderr.
+    """
+    total = 0.0
+    for v in column:
+        total += v
+    n = len(column)
+    mean = total / n
+    if mean == math.inf:
+        return math.inf, math.inf
+    if all(v == column[0] for v in column):
+        return mean, 0.0
+    squares = 0.0
+    for v in column:
+        squares += (v - mean) ** 2
+    return mean, math.sqrt(squares / (n - 1) / n)
+
+
 def monte_carlo_distances(
     cls: WeightedClass,
     predictor_kind: str,
@@ -355,62 +381,25 @@ def monte_carlo_distances(
 ) -> CumulativeLedger:
     """Unbiased float estimates of the distance ledgers from sampled paths.
 
-    Each sample draws a path from the true model with an independently
-    derived RNG, so the result is identical for any worker count; samples
-    are reduced in index order.
+    The paths come from :func:`monte_carlo_rows`, so the result is
+    identical for any worker count.
     """
 
-    def one_sample(i: int):
-        rng = derived_rng(seed, i)
-        node = PredictionNode(
-            cls, tie_break, (), [m.cursor() for m in cls.models], Fraction(1)
-        )
-        rows = []
-        for _ in range(horizon):
-            mu_cond = node.true_conditionals()
-            phi = node.prediction(predictor_kind)
-            d = step_distances(mu_cond, phi, FLOAT)
-            rows.append((d.square, d.hellinger, d.kl, d.absolute))
-            symbol = _draw_exact(mu_cond, rng)
-            node = node.child_node(symbol)
-        return rows
+    def row(node: PredictionNode, mu_cond: list) -> StepDistances:
+        return step_distances(mu_cond, node.prediction(predictor_kind), FLOAT)
 
-    all_rows = ordered_parallel_map(one_sample, range(samples), workers)
-
-    sq, he, kl, ab = ([0.0] * horizon for _ in range(4))
-    sq2, he2, kl2, ab2 = ([0.0] * horizon for _ in range(4))
-    for rows in all_rows:
-        for t, (s, h, d, a) in enumerate(rows):
-            sq[t] += s
-            he[t] += h
-            kl[t] = kl[t] + d if kl[t] != math.inf else math.inf
-            ab[t] += a
-            sq2[t] += s * s
-            he2[t] += h * h
-            if d != math.inf and kl2[t] != math.inf:
-                kl2[t] += d * d
-            else:
-                kl2[t] = math.inf
-            ab2[t] += a * a
-
-    n = samples
-    means = [[v / n for v in col] for col in (sq, he, kl, ab)]
-    stderr = {
-        name: [_stderr(m, s2, n) for m, s2 in zip(mcol, s2col)]
-        for name, mcol, s2col in zip(
-            METRICS, means, (sq2, he2, kl2, ab2)
-        )
+    paths = monte_carlo_rows(cls, horizon, samples, seed, row, tie_break, workers)
+    steps = list(zip(*paths))
+    stats = {
+        name: [mean_stderr([getattr(d, name) for d in step]) for step in steps]
+        for name in METRICS
     }
     return CumulativeLedger(
-        FLOAT, horizon, means[0], means[1], means[2], means[3], stderr=stderr
+        FLOAT,
+        horizon,
+        *([mean for mean, _ in stats[name]] for name in METRICS),
+        stderr={name: [se for _, se in stats[name]] for name in METRICS},
     )
-
-
-def _stderr(mean: float, sumsq: float, n: int) -> float:
-    if n < 2 or mean == math.inf or sumsq == math.inf:
-        return math.inf if mean == math.inf else 0.0
-    var = max(0.0, sumsq / n - mean * mean) * n / (n - 1)
-    return math.sqrt(var / n)
 
 
 def ordered_parallel_map(fn, items, workers: int):

@@ -264,6 +264,8 @@ class TestMonteCarloTrace:
         a = monte_carlo_decision_trace(cls, "static", loss, 6, 24, seed=2, workers=1)
         b = monte_carlo_decision_trace(cls, "static", loss, 6, 24, seed=2, workers=3)
         assert a.l_phi == b.l_phi and a.l_mu == b.l_mu
+        assert a.stderr_phi == b.stderr_phi and a.stderr_mu == b.stderr_mu
+        assert a.sample_actions == b.sample_actions
 
     def test_estimates_near_exact(self):
         from mdl_lab.decisions import monte_carlo_decision_trace

@@ -25,6 +25,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"experiment": "example1", "mode": "fuzzy"})
 
+    @pytest.mark.parametrize("field", ["horizon", "samples"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_counts_must_be_positive(self, field, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"experiment": "regression_demo", field: value})
+
     def test_param_overrides(self):
         cfg = ExperimentConfig.from_dict(
             {"experiment": "example1", "params": {"N": "3"}}
@@ -240,6 +246,11 @@ class TestCli:
 
     def test_run_bad_param_exit_2(self):
         assert main(["run", "example1", "--param", "N"]) == 2
+
+    def test_run_zero_samples_exit_2(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "regression_demo", "--samples", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction as F
 
 import pytest
@@ -11,9 +12,10 @@ from mdl_lab.measures import IidModel
 from mdl_lab.metrics import (
     check_bounds,
     cumulative_distances,
-    expect,
     inverse_weight,
+    mean_stderr,
     monte_carlo_distances,
+    monte_carlo_rows,
     step_distances,
     walk_support,
 )
@@ -88,28 +90,6 @@ class TestStepDistances:
         assert d.hellinger <= d.absolute + 1e-12
 
 
-class TestExpect:
-    def test_total_mass(self):
-        cls = bernoulli_class([F(1, 3), F(2, 3)], true_index=0)
-        assert expect(cls, 4, lambda x: F(1)) == 1
-
-    def test_deterministic_indicator(self):
-        cls = example1_class(4)
-        assert expect(cls, 5, lambda x: F(1) if x == (1,) * 5 else F(0)) == 1
-
-    def test_binomial_mean(self):
-        # Independent oracle: sum_k k * C(3, k) / 8 = 3/2.
-        cls = bernoulli_class([F(1, 2)], true_index=0)
-        oracle = sum(F(k * math.comb(3, k), 8) for k in range(4))
-        assert oracle == F(3, 2)
-        assert expect(cls, 3, lambda x: F(sum(x))) == F(3, 2)
-
-    def test_guard_trips(self):
-        cls = bernoulli_class([F(1, 2)], true_index=0)
-        with pytest.raises(TooLargeError):
-            expect(cls, 12, lambda x: F(1), guard=100)
-
-
 class TestCumulativeDistances:
     def test_true_predictor_all_zero(self):
         cls = bernoulli_class([F(1, 4), F(1, 2)], true_index=1)
@@ -152,11 +132,19 @@ class TestCumulativeDistances:
 
 class TestMonteCarlo:
     def test_deterministic_truth_equals_exact(self):
-        cls = example1_class(5)
-        exact = cumulative_distances(cls, "rho_norm", 10)
-        mc = monte_carlo_distances(cls, "rho_norm", 10, samples=40, seed=3)
-        assert mc.cumulative("square") == 2.0 == float(exact.cumulative("square"))
-        assert all(se == 0.0 for se in mc.stderr["square"])
+        # One deterministic path sampled over and over: every column is
+        # constant, so every standard error is exactly zero.
+        for n, kind, horizon, samples, seed, square in (
+            (5, "rho_norm", 10, 40, 3, F(2)),
+            (3, "xi", 4, 40, 0, F(13, 18)),
+        ):
+            cls = example1_class(n)
+            exact = cumulative_distances(cls, kind, horizon)
+            mc = monte_carlo_distances(cls, kind, horizon, samples=samples, seed=seed)
+            assert exact.cumulative("square") == square
+            assert mc.cumulative("square") == float(square)
+            for metric in metrics.METRICS:
+                assert mc.stderr[metric] == [0.0] * horizon
 
     def test_single_fair_coin_zero(self):
         cls = bernoulli_class([F(1, 2)], true_index=0)
@@ -184,6 +172,36 @@ class TestMonteCarlo:
             if abs(total - exact) <= 3 * se:
                 hits += 1
         assert hits >= int(0.9 * seeds)
+
+
+class TestMeanStderr:
+    def test_matches_statistics_stdev(self):
+        rng = suite_rng(61, 0)
+        for n in (2, 3, 40, 500):
+            column = [rng.expovariate(1.0) for _ in range(n)]
+            _, stderr = mean_stderr(column)
+            expected = statistics.stdev(column) / math.sqrt(n)
+            assert stderr == pytest.approx(expected, rel=1e-12)
+
+    def test_mean_is_left_to_right_sum(self):
+        column = [0.1] * 10 + [1e16, 1.0, -1e16]
+        total = 0.0
+        for v in column:
+            total += v
+        mean, _ = mean_stderr(column)
+        assert mean == total / len(column)
+        assert mean != math.fsum(column) / len(column)
+
+    def test_inf_column(self):
+        assert mean_stderr([0.5, math.inf, 1.0]) == (math.inf, math.inf)
+
+    def test_single_sample(self):
+        assert mean_stderr([0.3]) == (0.3, 0.0)
+
+    def test_rows_need_a_sample(self):
+        cls = bernoulli_class([F(1, 2)], true_index=0)
+        with pytest.raises(ValueError):
+            monte_carlo_rows(cls, 3, 0, 0, lambda node, mu_cond: 0.0)
 
 
 class TestCheckBounds:
