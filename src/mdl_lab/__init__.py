@@ -26,7 +26,7 @@ The library provides:
                        the ``mdl-lab`` command line tool.
 
 Every prediction and bound is computed in exact rationals and certified
-enclosures; floats appear only in the optional float ledgers.
+enclosures; floats appear only in Monte-Carlo estimates.
 """
 
 __version__ = "0.1.0"

@@ -1,13 +1,16 @@
 """Command line front end.
 
     mdl-lab list
-    mdl-lab describe <experiment>
+    mdl-lab describe <experiment>      (its description and knob table)
     mdl-lab run <experiment> [--config FILE] [--seed N] [--horizon N]
-            [--samples N] [--mode exact|float] [--out DIR] [--workers N]
-            [--param key=value ...]
+            [--samples N] [--out DIR] [--workers N] [--param key=value ...]
     mdl-lab code encode (--string 0110 | --file PATH) [--preset NAME]
             [--config FILE] [--model INDEX]
     mdl-lab code decode --bits BITSTRING [--preset NAME] [--config FILE]
+
+Each experiment's knob table declares the params, --horizon and
+--samples it reads; anything else, or a value below its minimum, is a
+configuration error.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 an exact
 enumeration guard tripped; 4 the run finished but at least one bound row
@@ -25,6 +28,7 @@ from pathlib import Path
 from .coding import code_length_report, decode, encode
 from .errors import ConfigError, MalformedCodeError, MdlLabError, TooLargeError
 from .experiments import (
+    FLAG_KNOBS,
     REGISTRY,
     ExperimentConfig,
     build_class,
@@ -65,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--horizon", type=int)
     run.add_argument("--samples", type=int)
-    run.add_argument("--mode", choices=("exact", "float"))
     run.add_argument(
         "--workers",
         type=int,
@@ -88,12 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--string", help="symbol string, ASCII digits")
     enc.add_argument("--file", help="file holding the symbol string")
     enc.add_argument("--preset", choices=sorted(CODE_PRESETS), default="bernoulli3")
-    enc.add_argument("--config", help="JSON class_spec file instead of a preset")
+    enc.add_argument("--config", help="JSON class spec file instead of a preset")
     enc.add_argument("--model", type=int, default=None, help="model index (default: two-part choice)")
     dec = code_sub.add_parser("decode")
     dec.add_argument("--bits", required=True, help="codeword as a 0/1 string")
     dec.add_argument("--preset", choices=sorted(CODE_PRESETS), default="bernoulli3")
-    dec.add_argument("--config", help="JSON class_spec file instead of a preset")
+    dec.add_argument("--config", help="JSON class spec file instead of a preset")
     return parser
 
 
@@ -138,6 +141,12 @@ def cmd_describe(name: str) -> int:
         return EXIT_CONFIG
     print(entry.name)
     print("  " + entry.description)
+    for name, knob in entry.knobs.items():
+        flag = f"--{name}" if name in FLAG_KNOBS else f"--param {name}"
+        default = "derived" if knob.default is None else knob.default
+        print(f"  {flag:22s} default {default!s:>8s}  minimum {knob.minimum}")
+    if entry.reads:
+        print("  also reads " + ", ".join(sorted(entry.reads)))
     return EXIT_OK
 
 
@@ -147,7 +156,7 @@ def _load_config(args) -> ExperimentConfig:
         with open(args.config) as fh:
             data = json.load(fh)
     data["experiment"] = args.experiment
-    for flag in ("seed", "horizon", "samples", "mode", "workers", "out"):
+    for flag in ("seed", "horizon", "samples", "workers", "out"):
         value = getattr(args, flag)
         if value is not None:
             data[flag] = value

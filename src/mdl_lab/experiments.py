@@ -16,10 +16,10 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional
 
 from . import __version__
 from .conditional import (
@@ -49,11 +49,13 @@ from .measures import (
     sample_path,
 )
 from .metrics import (
+    METRICS,
     BoundReport,
     check_bounds,
     cumulative_distances,
     inverse_weight,
     monte_carlo_distances,
+    to_float,
 )
 from .model_class import (
     LARGEST_WEIGHT,
@@ -90,38 +92,23 @@ LEDGER_PREDICTOR_KINDS = (XI, RHO, RHO_NORM, STATIC, STATIC_NORM)
 # Configuration
 # ----------------------------------------------------------------------
 
-_CONFIG_FIELDS = {
-    "experiment",
-    "seed",
-    "horizon",
-    "samples",
-    "mode",
-    "tie_break",
-    "workers",
-    "out",
-    "params",
-    "class_spec",
-    "loss_spec",
-}
-
-
 @dataclass
 class ExperimentConfig:
+    """What a run asks for; its experiment's knob table says what it reads."""
+
     experiment: str
     seed: int = 0
     horizon: Optional[int] = None
     samples: Optional[int] = None
-    mode: str = "exact"
     tie_break: str = "largest_weight"
     workers: int = 1
     out: Optional[str] = None
     params: Dict[str, str] = field(default_factory=dict)
-    class_spec: Optional[dict] = None
     loss_spec: Optional[dict] = None
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - _CONFIG_FIELDS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "experiment" not in data:
@@ -132,29 +119,17 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from e
 
     def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise ConfigError(f"mode must be exact or float, got {self.mode!r}")
         if self.tie_break not in ("largest_weight", "lowest_index", "round_robin"):
             raise ConfigError(f"unknown tie_break {self.tie_break!r}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        for name in ("horizon", "samples"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be at least 1")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be a mapping")
 
-    def tie_break_policy(self) -> TieBreak:
+    def tie_break_policy(self, phase: int) -> TieBreak:
         if self.tie_break == "round_robin":
-            return round_robin(int(self.params.get("phase", "0")))
+            return round_robin(phase)
         return TieBreak(self.tie_break)
-
-    def param_int(self, name: str, default: int) -> int:
-        try:
-            return int(self.params.get(name, default))
-        except ValueError as e:
-            raise ConfigError(f"param {name} must be an integer") from e
 
     def echo(self) -> dict:
         return {
@@ -162,12 +137,10 @@ class ExperimentConfig:
             "seed": self.seed,
             "horizon": self.horizon,
             "samples": self.samples,
-            "mode": self.mode,
             "tie_break": self.tie_break,
             "secondary_tie_break": "lowest_index",
             "workers": self.workers,
             "params": dict(sorted(self.params.items())),
-            "class_spec": self.class_spec,
             "loss_spec": self.loss_spec,
         }
 
@@ -180,7 +153,7 @@ def build_class(spec: dict) -> WeightedClass:
     "r": "1/2"} (geometric weights leave an exact tail bound).
     """
     if "models" not in spec:
-        raise ConfigError("class_spec needs a 'models' list")
+        raise ConfigError("a class spec needs a 'models' list")
     models = [_build_model(m) for m in spec["models"]]
     n = len(models)
     weights_spec = spec.get("weights", {"rule": "uniform"})
@@ -268,13 +241,13 @@ def _build_model(spec: dict):
 
 @dataclass
 class ExperimentReport:
-    experiment: str
-    config: dict
     verdicts: Dict[str, object]
     ledger_rows: List[dict] = field(default_factory=list)
     bound_rows: List[dict] = field(default_factory=list)
     plot_series: Dict[str, List[tuple]] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
+    experiment: str = ""  # filled in with config by run_experiment
+    config: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
     version: str = __version__
 
@@ -314,25 +287,17 @@ def _fmt_exact(value) -> str:
     return str(value)
 
 
-def _fmt_float(value) -> float:
-    if value == math.inf or value == -math.inf:
-        return float(value)
-    if isinstance(value, FracInterval):
-        return value.midpoint_float()
-    return float(value)
-
-
 def bound_row(report: BoundReport, case: str = "") -> dict:
     return {
         "case": case,
         "predictor": report.predictor,
         "metric": report.metric,
         "bound_name": report.bound_name,
-        "bound": _fmt_float(report.bound),
+        "bound": to_float(report.bound),
         "bound_exact": _fmt_exact(report.bound),
-        "measured": _fmt_float(report.measured),
+        "measured": to_float(report.measured),
         "measured_exact": _fmt_exact(report.measured),
-        "slack": _fmt_float(report.slack),
+        "slack": to_float(report.slack),
         "slack_exact": _fmt_exact(report.slack),
         "pass": report.passed,
     }
@@ -340,31 +305,21 @@ def bound_row(report: BoundReport, case: str = "") -> dict:
 
 def ledger_rows_from(ledger, predictor: str, case: str = "") -> List[dict]:
     rows = []
-    for metric in ("square", "hellinger", "kl", "absolute"):
-        running = None
-        for t, term in enumerate(ledger.per_step(metric), start=1):
-            running = term if running is None else _add(running, term)
-            stderr = None
-            if ledger.stderr is not None:
-                stderr = ledger.stderr[metric][t - 1]
+    for metric in METRICS:
+        for t, running in enumerate(ledger.series(metric), start=1):
+            stderr = None if ledger.stderr is None else ledger.stderr[metric][t - 1]
             rows.append(
                 {
                     "case": case,
                     "t": t,
                     "metric": metric,
                     "predictor": predictor,
-                    "value": _fmt_float(running),
+                    "value": to_float(running),
                     "value_exact": _fmt_exact(running),
                     "stderr": stderr,
                 }
             )
     return rows
-
-
-def _add(a, b):
-    if a == math.inf or b == math.inf:
-        return math.inf
-    return a + b
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> Path:
@@ -417,19 +372,17 @@ def _write_csv(path: Path, header: List[str], rows: List[dict]):
 # ----------------------------------------------------------------------
 
 
-def run_bound_suite(cfg: ExperimentConfig) -> ExperimentReport:
-    classes = cfg.param_int("classes", 200)
-    horizon = cfg.horizon or 10
+def run_bound_suite(
+    cfg: ExperimentConfig, classes: int, phase: int, horizon: int
+) -> ExperimentReport:
     rows = []
     failures = 0
     for case in range(classes):
         cls = random_measure_class(cfg.seed, case)
-        for rep in check_bounds(cls, horizon, cfg.tie_break_policy()):
+        for rep in check_bounds(cls, horizon, cfg.tie_break_policy(phase)):
             rows.append(bound_row(rep, case=f"class{case:03d}"))
             failures += 0 if rep.passed else 1
     return ExperimentReport(
-        experiment="bound_suite",
-        config=cfg.echo(),
         verdicts={
             "classes": classes,
             "horizon": horizon,
@@ -441,21 +394,22 @@ def run_bound_suite(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_example1(cfg: ExperimentConfig) -> ExperimentReport:
-    n_models = cfg.param_int("N", 5)
-    horizon = cfg.horizon or n_models + 2
-    cls = example1_class(n_models)
+def run_example1(
+    cfg: ExperimentConfig, N: int, horizon: Optional[int]
+) -> ExperimentReport:
+    horizon = horizon or N + 2
+    cls = example1_class(N)
     ledger_rows = []
     plot = {}
     for kind in LEDGER_PREDICTOR_KINDS:
-        ledger = cumulative_distances(cls, kind, horizon, mode=cfg.mode)
+        ledger = cumulative_distances(cls, kind, horizon)
         ledger_rows.extend(ledger_rows_from(ledger, kind))
         plot[f"square_{kind}"] = [
-            (t + 1, _fmt_float(v)) for t, v in enumerate(ledger.series("square"))
+            (t + 1, to_float(v)) for t, v in enumerate(ledger.series("square"))
         ]
         if kind == RHO_NORM:
             s_total = ledger.cumulative("square")
-    expected = Fraction(n_models - 1, 2)
+    expected = Fraction(N - 1, 2)
     bound_rows = [bound_row(r) for r in check_bounds(cls, horizon)]
     # Measured estimator work along the true path: dynamic re-selects for
     # the history plus both children, static selects once per step.
@@ -467,10 +421,8 @@ def run_example1(cfg: ExperimentConfig) -> ExperimentReport:
         dynamic.predict((1,) * t)
         static.predict((1,) * t)
     return ExperimentReport(
-        experiment="example1",
-        config=cfg.echo(),
         verdicts={
-            "N": n_models,
+            "N": N,
             "square_rho_norm": _fmt_exact(s_total),
             "expected": _fmt_exact(expected),
             "matches_half_n_minus_1": s_total == expected,
@@ -483,17 +435,17 @@ def run_example1(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_example2_mc(cfg: ExperimentConfig) -> ExperimentReport:
-    n_extra = cfg.param_int("N", 6)
-    horizon = cfg.horizon or 14
-    guard = cfg.param_int("guard", 20_000_000)
-    cls = bernoulli_sharpness_class(n_extra)
+def run_example2_mc(
+    cfg: ExperimentConfig, N: int, guard: int, mc_horizon: int, horizon: int,
+    samples: int,
+) -> ExperimentReport:
+    cls = bernoulli_sharpness_class(N)
     ledger = cumulative_distances(cls, STATIC, horizon, guard=guard)
     s_exact = ledger.cumulative("square")
     ln_budget = ln_interval(inverse_weight(cls))
     exceeds = s_exact > ln_budget.hi
     verdicts = {
-        "N": n_extra,
+        "N": N,
         "horizon": horizon,
         "static_square_sum": _fmt_exact(s_exact),
         "mixture_budget_ln_winv": _fmt_exact(ln_budget),
@@ -504,10 +456,8 @@ def run_example2_mc(cfg: ExperimentConfig) -> ExperimentReport:
         "per-step square error is capped at 1/8 for this class, so the "
         "cumulative sum cannot exceed horizon/8 at any horizon",
     ]
-    mc_horizon = cfg.param_int("mc_horizon", 0)
     rows = ledger_rows_from(ledger, STATIC)
     if mc_horizon:
-        samples = cfg.samples or 500
         mc = monte_carlo_distances(
             cls, STATIC, mc_horizon, samples, cfg.seed, workers=cfg.workers
         )
@@ -515,21 +465,18 @@ def run_example2_mc(cfg: ExperimentConfig) -> ExperimentReport:
         verdicts["mc_square_estimate"] = mc.cumulative("square")
         rows.extend(ledger_rows_from(mc, f"{STATIC}_mc", case="mc"))
     return ExperimentReport(
-        experiment="example2_mc",
-        config=cfg.echo(),
         verdicts=verdicts,
         ledger_rows=rows,
         notes=notes,
         plot_series={
             "static_square": [
-                (t + 1, _fmt_float(v)) for t, v in enumerate(ledger.series("square"))
+                (t + 1, to_float(v)) for t, v in enumerate(ledger.series("square"))
             ]
         },
     )
 
 
-def run_example3_hybrid(cfg: ExperimentConfig) -> ExperimentReport:
-    horizon = cfg.horizon or 100
+def run_example3_hybrid(cfg: ExperimentConfig, horizon: int) -> ExperimentReport:
     cls = example3_class()
     ones = (1,) * horizon
     rr = round_robin()
@@ -551,8 +498,6 @@ def run_example3_hybrid(cfg: ExperimentConfig) -> ExperimentReport:
     lw_trace = map_trace(cls, ones, LARGEST_WEIGHT)
     rr_trace = map_trace(cls, ones, rr)
     return ExperimentReport(
-        experiment="example3_hybrid",
-        config=cfg.echo(),
         verdicts={
             "horizon": horizon,
             "hybrid_alternates_quarter_one": alternates,
@@ -571,8 +516,7 @@ def run_example3_hybrid(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_example4_ratio(cfg: ExperimentConfig) -> ExperimentReport:
-    horizon = cfg.horizon or 60
+def run_example4_ratio(cfg: ExperimentConfig, horizon: int) -> ExperimentReport:
     results = {}
     series_plot = {}
     for label, w_mu, w_nu in (
@@ -596,8 +540,6 @@ def run_example4_ratio(cfg: ExperimentConfig) -> ExperimentReport:
             (t + 1, float(v)) for t, v in enumerate(ratio)
         ]
     return ExperimentReport(
-        experiment="example4_ratio",
-        config=cfg.echo(),
         verdicts={
             "horizon": horizon,
             "equal_weights": results["equal"],
@@ -614,17 +556,17 @@ def run_example4_ratio(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_example5_martingale(cfg: ExperimentConfig) -> ExperimentReport:
-    depth = cfg.param_int("identity_depth", 12)
-    mass_depth = cfg.param_int("mass_depth", 20)
-    horizon = cfg.horizon or 2000
-    samples = cfg.samples or 500
-    window = cfg.param_int("window", 500)
+def run_example5_martingale(
+    cfg: ExperimentConfig, identity_depth: int, mass_depth: int, window: int,
+    horizon: int, samples: int,
+) -> ExperimentReport:
+    if window > horizon:
+        raise ConfigError(f"window {window} exceeds the horizon {horizon}")
     cls = example5_class()
     martingale: OscillatingMartingaleMeasure = cls.models[1]
 
     identity_ok = True
-    for n in range(depth):
+    for n in range(identity_depth):
         for bits in itertools.product((0, 1), repeat=n):
             f = martingale.f_value(bits)
             if 2 * f != martingale.f_value(bits + (0,)) + martingale.f_value(bits + (1,)):
@@ -638,10 +580,8 @@ def run_example5_martingale(cfg: ExperimentConfig) -> ExperimentReport:
     )
     non_stabilized = 1 - summary.fraction_stabilized
     return ExperimentReport(
-        experiment="example5_martingale",
-        config=cfg.echo(),
         verdicts={
-            "martingale_identity_depth": depth,
+            "martingale_identity_depth": identity_depth,
             "martingale_identity_ok": identity_ok,
             "measure_check_ok": structure.passed and structure.all_equalities,
             "dead_mass_depth": mass_depth,
@@ -664,10 +604,11 @@ def run_example5_martingale(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_stabilization_mc(cfg: ExperimentConfig) -> ExperimentReport:
-    horizon = cfg.horizon or 2000
-    samples = cfg.samples or 500
-    window = cfg.param_int("window", 500)
+def run_stabilization_mc(
+    cfg: ExperimentConfig, window: int, horizon: int, samples: int
+) -> ExperimentReport:
+    if window > horizon:
+        raise ConfigError(f"window {window} exceeds the horizon {horizon}")
     cls = bernoulli_class(
         [Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)],
         true_index=1,
@@ -678,8 +619,6 @@ def run_stabilization_mc(cfg: ExperimentConfig) -> ExperimentReport:
     )
     changes = [v.change_count for v in summary.verdicts]
     return ExperimentReport(
-        experiment="stabilization_mc",
-        config=cfg.echo(),
         verdicts={
             "horizon": horizon,
             "window": window,
@@ -696,9 +635,7 @@ def run_stabilization_mc(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_loss_bounds(cfg: ExperimentConfig) -> ExperimentReport:
-    pairs = cfg.param_int("pairs", 100)
-    horizon = cfg.horizon or 8
+def run_loss_bounds(cfg: ExperimentConfig, pairs: int, horizon: int) -> ExperimentReport:
     kinds = (RHO_NORM, RHO, STATIC, STATIC_NORM)
     fixed_loss = build_loss(cfg.loss_spec) if cfg.loss_spec else None
     rows = []
@@ -718,8 +655,6 @@ def run_loss_bounds(cfg: ExperimentConfig) -> ExperimentReport:
             rows.append(bound_row(rep, case=f"pair{case:03d}"))
     failures = sum(0 if r["pass"] else 1 for r in rows)
     return ExperimentReport(
-        experiment="loss_bounds",
-        config=cfg.echo(),
         verdicts={
             "pairs": pairs,
             "horizon": horizon,
@@ -732,22 +667,18 @@ def run_loss_bounds(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_unit_square_scan(cfg: ExperimentConfig) -> ExperimentReport:
-    resolution = cfg.param_int("m", 2001)
-    violation = unit_square_inequality_scan(resolution)
+def run_unit_square_scan(cfg: ExperimentConfig, m: int) -> ExperimentReport:
+    violation = unit_square_inequality_scan(m)
     return ExperimentReport(
-        experiment="unit_square_scan",
-        config=cfg.echo(),
         verdicts={
-            "resolution": resolution,
+            "resolution": m,
             "max_violation": violation,
             "within_1e-12": violation <= 1e-12,
         },
     )
 
 
-def run_classification_demo(cfg: ExperimentConfig) -> ExperimentReport:
-    horizon = cfg.horizon or 8
+def run_classification_demo(cfg: ExperimentConfig, horizon: int) -> ExperimentReport:
     cc = ConditionalClass(
         [LabelNoiseModel(Fraction(1, 4)), LabelNoiseModel(Fraction(3, 4))],
         [Fraction(1, 2), Fraction(1, 2)],
@@ -767,8 +698,6 @@ def run_classification_demo(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     static_demo = classify_static(cc, [0, 0], [0, 0], 0)
     return ExperimentReport(
-        experiment="classification_demo",
-        config=cfg.echo(),
         verdicts={
             "horizon": horizon,
             "inputs": "".join(str(u) for u in inputs),
@@ -781,9 +710,9 @@ def run_classification_demo(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_regression_demo(cfg: ExperimentConfig) -> ExperimentReport:
-    samples = cfg.samples or 400
-    horizon = cfg.horizon or 50
+def run_regression_demo(
+    cfg: ExperimentConfig, horizon: int, samples: int
+) -> ExperimentReport:
     models = [GaussianModel(0.0), GaussianModel(1.0)]
     weights = [Fraction(1, 2), Fraction(1, 2)]
     chosen = regression_map(models, weights, [0, 0], [0.1, -0.2])
@@ -796,8 +725,6 @@ def run_regression_demo(cfg: ExperimentConfig) -> ExperimentReport:
         for n, (sq, kl) in foot.items()
     )
     return ExperimentReport(
-        experiment="regression_demo",
-        config=cfg.echo(),
         verdicts={
             "map_for_small_data_is_mean0": chosen == 0,
             "hellinger_mc_mean": summary.mean,
@@ -812,8 +739,7 @@ def run_regression_demo(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_coding_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
-    cases = cfg.param_int("cases", 10_000)
+def run_coding_roundtrip(cfg: ExperimentConfig, cases: int) -> ExperimentReport:
     rng = suite_rng(cfg.seed, 424242)
     classes = [
         bernoulli_class([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
@@ -873,8 +799,6 @@ def run_coding_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
         for j in range(len(cls.models))
     }
     return ExperimentReport(
-        experiment="coding_roundtrip",
-        config=cfg.echo(),
         verdicts={
             "cases": cases,
             "roundtrip_failures": roundtrip_failures,
@@ -892,11 +816,31 @@ def run_coding_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
+class Knob(NamedTuple):
+    """An integer an experiment reads; a None default is derived by the runner."""
+
+    default: Optional[int]
+    minimum: int = 1
+
+
+FLAG_KNOBS = ("horizon", "samples")
+
+
 @dataclass(frozen=True)
 class ExperimentEntry:
+    """A registered experiment and its knob table.
+
+    ``knobs`` holds every ``--param`` the runner reads, plus ``horizon``
+    and ``samples`` when it reads those; the runner gets their resolved
+    values as keyword arguments.  ``reads`` names which of ``tie_break``
+    and ``loss_spec`` it honours.  Every runner may read seed and workers.
+    """
+
     name: str
-    runner: Callable[[ExperimentConfig], ExperimentReport]
+    runner: Callable[..., ExperimentReport]
     description: str
+    knobs: Mapping[str, Knob] = field(default_factory=dict)
+    reads: FrozenSet[str] = frozenset()
 
 
 REGISTRY: Dict[str, ExperimentEntry] = {
@@ -909,13 +853,17 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "the normalized-dynamic W+ln(W) square/KL budgets, the dynamic "
             "2W sum defects, the static W sum defect, and the square/"
             "Hellinger budgets {2,8,21,32}W, all with exact nonnegative slack.",
+            dict(classes=Knob(200), phase=Knob(0, 0), horizon=Knob(10)),
+            frozenset({"tie_break"}),
         ),
         ExperimentEntry(
             "example1",
             run_example1,
             "N equally weighted deterministic models dying one per step: the "
             "normalized dynamic predictor stays at 1/2 for N-1 steps, making "
-            "its cumulative square error exactly (N-1)/2.",
+            "its cumulative square error exactly (N-1)/2.  The horizon "
+            "defaults to N + 2.",
+            dict(N=Knob(5, 2), horizon=Knob(None)),
         ),
         ExperimentEntry(
             "example2_mc",
@@ -925,6 +873,8 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "Monte-Carlo extension) compared against the mixture budget "
             "ln(1/w); the per-step error cap 1/8 makes short-horizon "
             "crossings impossible.",
+            dict(N=Knob(6), guard=Knob(20_000_000), mc_horizon=Knob(0, 0),
+                 horizon=Knob(14), samples=Knob(500)),
         ),
         ExperimentEntry(
             "example3_hybrid",
@@ -933,6 +883,7 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "oscillate between 1/4 and 1 forever while dynamic and static "
             "normalized predictions remain exactly 1/2; largest-weight "
             "tie-breaking freezes the choice.",
+            dict(horizon=Knob(100)),
         ),
         ExperimentEntry(
             "example4_ratio",
@@ -941,6 +892,7 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "oscillating: increment sign changes of the exact ratio along the "
             "all-ones sequence, and the weight pairs for which the maximizer "
             "keeps flipping.",
+            dict(horizon=Knob(60)),
         ),
         ExperimentEntry(
             "example5_martingale",
@@ -949,6 +901,8 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "martingale identity, dead-path mass at most 1/4 at every depth, "
             "and the Monte-Carlo fraction of paths whose maximizer never "
             "settles (>= 1/2 finite-horizon proxy).",
+            dict(identity_depth=Knob(12), mass_depth=Knob(20), window=Knob(500),
+                 horizon=Knob(2000), samples=Knob(500)),
         ),
         ExperimentEntry(
             "stabilization_mc",
@@ -957,6 +911,7 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "stochastic) where the maximizer settles on almost every sampled "
             "path; reports the stabilized fraction under the finite-window "
             "proxy.",
+            dict(window=Knob(500), horizon=Knob(2000), samples=Knob(500)),
         ),
         ExperimentEntry(
             "loss_bounds",
@@ -964,6 +919,8 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "Random class/loss pairs: per-step regret <= 2h + 2 sqrt(2 h l), "
             "its cumulative counterpart, and the final loss bound with "
             "constant {2,8,21,32} per predictor, all on exact traces.",
+            dict(pairs=Knob(100), horizon=Knob(8)),
+            frozenset({"loss_spec"}),
         ),
         ExperimentEntry(
             "unit_square_scan",
@@ -971,6 +928,7 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "Grid scan of the scalar inequality delta~ <= 2h + 2 sqrt(2 h l~) "
             "over the unit square of (true, believed) probabilities; reports "
             "the maximum violation.",
+            dict(m=Knob(2001, 2)),
         ),
         ExperimentEntry(
             "classification_demo",
@@ -979,6 +937,7 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "and the exact reduction to a sequence class under which the "
             "{2,8,21}W square budgets are re-verified for a fixed input "
             "sequence.",
+            dict(horizon=Knob(8)),
         ),
         ExperimentEntry(
             "regression_demo",
@@ -987,6 +946,7 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "selection, Monte-Carlo cumulative Hellinger ledger against the "
             "21W budget, and the mirrored-density pair separating square "
             "distance from relative entropy.",
+            dict(horizon=Knob(50), samples=Knob(400)),
         ),
         ExperimentEntry(
             "coding_roundtrip",
@@ -994,15 +954,49 @@ REGISTRY: Dict[str, ExperimentEntry] = {
             "Two-part code fuzzing: round-trip identity, payload length "
             "exactly ceil(-lb nu(x)), Kraft sums at most 1, and sequential "
             "interval refinement equal to block enumeration.",
+            dict(cases=Knob(10_000)),
         ),
     )
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.experiment not in REGISTRY:
+def resolve_knobs(cfg: ExperimentConfig) -> Dict[str, Optional[int]]:
+    """Every knob's value for a config, checked against its knob table.
+
+    Raises ConfigError for an unknown experiment, a param or a non-default
+    field the experiment does not read, and a value that is not an integer
+    or lies below its minimum.
+    """
+    entry = REGISTRY.get(cfg.experiment)
+    if entry is None:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+    default = ExperimentConfig(cfg.experiment)
+    unread = [f"param {k!r}" for k in cfg.params if k not in entry.knobs or k in FLAG_KNOBS]
+    unread += [
+        name
+        for name in (*FLAG_KNOBS, "tie_break", "loss_spec")
+        if name not in {*entry.knobs, *entry.reads}
+        and getattr(cfg, name) != getattr(default, name)
+    ]
+    if unread:
+        raise ConfigError(f"{entry.name} does not read {', '.join(unread)}")
+    values = {}
+    for name, knob in entry.knobs.items():
+        raw = getattr(cfg, name) if name in FLAG_KNOBS else cfg.params.get(name)
+        try:
+            values[name] = knob.default if raw is None else int(str(raw))
+        except ValueError:
+            raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+        if raw is not None and values[name] < knob.minimum:
+            raise ConfigError(f"{name} must be at least {knob.minimum}, got {raw}")
+    return values
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    values = resolve_knobs(cfg)
     start = time.perf_counter()
-    report = REGISTRY[cfg.experiment].runner(cfg)
+    report = REGISTRY[cfg.experiment].runner(cfg, **values)
     report.wall_clock_s = time.perf_counter() - start
+    report.experiment = cfg.experiment
+    report.config = cfg.echo()
     return report

@@ -14,9 +14,10 @@ tree (:func:`walk_support`), pruning zero-probability subtrees, or by
 seeded Monte Carlo: :func:`monte_carlo_rows` is the one sampled-path
 driver and :func:`mean_stderr` the one reduction of its columns.
 
-In exact mode, square and absolute sums are exact rationals while
-Hellinger and KL sums are certified rational enclosures, so every bound
-comparison below is an exact statement, never a float one.
+Exact ledgers hold square and absolute sums as exact rationals and
+Hellinger and KL sums as certified rational enclosures, so every bound
+comparison below is an exact statement, never a float one.  Monte-Carlo
+ledgers are float estimates.
 
 The bound table verified by :func:`check_bounds` against the inverse
 prior weight W = 1/w_mu of the true model:
@@ -215,7 +216,6 @@ def prefix_key(prefix: Word) -> Word:
 class CumulativeLedger:
     """Per-step expected distances and their running sums."""
 
-    mode: str
     horizon: int
     square: list
     hellinger: list
@@ -227,8 +227,9 @@ class CumulativeLedger:
         return getattr(self, metric)
 
     def cumulative(self, metric: str, upto: Optional[int] = None):
-        steps = self.per_step(metric)[: upto if upto is not None else self.horizon]
-        return sum_extended(steps, self.mode)
+        """S_{1:upto} (default the whole horizon); +inf once any term is."""
+        sums = self.series(metric)[: upto if upto is not None else self.horizon]
+        return sums[-1] if sums else Fraction(0)
 
     def series(self, metric: str) -> list:
         """Prefix sums S_{1:1}, S_{1:2}, ..., S_{1:n}."""
@@ -246,44 +247,22 @@ def add_extended(a, b):
     return a + b
 
 
-def sum_extended(terms, mode: str):
-    """Sum a homogeneous list of Fractions, FracIntervals, or floats.
-
-    A single +inf term makes the whole sum +inf (the KL convention).
-    """
-    if mode == EXACT:
-        total = None
-        for term in terms:
-            if term == math.inf:
-                return math.inf
-            total = term if total is None else total + term
-        return Fraction(0) if total is None else total
-    total_f = 0.0
-    for term in terms:
-        if term == math.inf:
-            return math.inf
-        total_f += float(term)
-    return total_f
-
-
 def cumulative_distances(
     cls: WeightedClass,
     predictor,
     horizon: int,
     tie_break: TieBreak = LARGEST_WEIGHT,
-    mode: str = EXACT,
     guard: int = DEFAULT_NODE_GUARD,
 ) -> CumulativeLedger:
-    """Expected per-step distance ledgers against the true conditionals.
+    """Exact expected per-step distance ledgers against the true conditionals.
 
     ``predictor`` is a kind string (fused exact walk) or any object with
     a ``predict(word)`` method returning a PredictiveDistribution.
     """
-    check_mode(mode)
-    sq = [Fraction(0) if mode == EXACT else 0.0 for _ in range(horizon)]
-    he = [ZERO_INTERVAL if mode == EXACT else 0.0 for _ in range(horizon)]
-    kl: list = [ZERO_INTERVAL if mode == EXACT else 0.0 for _ in range(horizon)]
-    ab = [Fraction(0) if mode == EXACT else 0.0 for _ in range(horizon)]
+    sq = [Fraction(0)] * horizon
+    he = [ZERO_INTERVAL] * horizon
+    kl: list = [ZERO_INTERVAL] * horizon
+    ab = [Fraction(0)] * horizon
 
     kind = predictor if isinstance(predictor, str) else None
     if kind is not None and kind not in ALL_KINDS:
@@ -296,8 +275,8 @@ def cumulative_distances(
             phi = node.prediction(kind)
         else:
             phi = list(predictor.predict(node.prefix).values)
-        d = step_distances(mu_cond, phi, mode)
-        w = node.weight if mode == EXACT else float(node.weight)
+        d = step_distances(mu_cond, phi)
+        w = node.weight
         sq[t] = sq[t] + w * d.square
         he[t] = he[t] + w * d.hellinger
         kl[t] = add_extended(kl[t], math.inf if d.kl == math.inf else w * d.kl)
@@ -306,7 +285,7 @@ def cumulative_distances(
     # A predictor object reads the whole history, so its walk never merges.
     history_key = None if kind is not None else prefix_key
     walk_support(cls, horizon, visit, tie_break, guard, history_key=history_key)
-    return CumulativeLedger(mode, horizon, sq, he, kl, ab)
+    return CumulativeLedger(horizon, sq, he, kl, ab)
 
 
 def monte_carlo_rows(
@@ -395,7 +374,6 @@ def monte_carlo_distances(
         for name in METRICS
     }
     return CumulativeLedger(
-        FLOAT,
         horizon,
         *([mean for mean, _ in stats[name]] for name in METRICS),
         stderr={name: [se for _, se in stats[name]] for name in METRICS},
@@ -439,11 +417,12 @@ class BoundReport:
         state = "pass" if self.passed else "FAIL"
         return (
             f"{self.bound_name:22s} {self.predictor:11s} {self.metric:14s} "
-            f"measured={_to_float(self.measured):.6g} bound={_to_float(self.bound):.6g} [{state}]"
+            f"measured={to_float(self.measured):.6g} bound={to_float(self.bound):.6g} [{state}]"
         )
 
 
-def _to_float(x) -> float:
+def to_float(x) -> float:
+    """Float rendering of a ledger value: enclosures give their midpoint."""
     if x == math.inf:
         return math.inf
     if isinstance(x, FracInterval):

@@ -92,8 +92,8 @@ class PredictionNode:
     """All model and predictor values at one history prefix.
 
     Built from per-model cursors, so each node costs O(|C| * k) exact
-    operations regardless of depth.  Everything here is exact; float-mode
-    consumers convert at the edges.  ``weight`` is mu(prefix), the
+    operations regardless of depth.  Everything here is exact; Monte-Carlo
+    estimates convert to floats at the edges.  ``weight`` is mu(prefix), the
     true-measure weight a tree walk or sampled path carries; it is None
     for a node built to answer one query.
     """

@@ -1,12 +1,12 @@
 """Numeric conventions: exact rationals and certified enclosures; float
-only for ledgers.
+only for Monte-Carlo estimates.
 
 Every probability-like quantity in the library is an exact
 ``fractions.Fraction``; irrational bound terms are certified rational
-enclosures (:mod:`mdl_lab.enclosure`).  Floats appear only in the float
-ledgers, selected by ``mode="float"`` (:func:`check_mode`), which convert
-exact values at the edges.  Also: rational wire format and exact integer
-log2 helpers.
+enclosures (:mod:`mdl_lab.enclosure`).  Floats appear only in
+Monte-Carlo estimates, whose step distances are taken in the ``FLOAT``
+mode (:func:`check_mode`) from exact values at the edges.  Also: rational
+wire format and exact integer log2 helpers.
 """
 
 from __future__ import annotations

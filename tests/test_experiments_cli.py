@@ -1,47 +1,107 @@
 import json
+import re
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from mdl_lab.cli import main
+from mdl_lab.cli import _load_config, build_parser, main
 from mdl_lab.errors import ConfigError, IndeterminateTailError
 from mdl_lab.experiments import (
+    FLAG_KNOBS,
     REGISTRY,
     ExperimentConfig,
     ExperimentEntry,
     ExperimentReport,
     build_class,
+    resolve_knobs,
     run_experiment,
     write_report,
 )
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 class TestConfig:
     def test_unknown_fields_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"experiment": "example1", "horzon": 3})
+        for extra in (
+            {"horzon": 3},
+            {"class_spec": {"models": [{"type": "iid", "theta": ["1/2", "1/2"]}]}},
+        ):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict({"experiment": "example1", **extra})
 
     def test_mode_validated(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"experiment": "example1", "mode": "fuzzy"})
+        # `mode` is no longer a config field: every value, valid before, is refused.
+        for value in ("exact", "float", "fuzzy"):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict({"experiment": "example1", "mode": value})
 
     @pytest.mark.parametrize("field", ["horizon", "samples"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_counts_must_be_positive(self, field, value):
+        cfg = ExperimentConfig.from_dict({"experiment": "regression_demo", field: value})
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"experiment": "regression_demo", field: value})
+            run_experiment(cfg)
 
     def test_param_overrides(self):
         cfg = ExperimentConfig.from_dict(
             {"experiment": "example1", "params": {"N": "3"}}
         )
-        assert cfg.param_int("N", 5) == 3
-        assert cfg.param_int("missing", 7) == 7
+        assert resolve_knobs(cfg) == {"N": 3, "horizon": None}
+        defaults = resolve_knobs(ExperimentConfig.from_dict({"experiment": "example2_mc"}))
+        assert defaults["mc_horizon"] == 0 and defaults["samples"] == 500
+        for raw in ("three", "3.5"):
+            cfg = ExperimentConfig.from_dict(
+                {"experiment": "example1", "params": {"N": raw}}
+            )
+            with pytest.raises(ConfigError):
+                resolve_knobs(cfg)
 
     def test_unknown_experiment(self):
         cfg = ExperimentConfig.from_dict({"experiment": "nosuch"})
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+
+def _rejected_overrides(entry):
+    """Config overrides that the entry's knob table must refuse."""
+    bad = [{"params": {"nosuch": "1"}}]
+    for name, knob in entry.knobs.items():
+        if name in FLAG_KNOBS:
+            bad.append({name: knob.minimum - 1})
+        else:
+            bad.append({"params": {name: str(knob.minimum - 1)}})
+    bad += [{flag: 5} for flag in FLAG_KNOBS if flag not in entry.knobs]
+    if "tie_break" not in entry.reads:
+        bad.append({"tie_break": "lowest_index"})
+    if "loss_spec" not in entry.reads:
+        bad.append({"loss_spec": {"preset": "zero_one"}})
+    return bad
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_knob_table_rejects(name):
+    for overrides in _rejected_overrides(REGISTRY[name]):
+        cfg = ExperimentConfig.from_dict({"experiment": name, **overrides})
+        with pytest.raises(ConfigError):
+            run_experiment(cfg)
+
+
+def _readme_run_lines():
+    block = re.search(r"## Command line\n\n```\n(.*?)```", README.read_text(), re.S)
+    lines = [line.split("#")[0].strip() for line in block.group(1).splitlines()]
+    return [line for line in lines if line.startswith("mdl-lab run ")]
+
+
+def test_readme_run_examples_resolve():
+    # Each documented run names only knobs its experiment declares.
+    lines = _readme_run_lines()
+    assert len(lines) >= 3
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        resolve_knobs(_load_config(args))
 
 
 class TestBuildClass:
@@ -221,7 +281,13 @@ class TestCli:
 
     def test_describe_known(self, capsys):
         assert main(["describe", "coding_roundtrip"]) == 0
-        assert "round-trip" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "round-trip" in out
+        assert re.search(r"--param cases +default +10000 +minimum 1\n", out)
+        assert main(["describe", "example1"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"--param N +default +5 +minimum 2\n", out)
+        assert re.search(r"--horizon +default +derived +minimum 1\n", out)
 
     def test_describe_unknown_exit_2(self):
         assert main(["describe", "nosuch"]) == 2
@@ -251,6 +317,41 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["run", "regression_demo", "--samples", "0", "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound_suite", "--param", "clases=1"],
+            ["example2_mc", "--param", "mc_horizon=-3"],
+            ["coding_roundtrip", "--param", "cases=0"],
+            ["loss_bounds", "--param", "pairs=0"],
+            ["example1", "--param", "N=1"],
+            ["unit_square_scan", "--param", "m=1"],
+            ["stabilization_mc", "--horizon", "50", "--samples", "4"],
+            ["example5_martingale", "--horizon", "50", "--samples", "4"],
+            ["example1", "--samples", "5"],
+        ],
+    )
+    def test_run_knob_errors_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert main(["run", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_file_class_spec_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"class_spec": {"models": []}}))
+        out = tmp_path / "run"
+        rc = main(["run", "example1", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_mode_flag_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "example1", "--mode", "float"])
+        assert exc.value.code == 2
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -289,8 +390,6 @@ class TestCli:
 
         def fake(cfg):
             return ExperimentReport(
-                experiment=name,
-                config=cfg.echo(),
                 verdicts={},
                 bound_rows=[
                     {
@@ -315,6 +414,8 @@ class TestCli:
         finally:
             del REGISTRY[name]
         assert rc == 4
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["experiment"] == name and report["config"]["experiment"] == name
 
     def test_code_roundtrip_via_cli(self, capsys):
         assert main(["code", "encode", "--string", "1100", "--preset", "bernoulli3"]) == 0
