@@ -150,17 +150,31 @@ def cmd_describe(name: str) -> int:
     return EXIT_OK
 
 
-def _load_config(args) -> ExperimentConfig:
-    data = {}
-    if args.config:
-        with open(args.config) as fh:
+def _read_config_file(path: str) -> dict:
+    """The JSON object in a --config file; ConfigError for anything else."""
+    try:
+        with open(path) as fh:
             data = json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e.strerror or e}") from None
+    except ValueError as e:  # malformed JSON or undecodable bytes
+        raise ConfigError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not {type(data).__name__}")
+    return data
+
+
+def _load_config(args) -> ExperimentConfig:
+    data = _read_config_file(args.config) if args.config else {}
     data["experiment"] = args.experiment
     for flag in ("seed", "horizon", "samples", "workers", "out"):
         value = getattr(args, flag)
         if value is not None:
             data[flag] = value
-    params = dict(data.get("params", {}))
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params must be a JSON object of KEY: VALUE")
+    params = dict(params)
     for kv in args.param:
         if "=" not in kv:
             raise ConfigError(f"--param expects KEY=VALUE, got {kv!r}")
@@ -194,8 +208,7 @@ def cmd_run(args) -> int:
 
 def _code_class(args) -> WeightedClass:
     if args.config:
-        with open(args.config) as fh:
-            return build_class(json.load(fh))
+        return build_class(_read_config_file(args.config))
     return CODE_PRESETS[args.preset]()
 
 

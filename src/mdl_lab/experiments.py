@@ -964,8 +964,9 @@ def resolve_knobs(cfg: ExperimentConfig) -> Dict[str, Optional[int]]:
     """Every knob's value for a config, checked against its knob table.
 
     Raises ConfigError for an unknown experiment, a param or a non-default
-    field the experiment does not read, and a value that is not an integer
-    or lies below its minimum.
+    field the experiment does not read (``phase`` is read only under the
+    round-robin tie-break), and a value that is not an integer or lies
+    below its minimum.
     """
     entry = REGISTRY.get(cfg.experiment)
     if entry is None:
@@ -978,6 +979,8 @@ def resolve_knobs(cfg: ExperimentConfig) -> Dict[str, Optional[int]]:
         if name not in {*entry.knobs, *entry.reads}
         and getattr(cfg, name) != getattr(default, name)
     ]
+    if "phase" in cfg.params and "phase" in entry.knobs and cfg.tie_break != "round_robin":
+        unread.append("param 'phase' unless tie_break is round_robin")
     if unread:
         raise ConfigError(f"{entry.name} does not read {', '.join(unread)}")
     values = {}

@@ -425,36 +425,52 @@ class _FactorizableCursor(SemimeasureCursor):
 # Oscillating-martingale measure
 # ----------------------------------------------------------------------
 
-_THREE_QUARTERS = Fraction(3, 4)
-_THREE_EIGHTHS = Fraction(3, 8)
 
+class DyadicCursor(SemimeasureCursor):
+    """Cursor whose value is an integer numerator over a power of two.
 
-def _dead_at(f: Fraction, length: int) -> bool:
-    """Death condition for a node of the given length.
-
-    A node of length m dies when f(x) <= 3/4 falls below the floor
-    3/8 + 2^-(m+4) required to extend it to length m+1.
+    ``numerator`` and ``exponent`` give nu(prefix) = numerator / 2^exponent
+    exactly, so traces can compare such values on integers without
+    normalizing Fractions.
     """
-    if f > _THREE_QUARTERS:
-        return False
-    return f < _THREE_EIGHTHS + Fraction(1, 2 ** (length + 4))
+
+    __slots__ = ()
+
+    numerator: int
+    exponent: int
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.numerator, 1 << self.exponent)
+
+    def child_value(self, a: int) -> Fraction:
+        return self.advance(a).value
 
 
-def _martingale_children(f: Fraction, dead: bool, parent_len: int):
-    """(f(x0), f(x1), dead(x0), dead(x1)) for a node x of length parent_len.
+def _martingale_children(big_f: int, dead: bool, parent_len: int):
+    """(F(x0), F(x1), dead(x0), dead(x1)) for a node x of length parent_len.
 
-    ``dead`` is the parent's own status; dead subtrees freeze the value.
+    F is f scaled to an integer: f(x) = F(x) / 2^(len(x)+2).  For children
+    of length n below an alive x, f(x) > 3/4 (F(x) > 3*2^(n-1)) sets
+    f(x0) = 3/4 - 2^-(n+2), i.e. F(x0) = 3*2^n - 1, and otherwise
+    f(x1) = 3/4 + 2^-(n+2), i.e. F(x1) = 3*2^n + 1; the other child gets
+    2f(x) minus that, i.e. F = 4F(x) minus it.  A child dies when it falls
+    below the floor 3/8 + 2^-(n+4) needed to extend it once more,
+    4F < 3*2^(n+1) + 1.  As 4F is a multiple of 4, that is F <= 3*2^(n-1),
+    the same bound as the 3/4 test of the parent.  Dead subtrees freeze f,
+    so F doubles per level.
     """
-    n = parent_len + 1  # length of the children being defined
     if dead:
-        return f, f, True, True
-    if f > _THREE_QUARTERS:
-        f0 = _THREE_QUARTERS - Fraction(1, 2 ** (n + 2))
-        f1 = 2 * f - f0
+        frozen = 2 * big_f
+        return frozen, frozen, True, True
+    bound = 3 << parent_len  # f(x) = 3/4 for the parent, 3/8 for a child
+    if big_f > bound:
+        f0 = (bound << 1) - 1
+        f1 = 4 * big_f - f0
     else:
-        f1 = _THREE_QUARTERS + Fraction(1, 2 ** (n + 2))
-        f0 = 2 * f - f1
-    return f0, f1, _dead_at(f0, n), _dead_at(f1, n)
+        f1 = (bound << 1) + 1
+        f0 = 4 * big_f - f1
+    return f0, f1, f0 <= bound, f1 <= bound
 
 
 class OscillatingMartingaleMeasure(Semimeasure):
@@ -464,16 +480,19 @@ class OscillatingMartingaleMeasure(Semimeasure):
     along alive paths f converges to 3/4 while crossing it at every step,
     so the ratio of nu to the uniform measure oscillates forever.  Nodes
     whose value falls below the per-depth floor are "dead": their value
-    freezes on the whole subtree.  All values are dyadic rationals.
+    freezes on the whole subtree.  All values are dyadic rationals: f at
+    length n is kept as the integer F = f * 2^(n+2), so nu(x) is
+    F / 2^(2n+2) and every step of the construction is an integer shift,
+    add or compare.
     """
 
     is_proper_measure = True
 
     def __init__(self):
         self.alphabet = BINARY
-        # Write-once cache of (f, dead) per node; entries are pure values,
+        # Write-once cache of (F, dead) per node; entries are pure values,
         # so racing recomputations are benign.
-        self._nodes: dict = {EMPTY: (Fraction(1), False)}
+        self._nodes: dict = {EMPTY: (4, False)}
 
     def _node(self, x: Word):
         cached = self._nodes.get(x)
@@ -484,77 +503,79 @@ class OscillatingMartingaleMeasure(Semimeasure):
         depth = len(x) - 1
         while depth > 0 and x[:depth] not in self._nodes:
             depth -= 1
-        f, dead = self._nodes[x[:depth]]
+        big_f, dead = self._nodes[x[:depth]]
         while depth < len(x):
-            f0, f1, d0, d1 = _martingale_children(f, dead, depth)
+            f0, f1, d0, d1 = _martingale_children(big_f, dead, depth)
             prefix = x[:depth]
             self._nodes[prefix + (0,)] = (f0, d0)
             self._nodes[prefix + (1,)] = (f1, d1)
-            f, dead = self._nodes[x[: depth + 1]]
+            big_f, dead = (f0, d0) if x[depth] == 0 else (f1, d1)
             depth += 1
-        return f, dead
+        return big_f, dead
 
     def f_value(self, x) -> Fraction:
-        return self._node(self.alphabet.word(x))[0]
+        x = self.alphabet.word(x)
+        return Fraction(self._node(x)[0], 1 << (len(x) + 2))
 
     def is_dead(self, x) -> bool:
         return self._node(self.alphabet.word(x))[1]
 
     def evaluate_exact(self, x: Word) -> Fraction:
-        f, _ = self._node(x)
-        return f / 2 ** len(x)
+        return Fraction(self._node(x)[0], 1 << (2 * len(x) + 2))
 
     def cursor(self) -> SemimeasureCursor:
-        return _MartingaleCursor(Fraction(1), False, 0)
+        return _MartingaleCursor(4, False, 0)
 
     def dead_mass_by_depth(self, depth: int) -> list:
         """Uniform-measure mass of dead nodes at each length 0..depth.
 
-        Aggregates nodes by (f value, dead flag); the construction admits
-        only O(depth) distinct values per level, so this runs in
-        O(depth^2) independent of the 2^depth node count.
+        Aggregates nodes by (F, dead flag), with each level's mass held as
+        an integer over 2^length; the construction admits only O(depth)
+        distinct values per level, so this runs in O(depth^2) integer
+        operations independent of the 2^depth node count.
         """
-        level = {(Fraction(1), False): Fraction(1)}
+        level = {(4, False): 1}
         masses = [Fraction(0)]
         for length in range(1, depth + 1):
             nxt: dict = {}
-            for (f, dead), mass in level.items():
-                f0, f1, d0, d1 = _martingale_children(f, dead, length - 1)
-                half = mass / 2
-                for fc, dc in ((f0, d0), (f1, d1)):
-                    key = (fc, dc)
-                    nxt[key] = nxt.get(key, Fraction(0)) + half
+            for (big_f, dead), mass in level.items():
+                f0, f1, d0, d1 = _martingale_children(big_f, dead, length - 1)
+                for key in ((f0, d0), (f1, d1)):
+                    nxt[key] = nxt.get(key, 0) + mass
             level = nxt
-            masses.append(sum(m for (f, d), m in level.items() if d))
+            dead_mass = sum(m for (_, d), m in level.items() if d)
+            masses.append(Fraction(dead_mass, 1 << length))
         return masses
 
     def __repr__(self) -> str:
         return "martingale_measure"
 
 
-class _MartingaleCursor(SemimeasureCursor):
+class _MartingaleCursor(DyadicCursor):
+    """nu(x) = F / 2^(2n+2) at length n, with F = f(x) * 2^(n+2)."""
+
     __slots__ = ("_f", "_dead", "_len")
 
-    def __init__(self, f: Fraction, dead: bool, length: int):
-        self._f = f
+    def __init__(self, big_f: int, dead: bool, length: int):
+        self._f = big_f
         self._dead = dead
         self._len = length
 
     @property
-    def value(self) -> Fraction:
-        return self._f / 2**self._len
+    def numerator(self) -> int:
+        return self._f
+
+    @property
+    def exponent(self) -> int:
+        return 2 * self._len + 2
 
     @property
     def f_value(self) -> Fraction:
-        return self._f
+        return Fraction(self._f, 1 << (self._len + 2))
 
     @property
     def dead(self) -> bool:
         return self._dead
-
-    def child_value(self, a: int) -> Fraction:
-        f0, f1, _, _ = _martingale_children(self._f, self._dead, self._len)
-        return (f0 if a == 0 else f1) / 2 ** (self._len + 1)
 
     def advance(self, a: int) -> "_MartingaleCursor":
         f0, f1, d0, d1 = _martingale_children(self._f, self._dead, self._len)
@@ -563,7 +584,7 @@ class _MartingaleCursor(SemimeasureCursor):
         return _MartingaleCursor(f1, d1, self._len + 1)
 
     def state_key(self):
-        return (self._f, self._dead)
+        return (self._f, self._dead)  # at one length, a bijection of (f, dead)
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,13 @@ finite horizon, so the verdicts here use an explicit finite proxy: a
 trace "stabilized" when no change of choice occurs within the final
 observation window.  Window and horizon always travel with the verdict.
 
-A trace compares w_nu * nu(x_1:t) across the class at every prefix.  When
-every member is factorizable these values share one growing denominator,
-so the trace keeps one exact integer numerator per model and updates it by
-a small multiply per step.  A class with any other member (the martingale,
-leaky or generic models) is traced on exact cursor Fractions instead.
+A trace compares w_nu * nu(x_1:t) across the class at every prefix.  For
+every built-in family these values share one growing denominator, so the
+trace keeps one exact integer numerator per model: a factorizable model
+multiplies it by a small per-step numerator, a leaky wrapper adds its keep
+factor 1 - gamma to that, and the martingale measure's dyadic cursor holds
+nu as an integer over a power of two.  Only a class with a member that has
+no cursor of its own is traced on exact cursor Fractions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from math import lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ZeroHistoryError
-from .measures import Word, derived_rng, sample_path
+from .measures import (
+    DyadicCursor,
+    LeakySemimeasure,
+    Semimeasure,
+    Word,
+    derived_rng,
+    sample_path,
+)
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass, check_tail
 from .metrics import ordered_parallel_map
 
@@ -66,30 +75,83 @@ class StabilizationVerdict:
         return self.stabilized_by is not None
 
 
+def _integer_parts(model: Semimeasure):
+    """(step rule, keep, dyadic cursor) of one member, or None.
+
+    The member's value factors as nu(x_1:t) = prod_{s<=t} rule(s)[x_s] *
+    keep^t * N_t / 2^e_t: ``rule`` is the per-step distribution of a
+    factorizable model (None: no such factor), ``keep`` the product of
+    the leaky wrappers' 1 - gamma, and N_t / 2^e_t the value of a dyadic
+    cursor (None: 1).  Members with neither form give None.
+    """
+    keep = Fraction(1)
+    while isinstance(model, LeakySemimeasure):
+        keep *= 1 - model.leak
+        model = model.base
+    if model.is_factorizable:
+        return model.step_distribution, keep, None
+    cursor = model.cursor()
+    if isinstance(cursor, DyadicCursor):
+        return None, keep, cursor
+    return None
+
+
 def _weighted_scores(cls: WeightedClass, word: Word) -> Iterator[Tuple[list, int]]:
     """Scores proportional to w_nu * nu(x_1:t) for t = 0..len(word).
 
     Each item is (scores, denominator) with score_i / denominator ==
-    w_i * nu_i(x_1:t) exactly.  Factorizable classes give integers over
-    one common denominator; any other class gives cursor Fractions over 1.
+    w_i * nu_i(x_1:t) exactly.  When every member is factorizable, dyadic
+    or a leaky wrapper of either, the scores are integers over one common
+    denominator: each member's per-step rational factors (step
+    probability times keep) are carried as an integer product over the
+    product of the steps' lcms, and a dyadic cursor's numerator joins it
+    with the largest cursor exponent as one more power of two in the
+    denominator.  Any other class gives cursor Fractions over 1.
     """
     models, weights = cls.models, cls.weights
-    if all(m.is_factorizable for m in models):
-        den = lcm(*(w.denominator for w in weights))
-        scores = [w.numerator * (den // w.denominator) for w in weights]
-        yield scores, den
-        for t, a in enumerate(word, start=1):
-            probs = [m.step_distribution(t)[a] for m in models]
-            step = lcm(*(p.denominator for p in probs))
-            scores = [s * (p.numerator * (step // p.denominator)) for s, p in zip(scores, probs)]
-            den *= step
-            yield scores, den
-        return
-    cursors = [m.cursor() for m in models]
-    yield [w * c.value for w, c in zip(weights, cursors)], 1
-    for a in word:
-        cursors = [c.advance(a) for c in cursors]
+    parts = [_integer_parts(m) for m in models]
+    if any(p is None for p in parts):
+        cursors = [m.cursor() for m in models]
         yield [w * c.value for w, c in zip(weights, cursors)], 1
+        for a in word:
+            cursors = [c.advance(a) for c in cursors]
+            yield [w * c.value for w, c in zip(weights, cursors)], 1
+        return
+    rules = [rule for rule, _, _ in parts]
+    leaks = [(i, keep) for i, (_, keep, _) in enumerate(parts) if keep != 1]
+    cursors = [c for _, _, c in parts]
+    dyadic = [i for i, c in enumerate(cursors) if c is not None]
+    den = lcm(*(w.denominator for w in weights))
+    products = [w.numerator * (den // w.denominator) for w in weights]
+    # A dyadic member's product is kept as products[i] << shifts[i], so the
+    # powers of two that its step factors share with the cursor's
+    # denominator stay shifts instead of growing the multiplicand.
+    shifts = [0] * len(models)
+
+    def scored():
+        if not dyadic:
+            return products, den
+        top = max(cursors[i].exponent for i in dyadic)
+        scores = [
+            s << top if c is None else s * c.numerator << (sh + top - c.exponent)
+            for s, c, sh in zip(products, cursors, shifts)
+        ]
+        return scores, den << top
+
+    yield scored()
+    for t, a in enumerate(word, start=1):
+        probs = [rule(t)[a] if rule else 1 for rule in rules]
+        for i, keep in leaks:
+            probs[i] = probs[i] * keep
+        step = lcm(*(p.denominator for p in probs))
+        products = [s * (p.numerator * (step // p.denominator)) for s, p in zip(products, probs)]
+        den *= step
+        for i in dyadic:
+            low = (products[i] & -products[i]).bit_length() - 1
+            products[i] >>= low
+            shifts[i] += low
+            cursors[i] = cursors[i].advance(a)
+        yield scored()
 
 
 def map_trace(
@@ -102,9 +164,10 @@ def map_trace(
     Agrees with :func:`map_estimator` at every prefix: the same index and
     tie flag, :class:`IndeterminateTailError` where the unmaterialized
     tail could overturn the choice, and :class:`ZeroHistoryError` once
-    every member gives the prefix probability zero.  Factorizable classes
-    are compared on exact integers over a common denominator, all other
-    classes on incremental cursor values.
+    every member gives the prefix probability zero.  Classes of
+    factorizable, dyadic and leaky members are compared on exact integers
+    over a common denominator, all other classes on incremental cursor
+    values.
     """
     weights = cls.weights
     indices: List[int] = []

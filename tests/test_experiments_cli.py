@@ -348,6 +348,46 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, "directory", "{not json", b"\xff\xfe{}", "[1, 2]", '{"params": ["N"]}'],
+        ids=["missing", "unreadable", "malformed", "undecodable", "not_an_object", "params_list"],
+    )
+    def test_config_file_errors_exit_2(self, tmp_path, capsys, content):
+        cfg_file = tmp_path / "cfg.json"
+        if content == "directory":
+            cfg_file.mkdir()
+        elif isinstance(content, bytes):
+            cfg_file.write_bytes(content)
+        elif content is not None:
+            cfg_file.write_text(content)
+        out = tmp_path / "run"
+        rc = main(["run", "example1", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_code_config_file_missing_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["code", "encode", "--string", "11", "--config", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_phase_needs_round_robin(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["run", "bound_suite", "--param", "phase=3", "--param", "classes=1",
+                "--horizon", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"tie_break": "round_robin"}))
+        assert main([*argv, "--config", str(cfg_file)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["tie_break"] == "round_robin"
+        assert report["config"]["params"]["phase"] == "3"
+
     def test_mode_flag_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "example1", "--mode", "float"])

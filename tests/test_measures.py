@@ -165,6 +165,94 @@ class TestMartingale:
             assert masses[n] == brute
 
 
+def _fraction_children(f, dead, parent_len):
+    """The martingale's child rule on Fractions, as first written."""
+    n = parent_len + 1
+    if dead:
+        return f, f, True, True
+    if f > F(3, 4):
+        f0 = F(3, 4) - F(1, 2 ** (n + 2))
+        f1 = 2 * f - f0
+    else:
+        f1 = F(3, 4) + F(1, 2 ** (n + 2))
+        f0 = 2 * f - f1
+
+    def dead_at(g):
+        return g <= F(3, 4) and g < F(3, 8) + F(1, 2 ** (n + 4))
+
+    return f0, f1, dead_at(f0), dead_at(f1)
+
+
+def _fraction_dead_masses(depth):
+    level = {(F(1), False): F(1)}
+    masses = [F(0)]
+    for length in range(1, depth + 1):
+        nxt = {}
+        for (f, dead), mass in level.items():
+            f0, f1, d0, d1 = _fraction_children(f, dead, length - 1)
+            for key in ((f0, d0), (f1, d1)):
+                nxt[key] = nxt.get(key, F(0)) + mass / 2
+        level = nxt
+        masses.append(sum(m for (_, d), m in level.items() if d))
+    return masses
+
+
+class TestIntegerMartingale:
+    """The integer representation against the Fraction rule it replaced."""
+
+    def _check(self, m, bits, cur, f, dead):
+        if m is not None:
+            assert (m.f_value(bits), m.is_dead(bits)) == (f, dead)
+        assert (cur.f_value, cur.dead, cur.value) == (f, dead, f / 2 ** len(bits))
+        f0, f1, _, _ = _fraction_children(f, dead, len(bits))
+        assert cur.child_value(0) == f0 / 2 ** (len(bits) + 1)
+        assert cur.child_value(1) == f1 / 2 ** (len(bits) + 1)
+
+    def test_every_node_to_depth_12(self):
+        m = OscillatingMartingaleMeasure()
+        stack = [((), m.cursor(), F(1), False)]
+        keys = {}
+        while stack:
+            bits, cur, f, dead = stack.pop()
+            self._check(m, bits, cur, f, dead)
+            # state_key() is a bijection of (f, dead) at each depth.
+            keys.setdefault((len(bits), cur.state_key()), (f, dead))
+            assert keys[len(bits), cur.state_key()] == (f, dead)
+            if len(bits) < 12:
+                f0, f1, d0, d1 = _fraction_children(f, dead, len(bits))
+                stack.append((bits + (0,), cur.advance(0), f0, d0))
+                stack.append((bits + (1,), cur.advance(1), f1, d1))
+        assert len({(n, v) for (n, _), v in keys.items()}) == len(keys)
+
+    def test_long_alive_and_dead_paths(self):
+        lam = IidModel((F(1, 2), F(1, 2)))
+        seen = set()
+        for i in range(100):
+            m = OscillatingMartingaleMeasure()
+            path = sample_path(lam, 2000, derived_rng(13, i))
+            if m.is_dead(path) in seen:
+                continue
+            seen.add(m.is_dead(path))
+            cur, f, dead = m.cursor(), F(1), False
+            for t, a in enumerate(path):
+                self._check(m if t % 97 == 0 else None, path[:t], cur, f, dead)
+                f0, f1, d0, d1 = _fraction_children(f, dead, t)
+                f, dead = (f0, d0) if a == 0 else (f1, d1)
+                cur = cur.advance(a)
+            self._check(m, path, cur, f, dead)
+            if len(seen) == 2:
+                return
+        pytest.fail("no alive and dead 2000-step paths among 100 samples")
+
+    def test_dead_masses_and_lumped_walk_unchanged(self):
+        from mdl_lab.metrics import walk_support
+        from mdl_lab.model_class import example5_class
+
+        m = OscillatingMartingaleMeasure()
+        assert m.dead_mass_by_depth(20) == _fraction_dead_masses(20)
+        assert walk_support(example5_class(), 12, lambda node: None) == 133
+
+
 class TestSampling:
     def test_deterministic_path(self):
         model = DeterministicModel((), (1,))

@@ -3,12 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from mdl_lab import measures
 from mdl_lab.errors import IndeterminateTailError, ZeroHistoryError
 from mdl_lab.measures import (
     DeterministicModel,
     FactorizableModel,
     IidModel,
+    LeakySemimeasure,
     OscillatingMartingaleMeasure,
+    Semimeasure,
+    derived_rng,
+    sample_path,
 )
 from mdl_lab.model_class import (
     LARGEST_WEIGHT,
@@ -52,6 +57,46 @@ def _geometric_truncated_class():
         tail_bound=F(1, 16),
         descending_weights=True,
     )
+
+
+class _Generic(Semimeasure):
+    """A model without a cursor of its own, evaluated prefix by prefix."""
+
+    def __init__(self, model):
+        self.alphabet = model.alphabet
+        self.is_proper_measure = model.is_proper_measure
+        self._model = model
+
+    def evaluate_exact(self, x):
+        return self._model.evaluate_exact(x)
+
+
+CURSOR_KINDS = (
+    measures._GenericCursor,
+    measures._IidCursor,
+    measures._DeterministicCursor,
+    measures._FactorizableCursor,
+    measures._MartingaleCursor,
+    measures._LeakyCursor,
+)
+
+
+def _refuse_cursor_fractions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the integer trace read a cursor Fraction")
+
+    for kind in CURSOR_KINDS:
+        monkeypatch.setattr(kind, "value", property(refuse))
+        monkeypatch.setattr(kind, "child_value", refuse)
+
+
+def _leaky_semimeasure_classes(seed, count):
+    classes = (random_semimeasure_class(seed, case) for case in range(4 * count))
+    leaky = [
+        cls for cls in classes if any(isinstance(m, LeakySemimeasure) for m in cls.models)
+    ]
+    assert len(leaky) >= count
+    return leaky[:count]
 
 
 def _reference_trace(cls, word, tie_break):
@@ -114,15 +159,84 @@ class TestMapTraceDifferential:
             errors += _assert_trace_matches(cls, _all_words(6))
         assert ZeroHistoryError in errors and IndeterminateTailError in errors
 
-    def test_cursor_path_classes(self):
-        leaky = [
-            cls
-            for cls in (random_semimeasure_class(53, case) for case in range(12))
-            if not all(m.is_factorizable for m in cls.models)
+    def test_dyadic_and_leaky_classes_run_on_integers(self, monkeypatch):
+        _refuse_cursor_fractions(monkeypatch)
+        leaky = _leaky_semimeasure_classes(53, 6)
+        lam, mart, _, _ = measures.example5_pair()
+        classes = [example5_class(), _truncated(example5_class(), F(1, 64))] + leaky
+        classes += [_truncated(cls, F(1, 2 ** (3 + k))) for k, cls in enumerate(leaky[:3])]
+        classes += [
+            # Dyadic cursors under one and two leaks, next to other members.
+            WeightedClass(
+                [lam, LeakySemimeasure(mart, F(1, 8)), LeakySemimeasure(mart, F(1, 3))],
+                [F(1, 4), F(1, 2), F(1, 4)],
+            ),
+            WeightedClass(
+                [
+                    LeakySemimeasure(DeterministicModel((), (1,)), F(1, 4)),
+                    LeakySemimeasure(LeakySemimeasure(mart, F(1, 4)), F(1, 8)),
+                ],
+                [F(1, 5), F(3, 5)],
+                tail_bound=F(1, 5),
+            ),
+            # Every member dies on 00: ZeroHistoryError on the integer path.
+            WeightedClass(
+                [
+                    LeakySemimeasure(DeterministicModel((), (1,)), F(1, 4)),
+                    DeterministicModel((1,), (0,)),
+                ],
+                [F(1, 2), F(1, 2)],
+            ),
         ]
-        assert len(leaky) >= 3
-        for cls in [example5_class()] + leaky[:4]:
-            _assert_trace_matches(cls, _all_words(6))
+        errors = []
+        for cls in classes:
+            errors += _assert_trace_matches(cls, _all_words(6))
+        assert ZeroHistoryError in errors and IndeterminateTailError in errors
+
+    def test_example5_long_paths_match_fraction_trace(self, monkeypatch):
+        _refuse_cursor_fractions(monkeypatch)
+        lam, _, w_lam, w_mart = measures.example5_pair()
+        # lambda is uniform, so w * evaluate_exact depends on the length only.
+        lam_scores = [w_lam * lam.evaluate_exact((0,) * t) for t in range(2001)]
+        dead = 0
+        for i in range(40):
+            cls = example5_class()  # a fresh martingale cache per path
+            mart = cls.models[1]
+            path = sample_path(cls.true_model, 2000, derived_rng(7, i))
+            want = []
+            for t in range(len(path) + 1):
+                scores = [lam_scores[t], w_mart * mart.evaluate_exact(path[:t])]
+                best = max(scores)
+                tied = tuple(j for j, v in enumerate(scores) if v == best)
+                want.append(LARGEST_WEIGHT.choose(tied, cls.weights, t))
+            assert map_trace(cls, path).indices == want
+            dead += mart.is_dead(path[:32])
+        assert 0 < dead < 40
+
+    def test_cursor_path_classes(self):
+        # A member without its own cursor sends the whole class to cursor
+        # Fractions; the trace must still match the per-prefix estimator.
+        reads = []
+        value = measures._GenericCursor.value
+
+        def counted(self):
+            reads.append(1)
+            return value.fget(self)
+
+        classes = [
+            WeightedClass(
+                [_Generic(m) if i == 0 else m for i, m in enumerate(cls.models)],
+                cls.weights,
+                true_index=cls.true_index,
+            )
+            for cls in [example5_class()] + _leaky_semimeasure_classes(53, 4)
+        ]
+        classes.append(_truncated(classes[0], F(1, 64)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures._GenericCursor, "value", property(counted))
+            for cls in classes:
+                _assert_trace_matches(cls, _all_words(6))
+        assert reads
 
     def test_truncated_class_refuses_where_map_estimator_refuses(self):
         cls = _geometric_truncated_class()
