@@ -5,9 +5,14 @@ nu(x) in [0, 1] with nu(empty) <= 1 and sum_a nu(xa) <= nu(x); equality in
 both makes it a proper measure.  Strings are tuples of symbols 0..k-1;
 helpers accept ASCII digit strings like "110" as well.
 
-All built-in families evaluate to exact rationals.  Each family also
-provides a cursor, an O(1)-per-step incremental evaluator used by tree
-walks, samplers and Monte-Carlo traces.
+All built-in families evaluate to exact rationals, and each is defined
+once.  i.i.d., deterministic and general factorizable models are products
+of per-step distributions and define only ``step_distribution``; one
+cursor and one closed form serve all three.  The martingale measure is
+defined by its cursor, which also gives its values.  The leaky wrapper
+scales any base by a keep factor per step.  A cursor is an O(1)-per-step
+incremental evaluator used by tree walks, samplers and Monte-Carlo traces;
+``evaluate_exact`` and ``conditional_exact`` read the same definition.
 """
 
 from __future__ import annotations
@@ -99,7 +104,16 @@ class Semimeasure:
     # -- evaluation ----------------------------------------------------
 
     def evaluate_exact(self, x: Word) -> Fraction:
-        raise NotImplementedError
+        """nu(x), read from :meth:`cursor` advanced along x.
+
+        A subclass defines :meth:`cursor` or :meth:`evaluate_exact`; each
+        default is built on the other.
+        """
+        if type(self).cursor is Semimeasure.cursor:
+            raise NotImplementedError(
+                f"{type(self).__name__} must define cursor() or evaluate_exact()"
+            )
+        return _advance_along(self.cursor(), x).value
 
     def evaluate(self, x) -> Fraction:
         return self.evaluate_exact(self.alphabet.word(x))
@@ -139,6 +153,12 @@ class Semimeasure:
         return repr(self)
 
 
+def _advance_along(cursor: SemimeasureCursor, x: Word) -> SemimeasureCursor:
+    for a in x:
+        cursor = cursor.advance(a)
+    return cursor
+
+
 class _GenericCursor(SemimeasureCursor):
     __slots__ = ("_model", "_prefix", "_value")
 
@@ -162,163 +182,7 @@ class _GenericCursor(SemimeasureCursor):
 
 
 # ----------------------------------------------------------------------
-# i.i.d. models
-# ----------------------------------------------------------------------
-
-
-class IidModel(Semimeasure):
-    """Product measure of a fixed rational symbol distribution."""
-
-    is_proper_measure = True
-
-    def __init__(self, theta: Iterable, alphabet: Alphabet | None = None):
-        theta = tuple(Fraction(t) for t in theta)
-        if alphabet is None:
-            alphabet = Alphabet(len(theta))
-        if len(theta) != alphabet.size:
-            raise ValueError("theta length must match alphabet size")
-        if any(t < 0 for t in theta):
-            raise ValueError("theta components must be nonnegative")
-        if sum(theta) != 1:
-            raise ValueError("theta must sum to exactly 1")
-        self.alphabet = alphabet
-        self.theta = theta
-
-    def evaluate_exact(self, x: Word) -> Fraction:
-        out = Fraction(1)
-        counts = [0] * self.alphabet.size
-        for s in x:
-            counts[s] += 1
-        for a, c in enumerate(counts):
-            if c:
-                if self.theta[a] == 0:
-                    return Fraction(0)
-                out *= self.theta[a] ** c
-        return out
-
-    def conditional_exact(self, a: int, x: Word) -> Fraction:
-        if self.evaluate_exact(x) == 0:
-            return Fraction(0)
-        return self.theta[a]
-
-    def cursor(self) -> SemimeasureCursor:
-        return _IidCursor(self, Fraction(1))
-
-    def step_distribution(self, i: int) -> Sequence[Fraction]:
-        return self.theta
-
-    @property
-    def step_prob_infimum(self) -> Optional[Fraction]:
-        nonzero = [t for t in self.theta if t > 0]
-        return min(nonzero)
-
-    def __repr__(self) -> str:
-        return f"iid({','.join(str(t) for t in self.theta)})"
-
-
-class _IidCursor(SemimeasureCursor):
-    __slots__ = ("_model", "_value")
-
-    def __init__(self, model: IidModel, value: Fraction):
-        self._model = model
-        self._value = value
-
-    @property
-    def value(self) -> Fraction:
-        return self._value
-
-    def child_value(self, a: int) -> Fraction:
-        return self._value * self._model.theta[a]
-
-    def advance(self, a: int) -> "_IidCursor":
-        return _IidCursor(self._model, self.child_value(a))
-
-    def state_key(self):
-        return self._value
-
-
-# ----------------------------------------------------------------------
-# Deterministic (eventually periodic) models
-# ----------------------------------------------------------------------
-
-
-class DeterministicModel(Semimeasure):
-    """Point mass on an eventually periodic infinite sequence.
-
-    nu(x) = 1 if x is a prefix of preperiod + period^infinity, else 0.
-    """
-
-    is_proper_measure = True
-
-    def __init__(self, preperiod, period, alphabet: Alphabet = BINARY):
-        self.alphabet = alphabet
-        self.preperiod = alphabet.word(preperiod)
-        self.period = alphabet.word(period)
-        if not self.period:
-            raise ValueError("period must be nonempty")
-
-    def target_symbol(self, i: int) -> int:
-        """Symbol at position i (0-based) of the target sequence."""
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
-    def evaluate_exact(self, x: Word) -> Fraction:
-        for i, s in enumerate(x):
-            if s != self.target_symbol(i):
-                return Fraction(0)
-        return Fraction(1)
-
-    def conditional_exact(self, a: int, x: Word) -> Fraction:
-        if self.evaluate_exact(x) == 0:
-            return Fraction(0)
-        return Fraction(1 if a == self.target_symbol(len(x)) else 0)
-
-    def cursor(self) -> SemimeasureCursor:
-        return _DeterministicCursor(self, 0, True)
-
-    def step_distribution(self, i: int) -> Sequence[Fraction]:
-        target = self.target_symbol(i - 1)
-        return tuple(
-            Fraction(1 if a == target else 0) for a in self.alphabet.symbols()
-        )
-
-    @property
-    def step_prob_infimum(self) -> Fraction:
-        return Fraction(1)
-
-    def __repr__(self) -> str:
-        pre = self.alphabet.format(self.preperiod)
-        per = self.alphabet.format(self.period)
-        return f"det({pre}({per})^inf)"
-
-
-class _DeterministicCursor(SemimeasureCursor):
-    __slots__ = ("_model", "_pos", "_alive")
-
-    def __init__(self, model: DeterministicModel, pos: int, alive: bool):
-        self._model = model
-        self._pos = pos
-        self._alive = alive
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(1 if self._alive else 0)
-
-    def child_value(self, a: int) -> Fraction:
-        ok = self._alive and a == self._model.target_symbol(self._pos)
-        return Fraction(1 if ok else 0)
-
-    def advance(self, a: int) -> "_DeterministicCursor":
-        ok = self._alive and a == self._model.target_symbol(self._pos)
-        return _DeterministicCursor(self._model, self._pos + 1, ok)
-
-    def state_key(self):
-        return self._alive
-
-
-# ----------------------------------------------------------------------
-# Factorizable models (independent, non-identical steps)
+# Factorizable models: i.i.d., deterministic and general per-step products
 # ----------------------------------------------------------------------
 
 
@@ -329,7 +193,8 @@ class FactorizableModel(Semimeasure):
     :meth:`from_steps` for an explicit finite table with an i.i.d. tail.
     ``infimum`` is an optional declared positive lower bound on all
     nonzero per-step probabilities; leave it None when no positive bound
-    exists (the probabilities may approach zero).
+    exists (the probabilities may approach zero).  Subclasses may
+    override :meth:`step_distribution` instead of passing a rule.
     """
 
     is_proper_measure = True
@@ -373,21 +238,17 @@ class FactorizableModel(Semimeasure):
         return dist
 
     def evaluate_exact(self, x: Word) -> Fraction:
-        out = Fraction(1)
+        num = den = 1
         for i, s in enumerate(x, start=1):
             p = self.step_distribution(i)[s]
-            if p == 0:
+            if not p:
                 return Fraction(0)
-            out *= p
-        return out
-
-    def conditional_exact(self, a: int, x: Word) -> Fraction:
-        if self.evaluate_exact(x) == 0:
-            return Fraction(0)
-        return self.step_distribution(len(x) + 1)[a]
+            num *= p.numerator
+            den *= p.denominator
+        return Fraction(num, den)
 
     def cursor(self) -> SemimeasureCursor:
-        return _FactorizableCursor(self, 0, Fraction(1))
+        return _FactorizableCursor(self.step_distribution, 0, Fraction(1))
 
     @property
     def step_prob_infimum(self) -> Optional[Fraction]:
@@ -398,10 +259,10 @@ class FactorizableModel(Semimeasure):
 
 
 class _FactorizableCursor(SemimeasureCursor):
-    __slots__ = ("_model", "_step", "_value")
+    __slots__ = ("_step_distribution", "_step", "_value")
 
-    def __init__(self, model: FactorizableModel, step: int, value: Fraction):
-        self._model = model
+    def __init__(self, step_distribution, step: int, value: Fraction):
+        self._step_distribution = step_distribution  # the model's bound method
         self._step = step
         self._value = value
 
@@ -410,15 +271,84 @@ class _FactorizableCursor(SemimeasureCursor):
         return self._value
 
     def child_value(self, a: int) -> Fraction:
-        if self._value == 0:
-            return Fraction(0)
-        return self._value * self._model.step_distribution(self._step + 1)[a]
+        value = self._value
+        if not value:
+            return value
+        p = self._step_distribution(self._step + 1)[a]
+        if not p:
+            return p
+        return value if p == 1 else value * p
 
     def advance(self, a: int) -> "_FactorizableCursor":
-        return _FactorizableCursor(self._model, self._step + 1, self.child_value(a))
+        return _FactorizableCursor(self._step_distribution, self._step + 1, self.child_value(a))
 
     def state_key(self):
         return self._value  # the step is the depth
+
+
+class IidModel(FactorizableModel):
+    """Product measure of a fixed rational symbol distribution."""
+
+    def __init__(self, theta: Iterable, alphabet: Alphabet | None = None):
+        theta = tuple(Fraction(t) for t in theta)
+        if alphabet is None:
+            alphabet = Alphabet(len(theta))
+        if len(theta) != alphabet.size:
+            raise ValueError("theta length must match alphabet size")
+        if any(t < 0 for t in theta):
+            raise ValueError("theta components must be nonnegative")
+        if sum(theta) != 1:
+            raise ValueError("theta must sum to exactly 1")
+        self.alphabet = alphabet
+        self.theta = theta
+
+    def step_distribution(self, i: int) -> Sequence[Fraction]:
+        return self.theta
+
+    @property
+    def step_prob_infimum(self) -> Optional[Fraction]:
+        nonzero = [t for t in self.theta if t > 0]
+        return min(nonzero)
+
+    def __repr__(self) -> str:
+        return f"iid({','.join(str(t) for t in self.theta)})"
+
+
+class DeterministicModel(FactorizableModel):
+    """Point mass on an eventually periodic infinite sequence.
+
+    nu(x) = 1 if x is a prefix of preperiod + period^infinity, else 0.
+    """
+
+    def __init__(self, preperiod, period, alphabet: Alphabet = BINARY):
+        self.alphabet = alphabet
+        self.preperiod = alphabet.word(preperiod)
+        self.period = alphabet.word(period)
+        if not self.period:
+            raise ValueError("period must be nonempty")
+        # The point mass on each symbol, indexed by the target symbol.
+        self._point_masses = tuple(
+            tuple(Fraction(int(a == target)) for a in alphabet.symbols())
+            for target in alphabet.symbols()
+        )
+
+    def target_symbol(self, i: int) -> int:
+        """Symbol at position i (0-based) of the target sequence."""
+        if i < len(self.preperiod):
+            return self.preperiod[i]
+        return self.period[(i - len(self.preperiod)) % len(self.period)]
+
+    def step_distribution(self, i: int) -> Sequence[Fraction]:
+        return self._point_masses[self.target_symbol(i - 1)]
+
+    @property
+    def step_prob_infimum(self) -> Fraction:
+        return Fraction(1)
+
+    def __repr__(self) -> str:
+        pre = self.alphabet.format(self.preperiod)
+        per = self.alphabet.format(self.period)
+        return f"det({pre}({per})^inf)"
 
 
 # ----------------------------------------------------------------------
@@ -486,42 +416,14 @@ class OscillatingMartingaleMeasure(Semimeasure):
     add or compare.
     """
 
+    alphabet = BINARY
     is_proper_measure = True
 
-    def __init__(self):
-        self.alphabet = BINARY
-        # Write-once cache of (F, dead) per node; entries are pure values,
-        # so racing recomputations are benign.
-        self._nodes: dict = {EMPTY: (4, False)}
-
-    def _node(self, x: Word):
-        cached = self._nodes.get(x)
-        if cached is not None:
-            return cached
-        # Walk forward from the deepest cached prefix (iterative: paths may
-        # be far longer than the interpreter recursion limit).
-        depth = len(x) - 1
-        while depth > 0 and x[:depth] not in self._nodes:
-            depth -= 1
-        big_f, dead = self._nodes[x[:depth]]
-        while depth < len(x):
-            f0, f1, d0, d1 = _martingale_children(big_f, dead, depth)
-            prefix = x[:depth]
-            self._nodes[prefix + (0,)] = (f0, d0)
-            self._nodes[prefix + (1,)] = (f1, d1)
-            big_f, dead = (f0, d0) if x[depth] == 0 else (f1, d1)
-            depth += 1
-        return big_f, dead
-
     def f_value(self, x) -> Fraction:
-        x = self.alphabet.word(x)
-        return Fraction(self._node(x)[0], 1 << (len(x) + 2))
+        return _advance_along(self.cursor(), self.alphabet.word(x)).f_value
 
     def is_dead(self, x) -> bool:
-        return self._node(self.alphabet.word(x))[1]
-
-    def evaluate_exact(self, x: Word) -> Fraction:
-        return Fraction(self._node(x)[0], 1 << (2 * len(x) + 2))
+        return _advance_along(self.cursor(), self.alphabet.word(x)).dead
 
     def cursor(self) -> SemimeasureCursor:
         return _MartingaleCursor(4, False, 0)
@@ -608,32 +510,23 @@ class LeakySemimeasure(Semimeasure):
         self.alphabet = base.alphabet
         self.base = base
         self.leak = leak
-
-    @property
-    def _keep(self) -> Fraction:
-        return 1 - self.leak
+        self.keep = 1 - leak
 
     def evaluate_exact(self, x: Word) -> Fraction:
-        return self.base.evaluate_exact(x) * self._keep ** len(x)
-
-    def conditional_exact(self, a: int, x: Word) -> Fraction:
-        return self.base.conditional_exact(a, x) * self._keep
+        return self.base.evaluate_exact(x) * self.keep ** len(x)
 
     def cursor(self) -> SemimeasureCursor:
-        return _LeakyCursor(self, self.base.cursor(), Fraction(1))
-
-    def step_distribution(self, i: int):
-        return None  # leaks make the per-step view sub-stochastic
+        return _LeakyCursor(self.keep, self.base.cursor(), Fraction(1))
 
     def __repr__(self) -> str:
         return f"leaky({self.base!r},gamma={self.leak})"
 
 
 class _LeakyCursor(SemimeasureCursor):
-    __slots__ = ("_model", "_base", "_scale")
+    __slots__ = ("_keep", "_base", "_scale")
 
-    def __init__(self, model: LeakySemimeasure, base: SemimeasureCursor, scale):
-        self._model = model
+    def __init__(self, keep: Fraction, base: SemimeasureCursor, scale: Fraction):
+        self._keep = keep
         self._base = base
         self._scale = scale
 
@@ -642,12 +535,10 @@ class _LeakyCursor(SemimeasureCursor):
         return self._base.value * self._scale
 
     def child_value(self, a: int) -> Fraction:
-        return self._base.child_value(a) * self._scale * self._model._keep
+        return self._base.child_value(a) * self._scale * self._keep
 
     def advance(self, a: int) -> "_LeakyCursor":
-        return _LeakyCursor(
-            self._model, self._base.advance(a), self._scale * self._model._keep
-        )
+        return _LeakyCursor(self._keep, self._base.advance(a), self._scale * self._keep)
 
     def state_key(self):
         return self._base.state_key()  # the scale is fixed by the depth

@@ -86,7 +86,7 @@ def _integer_parts(model: Semimeasure):
     """
     keep = Fraction(1)
     while isinstance(model, LeakySemimeasure):
-        keep *= 1 - model.leak
+        keep *= model.keep
         model = model.base
     if model.is_factorizable:
         return model.step_distribution, keep, None

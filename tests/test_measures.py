@@ -12,6 +12,7 @@ from mdl_lab.measures import (
     IidModel,
     LeakySemimeasure,
     OscillatingMartingaleMeasure,
+    Semimeasure,
     check_semimeasure,
     derived_rng,
     example3_pair,
@@ -20,21 +21,6 @@ from mdl_lab.measures import (
     sample_path,
     sample_sequence,
 )
-
-def family_zoo():
-    return [
-        IidModel((F(1, 2), F(1, 2))),
-        IidModel((F(1, 3), F(2, 3))),
-        DeterministicModel((1,), (0,)),
-        DeterministicModel((), (1,)),
-        FactorizableModel.from_steps(
-            BINARY, [(F(1, 4), F(3, 4)), (F(1), F(0))], (F(1, 2), F(1, 2))
-        ),
-        OscillatingMartingaleMeasure(),
-        LeakySemimeasure(IidModel((F(1, 2), F(1, 2))), F(1, 4)),
-        make_example4_pair()[0],
-        make_example4_pair()[1],
-    ]
 
 
 class TestEvaluate:
@@ -70,17 +56,118 @@ class TestConditional:
         assert nu.conditional(1, ()) == F(1, 2)
 
 
+REFERENCE_DEPTH = 9  # every word shorter than this is checked
+
+
+def _iid_reference(theta):
+    def nu(x):
+        out = F(1)
+        for a, p in enumerate(theta):
+            out *= p ** x.count(a)
+        return out
+
+    return nu, lambda i: theta
+
+
+def _deterministic_reference(preperiod, period):
+    target = (preperiod + period * REFERENCE_DEPTH)[:REFERENCE_DEPTH]
+
+    def step(i):
+        return tuple(F(int(a == target[i - 1])) for a in (0, 1))
+
+    return (lambda x: F(int(x == target[: len(x)]))), step
+
+
+def _product_reference(step):
+    def nu(x):
+        out = F(1)
+        for i, s in enumerate(x, start=1):
+            out *= step(i)[s]
+        return out
+
+    return nu, step
+
+
+def _table_reference(steps, tail):
+    return _product_reference(lambda i: steps[i - 1] if i <= len(steps) else tail)
+
+
+def _example4_reference(offset):
+    # mu_i(1) = 1 - 2^(-2*ceil(i/2)) (offset 0), nu_i(1) = 1 - 2^(1-2*ceil((i+1)/2)).
+    def step(i):
+        p0 = F(1, 2 ** (2 * ((i + offset + 1) // 2) - offset))
+        return (p0, 1 - p0)
+
+    return _product_reference(step)
+
+
+def _martingale_reference(x):
+    f, dead = F(1), False
+    for n, a in enumerate(x):
+        f0, f1, d0, d1 = _fraction_children(f, dead, n)
+        f, dead = (f0, d0) if a == 0 else (f1, d1)
+    return f / 2 ** len(x)
+
+
+def reference_zoo():
+    """(model, nu, step) with nu and per-step law computed independently.
+
+    ``step`` is None for a model that is not factorizable.
+    """
+    half, third = (F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))
+    table = [(F(1, 4), F(3, 4)), (F(1), F(0))]
+    leaky_nu, _ = _iid_reference(half)
+    mu, nu = make_example4_pair()
+    return [
+        (IidModel(half), *_iid_reference(half)),
+        (IidModel(third), *_iid_reference(third)),
+        (IidModel((F(1), F(0))), *_iid_reference((F(1), F(0)))),
+        (DeterministicModel((1,), (0,)), *_deterministic_reference((1,), (0,))),
+        (DeterministicModel((), (1,)), *_deterministic_reference((), (1,))),
+        (DeterministicModel((0, 0), (1, 0, 1)), *_deterministic_reference((0, 0), (1, 0, 1))),
+        (FactorizableModel.from_steps(BINARY, table, half), *_table_reference(table, half)),
+        (mu, *_example4_reference(0)),
+        (nu, *_example4_reference(1)),
+        (OscillatingMartingaleMeasure(), _martingale_reference, None),
+        (
+            LeakySemimeasure(IidModel(half), F(1, 4)),
+            lambda x: leaky_nu(x) * F(3, 4) ** len(x),
+            None,
+        ),
+        (
+            LeakySemimeasure(OscillatingMartingaleMeasure(), F(1, 3)),
+            lambda x: _martingale_reference(x) * F(2, 3) ** len(x),
+            None,
+        ),
+    ]
+
+
 class TestCursors:
     def test_cursor_matches_evaluate(self):
-        for model in family_zoo():
-            cur = model.cursor()
-            prefix = ()
-            for symbol in (1, 0, 1, 1, 0):
+        # Cursors, closed forms, conditionals and per-step laws against
+        # formulas written here, on every word shorter than REFERENCE_DEPTH.
+        for model, nu, step in reference_zoo():
+            for i in range(1, REFERENCE_DEPTH + 1):
+                assert model.step_distribution(i) == (None if step is None else step(i))
+            stack = [((), model.cursor())]
+            while stack:
+                x, cur = stack.pop()
+                assert cur.value == model.evaluate_exact(x) == nu(x), (model, x)
                 for a in (0, 1):
-                    assert cur.child_value(a) == model.evaluate_exact(prefix + (a,))
-                cur = cur.advance(symbol)
-                prefix += (symbol,)
-                assert cur.value == model.evaluate_exact(prefix)
+                    xa = x + (a,)
+                    assert cur.child_value(a) == nu(xa), (model, xa)
+                    cond = nu(xa) / nu(x) if nu(x) else 0
+                    assert model.conditional_exact(a, x) == cond, (model, xa)
+                    if len(xa) < REFERENCE_DEPTH:
+                        stack.append((xa, cur.advance(a)))
+
+    def test_model_defining_neither_cursor_nor_evaluate_refuses(self):
+        class Bare(Semimeasure):
+            alphabet = BINARY
+
+        for read in (lambda m: m.evaluate("01"), lambda m: m.cursor()):
+            with pytest.raises(NotImplementedError, match=r"cursor\(\) or evaluate_exact\(\)"):
+                read(Bare())
 
 
 class TestStructure:
@@ -102,7 +189,7 @@ class TestStructure:
         assert report.passed and report.all_equalities
 
     def test_semimeasure_inequality_all_families_depth_8(self):
-        for model in family_zoo():
+        for model, _, _ in reference_zoo():
             report = check_semimeasure(model, 8)
             assert report.passed, (model, report)
             assert report.all_equalities == model.is_proper_measure

@@ -73,8 +73,6 @@ class _Generic(Semimeasure):
 
 CURSOR_KINDS = (
     measures._GenericCursor,
-    measures._IidCursor,
-    measures._DeterministicCursor,
     measures._FactorizableCursor,
     measures._MartingaleCursor,
     measures._LeakyCursor,
@@ -114,12 +112,21 @@ def _reference_trace(cls, word, tie_break):
     return indices, ties, None
 
 
-def _assert_trace_matches(cls, words):
-    """map_trace equals per-prefix map_estimator; returns the errors seen."""
+def _assert_trace_matches(cls, words, guard=None):
+    """map_trace equals per-prefix map_estimator; returns the errors seen.
+
+    The references are computed first; ``guard(monkeypatch)``, if given,
+    then patches the library for the map_trace calls only, since
+    map_estimator itself may read cursors.
+    """
+    references = [
+        (tb, word, _reference_trace(cls, word, tb)) for tb in TIE_BREAKS for word in words
+    ]
     errors = []
-    for tb in TIE_BREAKS:
-        for word in words:
-            indices, ties, error = _reference_trace(cls, word, tb)
+    with pytest.MonkeyPatch.context() as mp:
+        if guard is not None:
+            guard(mp)
+        for tb, word, (indices, ties, error) in references:
             if error is None:
                 trace = map_trace(cls, word, tb)
                 assert (trace.indices, trace.tie_flags) == (indices, ties), (word, tb)
@@ -159,8 +166,7 @@ class TestMapTraceDifferential:
             errors += _assert_trace_matches(cls, _all_words(6))
         assert ZeroHistoryError in errors and IndeterminateTailError in errors
 
-    def test_dyadic_and_leaky_classes_run_on_integers(self, monkeypatch):
-        _refuse_cursor_fractions(monkeypatch)
+    def test_dyadic_and_leaky_classes_run_on_integers(self):
         leaky = _leaky_semimeasure_classes(53, 6)
         lam, mart, _, _ = measures.example5_pair()
         classes = [example5_class(), _truncated(example5_class(), F(1, 64))] + leaky
@@ -190,26 +196,28 @@ class TestMapTraceDifferential:
         ]
         errors = []
         for cls in classes:
-            errors += _assert_trace_matches(cls, _all_words(6))
+            errors += _assert_trace_matches(cls, _all_words(6), _refuse_cursor_fractions)
         assert ZeroHistoryError in errors and IndeterminateTailError in errors
 
-    def test_example5_long_paths_match_fraction_trace(self, monkeypatch):
-        _refuse_cursor_fractions(monkeypatch)
-        lam, _, w_lam, w_mart = measures.example5_pair()
-        # lambda is uniform, so w * evaluate_exact depends on the length only.
-        lam_scores = [w_lam * lam.evaluate_exact((0,) * t) for t in range(2001)]
+    def test_example5_long_paths_match_fraction_trace(self):
+        cls = example5_class()
+        mart = cls.models[1]
         dead = 0
         for i in range(40):
-            cls = example5_class()  # a fresh martingale cache per path
-            mart = cls.models[1]
             path = sample_path(cls.true_model, 2000, derived_rng(7, i))
+            # The reference: one walk of Fraction cursor values per path.
+            cursors = [m.cursor() for m in cls.models]
             want = []
             for t in range(len(path) + 1):
-                scores = [lam_scores[t], w_mart * mart.evaluate_exact(path[:t])]
+                if t:
+                    cursors = [c.advance(path[t - 1]) for c in cursors]
+                scores = [w * c.value for w, c in zip(cls.weights, cursors)]
                 best = max(scores)
                 tied = tuple(j for j, v in enumerate(scores) if v == best)
                 want.append(LARGEST_WEIGHT.choose(tied, cls.weights, t))
-            assert map_trace(cls, path).indices == want
+            with pytest.MonkeyPatch.context() as mp:
+                _refuse_cursor_fractions(mp)
+                assert map_trace(cls, path).indices == want
             dead += mart.is_dead(path[:32])
         assert 0 < dead < 40
 
