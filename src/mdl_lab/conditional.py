@@ -4,8 +4,10 @@ Classification adds an input u_t to each observation: models are proper
 conditional measures nu(x|u) over a finite outcome alphabet, selected by
 the weighted joint likelihood of the observed (input, outcome) history.
 For any fixed input sequence this reduces to the plain sequence problem
-with per-step distributions nu(.|u_t), which is how the square-error
-bounds {2, 8, 21} * 1/w_mu are verified here.
+with per-step distributions nu(.|u_t).  ``classify_static`` and
+``classify_dynamic`` freeze the history's inputs and the next input into
+such a sequence class and read the sequence predictors; the square-error
+bounds {2, 8, 21} * 1/w_mu are verified on the same reduction.
 
 Regression replaces the finite alphabet with real outcomes and uniformly
 bounded densities; squared error is the wrong gauge there (a sliver of
@@ -20,15 +22,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from scipy import integrate
 
-from .errors import DegenerateLikelihoodError, ZeroHistoryError
+from .errors import DegenerateLikelihoodError
 from .measures import Alphabet, BINARY, FactorizableModel, derived_rng
-from .metrics import mean_stderr
+from .metrics import check_samples, mean_stderr
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
-from .predictors import PredictiveDistribution
+from .predictors import PredictiveDistribution, predict_dynamic, predict_static
 
 SIGMA_MIN = 1e-3
 
@@ -104,30 +106,6 @@ class ConditionalClass:
         return self.models[0].alphabet
 
 
-def joint_likelihoods(cc: ConditionalClass, inputs, outputs) -> List[Fraction]:
-    """Per-model joint likelihood of the aligned (input, outcome) history."""
-    if len(inputs) != len(outputs):
-        raise ValueError("inputs and outputs must be aligned")
-    values = []
-    for m in cc.models:
-        v = Fraction(1)
-        for u, x in zip(inputs, outputs):
-            v *= m.prob(x, u)
-            if v == 0:
-                break
-        values.append(v)
-    return values
-
-
-def _map_index(cc: ConditionalClass, joints, tie_break: TieBreak, step: int) -> int:
-    scored = [w * v for w, v in zip(cc.weights, joints)]
-    best = max(scored)
-    if best == 0:
-        raise ZeroHistoryError("all joint likelihoods vanished")
-    tied = tuple(i for i, s in enumerate(scored) if s == best)
-    return tie_break.choose(tied, cc.weights, step)
-
-
 def classify_static(
     cc: ConditionalClass,
     inputs,
@@ -136,10 +114,7 @@ def classify_static(
     tie_break: TieBreak = LARGEST_WEIGHT,
 ) -> PredictiveDistribution:
     """Select once on the history, predict with nu^history(.|u_t)."""
-    joints = joint_likelihoods(cc, inputs, outputs)
-    chosen = _map_index(cc, joints, tie_break, len(outputs))
-    values = cc.models[chosen].distribution(next_input)
-    return PredictiveDistribution(tuple(values), normalized=True)
+    return predict_static(_frozen(cc, inputs, outputs, next_input), outputs, tie_break)
 
 
 def classify_dynamic(
@@ -150,19 +125,14 @@ def classify_dynamic(
     tie_break: TieBreak = LARGEST_WEIGHT,
 ) -> PredictiveDistribution:
     """Re-select per candidate outcome: rho(x_<t a|u_1:t) / rho(x_<t|u_<t)."""
-    joints = joint_likelihoods(cc, inputs, outputs)
-    parent = max(w * v for w, v in zip(cc.weights, joints))
-    if parent == 0:
-        raise ZeroHistoryError("all joint likelihoods vanished")
-    values = []
-    for a in cc.alphabet.symbols():
-        child = max(
-            w * v * m.prob(a, next_input)
-            for w, v, m in zip(cc.weights, joints, cc.models)
-        )
-        values.append(child / parent)
-    total = sum(values)
-    return PredictiveDistribution(tuple(values), normalized=total == 1)
+    return predict_dynamic(_frozen(cc, inputs, outputs, next_input), outputs, tie_break)
+
+
+def _frozen(cc: ConditionalClass, inputs, outputs, next_input) -> WeightedClass:
+    """The sequence class of the history's inputs followed by the next one."""
+    if len(inputs) != len(outputs):
+        raise ValueError("inputs and outputs must be aligned")
+    return conditional_to_sequence_class(cc, [*inputs, next_input])
 
 
 def conditional_to_sequence_class(cc: ConditionalClass, inputs) -> WeightedClass:
@@ -170,7 +140,8 @@ def conditional_to_sequence_class(cc: ConditionalClass, inputs) -> WeightedClass
 
     Step t of the sequence model is nu(.|u_t); beyond the given inputs the
     last one repeats.  The reduction is exact, so every sequence-level
-    bound check applies verbatim to classification with fixed inputs.
+    bound check and predictor applies verbatim to classification with
+    fixed inputs.
     """
     inputs = list(inputs)
     if not inputs:
@@ -178,13 +149,8 @@ def conditional_to_sequence_class(cc: ConditionalClass, inputs) -> WeightedClass
 
     def make(model: ConditionalModel) -> FactorizableModel:
         dists = [model.distribution(u) for u in inputs]
-
-        def rule(i: int, _d=dists):
-            return _d[min(i, len(_d)) - 1]
-
-        nonzero = [p for d in dists for p in d if p > 0]
-        return FactorizableModel(
-            cc.alphabet, rule, infimum=min(nonzero), name=f"seq({model!r})"
+        return FactorizableModel.from_steps(
+            cc.alphabet, dists[:-1], dists[-1], name=f"seq({model!r})"
         )
 
     return WeightedClass(
@@ -319,11 +285,10 @@ def regression_map(
             if s == -math.inf:
                 break
         scores.append(s)
-    best = max(scores)
-    if best == -math.inf:
+    index, _ = LARGEST_WEIGHT.select(scores, weights, len(xs))
+    if scores[index] == -math.inf:
         raise DegenerateLikelihoodError("all joint densities are zero")
-    tied = [i for i, s in enumerate(scores) if s == best]
-    return max(tied, key=lambda i: (weights[i], -i))
+    return index
 
 
 # ----------------------------------------------------------------------
@@ -472,6 +437,7 @@ def monte_carlo_regression_hellinger(
     Hellinger distance between the true and selected densities; the
     static budget is 21 / w_mu.
     """
+    check_samples(samples)
     weights = [Fraction(w) for w in weights]
     inputs = list(inputs)
     true = models[true_index]
@@ -482,7 +448,7 @@ def monte_carlo_regression_hellinger(
         scores = list(log_w)
         total = 0.0
         for u in inputs:
-            chosen = max(range(len(models)), key=lambda j: (scores[j], weights[j], -j))
+            chosen, _ = LARGEST_WEIGHT.select(scores, weights, 0)
             total += gaussian_hellinger(
                 true.mean(u), true.sigma, models[chosen].mean(u), models[chosen].sigma
             )

@@ -59,6 +59,7 @@ from .metrics import (
 )
 from .model_class import (
     LARGEST_WEIGHT,
+    EvalStats,
     TieBreak,
     WeightedClass,
     bernoulli_class,
@@ -69,7 +70,16 @@ from .model_class import (
     example5_class,
     round_robin,
 )
-from .predictors import RHO, RHO_NORM, STATIC, STATIC_NORM, XI
+from .predictors import (
+    RHO,
+    RHO_NORM,
+    STATIC,
+    STATIC_NORM,
+    XI,
+    normalize,
+    predict_dynamic,
+    predict_static,
+)
 from .stabilization import (
     alternation_count,
     hybrid_value_series,
@@ -413,21 +423,18 @@ def run_example1(
     bound_rows = [bound_row(r) for r in check_bounds(cls, horizon)]
     # Measured estimator work along the true path: dynamic re-selects for
     # the history plus both children, static selects once per step.
-    from .predictors import make_predictor
-
-    dynamic = make_predictor(RHO, cls)
-    static = make_predictor(STATIC, cls)
+    dynamic, static = EvalStats(), EvalStats()
     for t in range(horizon):
-        dynamic.predict((1,) * t)
-        static.predict((1,) * t)
+        predict_dynamic(cls, (1,) * t, stats=dynamic)
+        predict_static(cls, (1,) * t, stats=static)
     return ExperimentReport(
         verdicts={
             "N": N,
             "square_rho_norm": _fmt_exact(s_total),
             "expected": _fmt_exact(expected),
             "matches_half_n_minus_1": s_total == expected,
-            "map_searches_dynamic": dynamic.stats.map_searches,
-            "map_searches_static": static.stats.map_searches,
+            "map_searches_dynamic": dynamic.map_searches,
+            "map_searches_static": static.map_searches,
         },
         ledger_rows=ledger_rows,
         bound_rows=bound_rows,
@@ -485,8 +492,6 @@ def run_example3_hybrid(cfg: ExperimentConfig, horizon: int) -> ExperimentReport
         hybrid[t - 1] == (Fraction(1, 4) if t % 2 == 0 else Fraction(1))
         for t in range(2, horizon + 1)
     )
-    from .predictors import normalize, predict_dynamic, predict_static
-
     halves = True
     for t in range(1, horizon + 1):
         prefix = ones[: t - 1]

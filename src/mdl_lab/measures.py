@@ -8,7 +8,8 @@ helpers accept ASCII digit strings like "110" as well.
 All built-in families evaluate to exact rationals, and each is defined
 once.  i.i.d., deterministic and general factorizable models are products
 of per-step distributions and define only ``step_distribution``; one
-cursor and one closed form serve all three.  The martingale measure is
+cursor and one closed form serve all three, and their laws are plain
+data, so every built-in model pickles.  The martingale measure is
 defined by its cursor, which also gives its values.  The leaky wrapper
 scales any base by a keep factor per step.  A cursor is an O(1)-per-step
 incremental evaluator used by tree walks, samplers and Monte-Carlo traces;
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import AlphabetMismatchError, SamplingError
 
@@ -189,12 +190,14 @@ class _GenericCursor(SemimeasureCursor):
 class FactorizableModel(Semimeasure):
     """Product of per-step symbol distributions mu_1, mu_2, ...
 
-    The per-step rule is a callable i -> distribution (1-based).  Use
-    :meth:`from_steps` for an explicit finite table with an i.i.d. tail.
-    ``infimum`` is an optional declared positive lower bound on all
-    nonzero per-step probabilities; leave it None when no positive bound
-    exists (the probabilities may approach zero).  Subclasses may
-    override :meth:`step_distribution` instead of passing a rule.
+    The model is plain data: a finite table of per-step distributions
+    (steps 1..len(steps)) followed by an i.i.d. ``tail``, validated once
+    and stored as tuples of Fractions, so every step is a lookup and the
+    model pickles.  ``step_prob_infimum`` is the least nonzero probability
+    of the table and tail.  Subclasses whose law is a formula in the step
+    (i.i.d., deterministic, the example-4 pair) keep that formula's
+    parameters as fields and override :meth:`step_distribution` and the
+    infimum instead; an infimum of ``None`` means no positive bound exists.
     """
 
     is_proper_measure = True
@@ -202,13 +205,19 @@ class FactorizableModel(Semimeasure):
     def __init__(
         self,
         alphabet: Alphabet,
-        rule: Callable[[int], Sequence[Fraction]],
-        infimum: Optional[Fraction] = None,
+        steps: Sequence[Sequence],
+        tail: Sequence,
         name: str = "factorizable",
     ):
+        table = tuple(tuple(Fraction(p) for p in dist) for dist in steps)
+        tail = tuple(Fraction(p) for p in tail)
+        for dist in table + (tail,):
+            if len(dist) != alphabet.size or sum(dist) != 1 or any(p < 0 for p in dist):
+                raise ValueError(f"invalid per-step distribution {dist}")
         self.alphabet = alphabet
-        self._rule = rule
-        self._infimum = Fraction(infimum) if infimum is not None else None
+        self._steps = table
+        self._tail = tail
+        self._infimum = min(p for dist in table + (tail,) for p in dist if p > 0)
         self._name = name
 
     @classmethod
@@ -219,23 +228,11 @@ class FactorizableModel(Semimeasure):
         tail: Sequence,
         name: str = "factorizable",
     ) -> "FactorizableModel":
-        table = [tuple(Fraction(p) for p in dist) for dist in steps]
-        tail_dist = tuple(Fraction(p) for p in tail)
-        for dist in table + [tail_dist]:
-            if len(dist) != alphabet.size or sum(dist) != 1 or any(p < 0 for p in dist):
-                raise ValueError(f"invalid per-step distribution {dist}")
-
-        def rule(i: int, _table=table, _tail=tail_dist):
-            return _table[i - 1] if i <= len(_table) else _tail
-
-        nonzero = [p for dist in table + [tail_dist] for p in dist if p > 0]
-        return cls(alphabet, rule, infimum=min(nonzero), name=name)
+        """The model of a step table followed by an i.i.d. tail."""
+        return cls(alphabet, steps, tail, name)
 
     def step_distribution(self, i: int) -> Sequence[Fraction]:
-        dist = tuple(Fraction(p) for p in self._rule(i))
-        if len(dist) != self.alphabet.size:
-            raise ValueError("per-step rule returned wrong arity")
-        return dist
+        return self._steps[i - 1] if i <= len(self._steps) else self._tail
 
     def evaluate_exact(self, x: Word) -> Fraction:
         num = den = 1
@@ -656,6 +653,27 @@ def sample_path(model: Semimeasure, n: int, rng: random.Random) -> Word:
 # ----------------------------------------------------------------------
 
 
+class OscillatingStepModel(FactorizableModel):
+    """Example 4's factorizable rule, symbol 1 at step i with probability
+    1 - 2^-(2*ceil((i + shift)/2) - shift).
+
+    Shift 0 gives mu and shift 1 gives nu of :func:`make_example4_pair`.
+    The probability of symbol 0 tends to zero, so no positive infimum
+    exists.
+    """
+
+    _infimum = None
+
+    def __init__(self, shift: int, name: str):
+        self.alphabet = BINARY
+        self.shift = shift
+        self._name = name
+
+    def step_distribution(self, i: int) -> Sequence[Fraction]:
+        zero = Fraction(1, 1 << (2 * ((i + 1 + self.shift) // 2) - self.shift))
+        return (zero, 1 - zero)
+
+
 def make_example4_pair() -> tuple:
     """Factorizable pair (mu, nu) whose likelihood ratio oscillates forever.
 
@@ -665,18 +683,7 @@ def make_example4_pair() -> tuple:
     stochasticity bound exists), and nu/mu along 1^t rises at even t and
     falls at odd t.
     """
-
-    def mu_rule(i: int):
-        p1 = 1 - Fraction(1, 2 ** (2 * ((i + 1) // 2)))
-        return (1 - p1, p1)
-
-    def nu_rule(i: int):
-        p1 = 1 - Fraction(1, 2 ** (2 * ((i + 2) // 2) - 1))
-        return (1 - p1, p1)
-
-    mu = FactorizableModel(BINARY, mu_rule, infimum=None, name="osc_mu")
-    nu = FactorizableModel(BINARY, nu_rule, infimum=None, name="osc_nu")
-    return mu, nu
+    return OscillatingStepModel(0, "osc_mu"), OscillatingStepModel(1, "osc_nu")
 
 
 def example3_pair() -> tuple:

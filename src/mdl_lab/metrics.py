@@ -249,42 +249,33 @@ def add_extended(a, b):
 
 def cumulative_distances(
     cls: WeightedClass,
-    predictor,
+    kind: str,
     horizon: int,
     tie_break: TieBreak = LARGEST_WEIGHT,
     guard: int = DEFAULT_NODE_GUARD,
 ) -> CumulativeLedger:
     """Exact expected per-step distance ledgers against the true conditionals.
 
-    ``predictor`` is a kind string (fused exact walk) or any object with
-    a ``predict(word)`` method returning a PredictiveDistribution.
+    ``kind`` names one of the predictors of :data:`ALL_KINDS`; each lumped
+    node of the walk reads that prediction.
     """
+    if kind not in ALL_KINDS:
+        raise ValueError(f"unknown predictor kind {kind!r}")
     sq = [Fraction(0)] * horizon
     he = [ZERO_INTERVAL] * horizon
     kl: list = [ZERO_INTERVAL] * horizon
     ab = [Fraction(0)] * horizon
 
-    kind = predictor if isinstance(predictor, str) else None
-    if kind is not None and kind not in ALL_KINDS:
-        raise ValueError(f"unknown predictor kind {kind!r}")
-
     def visit(node: PredictionNode):
         t = node.t
-        mu_cond = node.true_conditionals()
-        if kind is not None:
-            phi = node.prediction(kind)
-        else:
-            phi = list(predictor.predict(node.prefix).values)
-        d = step_distances(mu_cond, phi)
+        d = step_distances(node.true_conditionals(), node.prediction(kind))
         w = node.weight
         sq[t] = sq[t] + w * d.square
         he[t] = he[t] + w * d.hellinger
         kl[t] = add_extended(kl[t], math.inf if d.kl == math.inf else w * d.kl)
         ab[t] = ab[t] + w * d.absolute
 
-    # A predictor object reads the whole history, so its walk never merges.
-    history_key = None if kind is not None else prefix_key
-    walk_support(cls, horizon, visit, tie_break, guard, history_key=history_key)
+    walk_support(cls, horizon, visit, tie_break, guard)
     return CumulativeLedger(horizon, sq, he, kl, ab)
 
 
@@ -305,8 +296,7 @@ def monte_carlo_rows(
     per-path row lists come back in index order, so the result is
     identical for any worker count.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    check_samples(samples)
 
     def one_path(i: int) -> list:
         rng = derived_rng(seed, i)
@@ -323,6 +313,12 @@ def monte_carlo_rows(
     return ordered_parallel_map(one_path, range(samples), workers)
 
 
+def check_samples(samples: int) -> None:
+    """Refuse a Monte-Carlo run of fewer than one sampled path."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def mean_stderr(column: Sequence[float]) -> Tuple[float, float]:
     """Sample mean of a column and the standard error of that mean.
 
@@ -333,7 +329,10 @@ def mean_stderr(column: Sequence[float]) -> Tuple[float, float]:
     A column holding inf gives (inf, inf).  A column of equal values,
     n = 1 included, has stderr 0.0: its summed mean can miss the common
     value by an ulp, which the deviations would turn into a spurious stderr.
+    An empty column has no mean and is refused.
     """
+    if not column:
+        raise ValueError("an empty column has no mean")
     total = 0.0
     for v in column:
         total += v

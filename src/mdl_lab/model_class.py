@@ -51,6 +51,18 @@ class TieBreak:
         ordered = sorted(tied)
         return ordered[(x_len + self.phase) % len(ordered)]
 
+    def select(
+        self, scores: Sequence, weights: Sequence[Fraction], x_len: int
+    ) -> Tuple[int, Tuple[int, ...]]:
+        """(chosen index, every index of a maximal score) for one MAP search.
+
+        ``scores`` are proportional to w_nu * nu(x) for a string x of
+        length ``x_len``; the policy picks among the maximal ones.
+        """
+        best = max(scores)
+        tie_set = tuple(i for i, s in enumerate(scores) if s == best)
+        return self.choose(tie_set, weights, x_len), tie_set
+
 
 LARGEST_WEIGHT = TieBreak("largest_weight")
 LOWEST_INDEX = TieBreak("lowest_index")
@@ -184,10 +196,8 @@ def map_estimator(
     """argmax over the class of w_nu * nu(x) under the tie-break policy."""
     word = cls.word(x)
     values = [w * m.evaluate_exact(word) for m, w in zip(cls.models, cls.weights)]
-    best = max(values)
-    tie_set = tuple(i for i, v in enumerate(values) if v == best)
-    check_tail(cls, best)
-    index = tie_break.choose(tie_set, cls.weights, len(word))
+    index, tie_set = tie_break.select(values, cls.weights, len(word))
+    check_tail(cls, values[index])
     return MapResult(
         index=index,
         value=values[index],

@@ -188,10 +188,7 @@ class PredictionNode:
 
     def _argmax(self, values, x_len: int) -> int:
         w = self.cls.weights
-        scored = [w[i] * v for i, v in enumerate(values)]
-        best = max(scored)
-        tied = tuple(i for i, s in enumerate(scored) if s == best)
-        return self.tie_break.choose(tied, w, x_len)
+        return self.tie_break.select([w[i] * v for i, v in enumerate(values)], w, x_len)[0]
 
     # -- predictions ------------------------------------------------------
 
@@ -372,60 +369,15 @@ def normalize(dist: PredictiveDistribution) -> PredictiveDistribution:
     )
 
 
-def normalizer_product(
-    cls: WeightedClass,
-    x,
-    tie_break: Optional[TieBreak] = None,
-) -> Fraction:
+def normalizer_product(cls: WeightedClass, x) -> Fraction:
     """Running product N_rho(x) of per-step prediction sums.
 
     N_rho(x) = prod_{t=1..len(x)+1} [sum_a rho(x_<t a)] / rho(x_<t);
     the value is 1 for every x when the class holds a single proper
     measure, and tie-breaking never enters because only rho values do.
     """
-    del tie_break  # the product involves only rho values
     word = cls.word(x)
     product = Fraction(1)
     for t in range(len(word) + 1):
         product *= predict_dynamic(cls, word[:t]).sum_value()
     return product
-
-
-@dataclass
-class Predictor:
-    """A prediction rule bound to a class and a tie-break policy."""
-
-    kind: str
-    cls: WeightedClass
-    tie_break: TieBreak = LARGEST_WEIGHT
-    stats: EvalStats = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise ValueError(f"unknown predictor kind {self.kind!r}")
-        if self.stats is None:
-            self.stats = EvalStats()
-
-    def predict(self, x) -> PredictiveDistribution:
-        k, c, tb = self.kind, self.cls, self.tie_break
-        if k == TRUE:
-            return predict_true(c, x)
-        if k == XI:
-            return predict_bayes(c, x)
-        if k == RHO:
-            return predict_dynamic(c, x, tb, self.stats)
-        if k == RHO_NORM:
-            return normalize(predict_dynamic(c, x, tb, self.stats))
-        if k == STATIC:
-            return predict_static(c, x, tb, self.stats)
-        if k == STATIC_NORM:
-            return normalize(predict_static(c, x, tb, self.stats))
-        return predict_hybrid(c, x, tb, self.stats)
-
-
-def make_predictor(
-    kind: str,
-    cls: WeightedClass,
-    tie_break: TieBreak = LARGEST_WEIGHT,
-) -> Predictor:
-    return Predictor(kind, cls, tie_break)

@@ -34,7 +34,7 @@ from .measures import (
     sample_path,
 )
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass, check_tail
-from .metrics import ordered_parallel_map
+from .metrics import check_samples, ordered_parallel_map
 
 
 @dataclass
@@ -173,20 +173,20 @@ def map_trace(
     indices: List[int] = []
     ties: List[bool] = []
     for t, (scores, den) in enumerate(_weighted_scores(cls, cls.word(x))):
-        best = max(scores)
+        index, tied = tie_break.select(scores, weights, t)
+        best = scores[index]
         if cls.tail_bound is not None:
             check_tail(cls, Fraction(best, den))
         if best == 0:
             raise ZeroHistoryError(f"rho = 0 after {t} symbols")
-        tied = tuple(i for i, s in enumerate(scores) if s == best)
-        indices.append(tie_break.choose(tied, weights, t))
+        indices.append(index)
         ties.append(len(tied) > 1)
     return MapTrace(indices, ties)
 
 
 def stabilization_verdict(trace: MapTrace, window: int) -> StabilizationVerdict:
-    if window > trace.horizon:
-        raise ValueError("window cannot exceed the trace horizon")
+    if not 0 <= window <= trace.horizon:
+        raise ValueError(f"window {window} is outside 0..{trace.horizon}, the horizon")
     changes = trace.change_times()
     last = changes[-1] if changes else 0
     stabilized_by = last if last <= trace.horizon - window else None
@@ -223,6 +223,7 @@ def monte_carlo_stabilization(
     Per-sample RNGs are derived from (seed, index), so results are
     byte-identical for any worker count.
     """
+    check_samples(samples)
     mu = cls.true_model
 
     def one(i: int) -> StabilizationVerdict:

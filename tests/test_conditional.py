@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -20,8 +21,9 @@ from mdl_lab.conditional import (
     quadrature_for,
     regression_map,
 )
-from mdl_lab.errors import DegenerateLikelihoodError
+from mdl_lab.errors import DegenerateLikelihoodError, ZeroHistoryError
 from mdl_lab.metrics import check_bounds
+from mdl_lab.model_class import LARGEST_WEIGHT, LOWEST_INDEX, round_robin
 from mdl_lab.suites import suite_rng
 
 
@@ -77,6 +79,43 @@ class TestClassification:
             dyn_b = predict_dynamic(seq, outputs)
             assert dyn_a.values == dyn_b.values
 
+    def test_matches_joint_likelihood_reference(self):
+        # Every label-noise pair over p in {0, 1/4, ..., 1} with equal and
+        # unequal weights, every history of up to two steps, both next
+        # inputs and all three tie-breaks; exact ties and vanished
+        # histories both occur.
+        grid = [F(k, 4) for k in range(5)]
+        classes = [
+            ConditionalClass([LabelNoiseModel(p), LabelNoiseModel(q)], weights)
+            for p, q in itertools.product(grid, repeat=2)
+            for weights in ((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)))
+        ]
+        histories = [
+            (inputs, outputs)
+            for n in range(3)
+            for inputs in itertools.product((0, 1), repeat=n)
+            for outputs in itertools.product((0, 1), repeat=n)
+        ]
+        rules = ((classify_static, False), (classify_dynamic, True))
+        tie_breaks = (LARGEST_WEIGHT, LOWEST_INDEX, round_robin(1))
+        seen = {"tie": 0, "value": 0, ZeroHistoryError: 0}
+        for cc, (inputs, outputs) in itertools.product(classes, histories):
+            scores = _joint_scores(cc, inputs, outputs)
+            seen["tie"] += scores[0] == scores[1] != 0
+            for u, tb, (classify, dynamic) in itertools.product((0, 1), tie_breaks, rules):
+                want = _outcome(
+                    lambda: _joint_reference(cc, inputs, outputs, u, tb, dynamic)
+                )
+                got = _outcome(lambda: classify(cc, inputs, outputs, u, tb).values)
+                assert got == want, (cc.models, cc.weights, inputs, outputs, u, tb)
+                seen[want if want is ZeroHistoryError else "value"] += 1
+        assert all(seen.values()), seen
+
+    def test_misaligned_history_refused(self):
+        for classify in (classify_static, classify_dynamic):
+            with pytest.raises(ValueError):
+                classify(self.noise_class(), [0, 1], [0], 0)
+
     def test_bounds_via_reduction(self):
         # Square budgets hold for every fixed input sequence tested.
         cc = self.noise_class()
@@ -86,6 +125,38 @@ class TestClassification:
             seq = conditional_to_sequence_class(cc, inputs)
             for report in check_bounds(seq, 6):
                 assert report.passed, (case, report.bound_name)
+
+
+def _joint_scores(cc, inputs, outputs):
+    """w_nu * nu(outputs | inputs), the joint likelihood written out."""
+    scores = []
+    for m, w in zip(cc.models, cc.weights):
+        for u, x in zip(inputs, outputs):
+            w *= m.prob(x, u)
+        scores.append(w)
+    return scores
+
+
+def _joint_reference(cc, inputs, outputs, next_input, tie_break, dynamic):
+    """Classification straight from the joint likelihoods of the history."""
+    scores = _joint_scores(cc, inputs, outputs)
+    best = max(scores)
+    if best == 0:
+        raise ZeroHistoryError("all joint likelihoods vanished")
+    if dynamic:
+        return tuple(
+            max(s * m.prob(a, next_input) for s, m in zip(scores, cc.models)) / best
+            for a in cc.alphabet.symbols()
+        )
+    chosen, _ = tie_break.select(scores, cc.weights, len(outputs))
+    return cc.models[chosen].distribution(next_input)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ZeroHistoryError:
+        return ZeroHistoryError
 
 
 class TestRegressionMap:
@@ -182,3 +253,9 @@ class TestRegressionLedger:
         assert summary.bound == 42.0
         assert summary.within_bound
         assert summary.mean < 2.0  # far inside the budget in practice
+
+    def test_zero_samples_refused(self):
+        with pytest.raises(ValueError):
+            monte_carlo_regression_hellinger(
+                [GaussianModel(0.0)], [F(1)], 0, [0] * 3, samples=0, seed=0
+            )

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -168,6 +169,34 @@ class TestCursors:
         for read in (lambda m: m.evaluate("01"), lambda m: m.cursor()):
             with pytest.raises(NotImplementedError, match=r"cursor\(\) or evaluate_exact\(\)"):
                 read(Bare())
+
+
+class TestPickle:
+    def test_every_family_round_trips(self):
+        # Laws are plain data: a pickled copy of every built-in model keeps
+        # its name, infimum and values on every word shorter than 8.
+        from mdl_lab.conditional import (
+            ConditionalClass,
+            LabelNoiseModel,
+            conditional_to_sequence_class,
+        )
+
+        inputs = (0, 1, 1)
+        channels = [LabelNoiseModel(F(1, 4)), LabelNoiseModel(F(1))]
+        frozen = conditional_to_sequence_class(
+            ConditionalClass(channels, [F(1, 2), F(1, 2)]), inputs
+        )
+        zoo = [(model, nu) for model, nu, _ in reference_zoo()]
+        for channel, model in zip(channels, frozen.models):
+            dists = [channel.distribution(u) for u in inputs]
+            zoo.append((model, _table_reference(dists[:-1], dists[-1])[0]))
+        words = [w for n in range(8) for w in itertools.product((0, 1), repeat=n)]
+        for model, nu in zoo:
+            copy = pickle.loads(pickle.dumps(model))
+            assert repr(copy) == repr(model)
+            assert copy.step_prob_infimum == model.step_prob_infimum
+            for x in words:
+                assert copy.evaluate_exact(x) == nu(x), (model, x)
 
 
 class TestStructure:

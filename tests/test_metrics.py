@@ -121,14 +121,6 @@ class TestCumulativeDistances:
         assert series[3] == short.cumulative("square")
         assert all(a <= b for a, b in zip(series, series[1:]))  # monotone
 
-    def test_custom_predictor_object_path(self):
-        from mdl_lab.predictors import make_predictor
-
-        cls = example1_class(4)
-        via_kind = cumulative_distances(cls, "static", 4)
-        via_object = cumulative_distances(cls, make_predictor("static", cls), 4)
-        assert via_kind.per_step("square") == via_object.per_step("square")
-
 
 class TestMonteCarlo:
     def test_deterministic_truth_equals_exact(self):
@@ -197,6 +189,10 @@ class TestMeanStderr:
 
     def test_single_sample(self):
         assert mean_stderr([0.3]) == (0.3, 0.0)
+
+    def test_empty_column_refused(self):
+        with pytest.raises(ValueError):
+            mean_stderr([])
 
     def test_rows_need_a_sample(self):
         cls = bernoulli_class([F(1, 2)], true_index=0)

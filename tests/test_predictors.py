@@ -23,7 +23,6 @@ from mdl_lab.predictors import (
     PredictiveDistribution,
     bayes_mixture,
     bayes_mixture_bounds,
-    make_predictor,
     normalize,
     normalizer_product,
     predict_bayes,
@@ -271,20 +270,22 @@ class TestSemimeasureDifferenceLemma:
 class TestPredictorObjects:
     def test_search_counters(self):
         cls = example1_class(4)
-        dyn = make_predictor("rho", cls)
-        dyn.predict("1")
-        assert dyn.stats.map_searches == 3  # parent + two children
-        sta = make_predictor("static", cls)
-        sta.predict("1")
-        assert sta.stats.map_searches == 1
+        dyn = EvalStats()
+        predict_dynamic(cls, "1", stats=dyn)
+        assert dyn.map_searches == 3  # parent + two children
+        sta = EvalStats()
+        predict_static(cls, "1", stats=sta)
+        assert sta.map_searches == 1
 
     def test_true_predictor(self):
         cls = bernoulli_class([F(1, 4), F(3, 4)], true_index=1)
         assert predict_true(cls, "0").values == (F(1, 4), F(3, 4))
 
     def test_kind_validation(self):
+        from mdl_lab.metrics import cumulative_distances
+
         with pytest.raises(ValueError):
-            make_predictor("oracle", bernoulli_class([F(1, 2)]))
+            cumulative_distances(bernoulli_class([F(1, 2)]), "oracle", 2)
 
 
 # ----------------------------------------------------------------------

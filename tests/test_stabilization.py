@@ -301,8 +301,9 @@ class TestVerdict:
 
     def test_window_validation(self):
         trace = map_trace(bernoulli_class([F(1, 2)], true_index=0), "01")
-        with pytest.raises(ValueError):
-            stabilization_verdict(trace, window=3)
+        for window in (3, -2):
+            with pytest.raises(ValueError):
+                stabilization_verdict(trace, window=window)
 
 
 class TestMonteCarlo:
@@ -319,6 +320,11 @@ class TestMonteCarlo:
         assert [v.stabilized_by for v in a.verdicts] == [
             v.stabilized_by for v in b.verdicts
         ]
+
+    def test_zero_samples_refused(self):
+        cls = bernoulli_class([F(1, 2)], true_index=0)
+        with pytest.raises(ValueError):
+            monte_carlo_stabilization(cls, 4, samples=0, window=1, seed=0)
 
     def test_example5_keeps_oscillating(self):
         summary = monte_carlo_stabilization(
