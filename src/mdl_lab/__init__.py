@@ -19,14 +19,18 @@ The library provides:
 * ``stabilization`` -- MAP-choice traces, stabilization verdicts and class
                        profiles (factorizable / uniformly stochastic).
 * ``conditional``   -- input-conditioned classification models and bounded
-                       density regression with continuous Hellinger distance.
+                       density regression with continuous Hellinger distance
+                       (closed form for Gaussians, finite sums over the
+                       pieces of piecewise-constant densities).
 * ``coding``        -- the constructive two-part code (prefix header plus
                        exact arithmetic coding payload).
 * ``experiments``   -- the registry of reproduction experiments driven by
                        the ``mdl-lab`` command line tool.
 
 Every prediction and bound is computed in exact rationals and certified
-enclosures; floats appear only in Monte-Carlo estimates.
+enclosures; floats appear only in Monte-Carlo estimates, the unit-square
+inequality scan and Gaussian regression (its likelihoods and closed-form
+Hellinger distances).
 """
 
 __version__ = "0.1.0"

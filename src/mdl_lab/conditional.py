@@ -13,19 +13,23 @@ Regression replaces the finite alphabet with real outcomes and uniformly
 bounded densities; squared error is the wrong gauge there (a sliver of
 density can blow it up while the relative entropy stays put, see
 ``footnote_density_demo``), so the continuous Hellinger distance
-h(f, g) = integral (sqrt f - sqrt g)^2 takes over.
+h(f, g) = integral (sqrt f - sqrt g)^2 takes over.  No integral needs
+quadrature: Gaussian pairs take the closed form (in floats), and
+piecewise-constant pairs are finite sums over their merged pieces, with
+the square distance an exact rational and Hellinger and KL certified
+rational enclosures.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
-from scipy import integrate
-
+from .enclosure import ZERO_INTERVAL, FracInterval, hellinger_term, kl_term
 from .errors import DegenerateLikelihoodError
 from .measures import Alphabet, BINARY, FactorizableModel, derived_rng
 from .metrics import check_samples, mean_stderr
@@ -90,16 +94,22 @@ class InputAgnosticModel(ConditionalModel):
 
 @dataclass
 class ConditionalClass:
+    """Weighted conditional models; regression checks its priors here too."""
+
     models: Sequence[ConditionalModel]
     weights: Sequence[Fraction]
     true_index: Optional[int] = None
 
     def __post_init__(self):
         self.weights = tuple(Fraction(w) for w in self.weights)
+        if not self.models:
+            raise ValueError("a conditional class needs at least one model")
         if len(self.models) != len(self.weights):
             raise ValueError("models and weights must have equal length")
         if any(w <= 0 for w in self.weights) or sum(self.weights) > 1:
             raise ValueError("weights must be positive and sum to at most 1")
+        if self.true_index is not None and not 0 <= self.true_index < len(self.models):
+            raise ValueError("true_index out of range")
 
     @property
     def alphabet(self) -> Alphabet:
@@ -176,13 +186,6 @@ class BoundedDensityModel:
         d = self.density(x, u)
         return -math.inf if d == 0 else math.log(d)
 
-    def support(self, u) -> Tuple[float, float]:
-        """Interval carrying all but < 1e-8 of the mass (quadrature aid)."""
-        raise NotImplementedError
-
-    def breakpoints(self, u) -> Tuple[float, ...]:
-        return ()
-
 
 class GaussianModel(BoundedDensityModel):
     """Gaussian with affine input-dependent mean and fixed scale.
@@ -210,10 +213,6 @@ class GaussianModel(BoundedDensityModel):
         z = (x - self.mean(u)) / self.sigma
         return math.log(self.bound) - 0.5 * z * z
 
-    def support(self, u) -> Tuple[float, float]:
-        m = self.mean(u)
-        return (m - 8.0 * self.sigma, m + 8.0 * self.sigma)
-
     def sample(self, u, rng: random.Random) -> float:
         return rng.gauss(self.mean(u), self.sigma)
 
@@ -224,15 +223,16 @@ class GaussianModel(BoundedDensityModel):
 class PiecewiseConstantDensity(BoundedDensityModel):
     """Density constant on consecutive intervals; input-independent.
 
-    ``breaks`` are the n+1 interval endpoints, ``values`` the n levels.
-    Total mass must be exactly 1 (checked on construction).
+    ``breaks`` are the n+1 interval endpoints, ``values`` the n levels,
+    both held as exact Fractions (floats convert exactly).  Total mass
+    must be exactly 1 (checked on construction).
     """
 
-    def __init__(self, breaks: Sequence[float], values: Sequence[float]):
+    def __init__(self, breaks: Sequence, values: Sequence):
         if len(breaks) != len(values) + 1:
             raise ValueError("need one more breakpoint than level")
-        self.breaks = tuple(float(b) for b in breaks)
-        self.values = tuple(float(v) for v in values)
+        self.breaks = tuple(Fraction(b) for b in breaks)
+        self.values = tuple(Fraction(v) for v in values)
         if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(v < 0 for v in self.values):
@@ -240,26 +240,20 @@ class PiecewiseConstantDensity(BoundedDensityModel):
         mass = sum(
             v * (c - b) for v, b, c in zip(self.values, self.breaks, self.breaks[1:])
         )
-        if abs(mass - 1.0) > 1e-9:
+        if mass != 1:
             raise ValueError(f"total mass {mass} != 1")
         self.bound = max(self.values)
 
+    def level(self, x) -> Fraction:
+        """The exact density on the piece [lo, hi) holding x; 0 outside."""
+        i = bisect_right(self.breaks, x) - 1
+        return self.values[i] if 0 <= i < len(self.values) else Fraction(0)
+
     def density(self, x: float, u=None) -> float:
-        if x < self.breaks[0] or x >= self.breaks[-1]:
-            return 0.0
-        for level, lo, hi in zip(self.values, self.breaks, self.breaks[1:]):
-            if lo <= x < hi:
-                return level
-        return 0.0
-
-    def support(self, u=None) -> Tuple[float, float]:
-        return (self.breaks[0], self.breaks[-1])
-
-    def breakpoints(self, u=None) -> Tuple[float, ...]:
-        return self.breaks
+        return float(self.level(x))
 
     def __repr__(self) -> str:
-        return f"piecewise({self.breaks})"
+        return f"piecewise({','.join(str(b) for b in self.breaks)})"
 
 
 def regression_map(
@@ -274,7 +268,7 @@ def regression_map(
     here; ties (exact float ties) fall back to largest weight, then
     lowest index.
     """
-    weights = [Fraction(w) for w in weights]
+    weights = ConditionalClass(models, weights).weights
     if len(inputs) != len(xs):
         raise ValueError("inputs and observations must be aligned")
     scores = []
@@ -292,60 +286,8 @@ def regression_map(
 
 
 # ----------------------------------------------------------------------
-# Continuous Hellinger distance
+# Distances between densities
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Domain and tolerances for density integrals.
-
-    The domain must cover all but <= 1e-8 of both masses; interior
-    breakpoints of piecewise densities keep the quadrature honest.
-    """
-
-    lo: float
-    hi: float
-    breakpoints: Tuple[float, ...] = ()
-    tol: float = 1e-10
-
-
-def quadrature_for(f: BoundedDensityModel, g: BoundedDensityModel, u=None) -> QuadratureSpec:
-    flo, fhi = f.support(u)
-    glo, ghi = g.support(u)
-    inner = tuple(
-        sorted(
-            p
-            for p in set(f.breakpoints(u)) | set(g.breakpoints(u))
-            if min(flo, glo) < p < max(fhi, ghi)
-        )
-    )
-    return QuadratureSpec(min(flo, glo), max(fhi, ghi), inner)
-
-
-def hellinger_density(
-    f: Callable[[float], float],
-    g: Callable[[float], float],
-    spec: QuadratureSpec,
-) -> float:
-    """integral of (sqrt f - sqrt g)^2 over the requested domain."""
-
-    def integrand(x: float) -> float:
-        return (math.sqrt(f(x)) - math.sqrt(g(x))) ** 2
-
-    points = [p for p in spec.breakpoints if spec.lo < p < spec.hi]
-    value, err = integrate.quad(
-        integrand,
-        spec.lo,
-        spec.hi,
-        points=points or None,
-        epsabs=spec.tol,
-        epsrel=spec.tol,
-        limit=200,
-    )
-    if not math.isfinite(value) or err > 1e-6:
-        raise RuntimeError(f"quadrature did not converge (err={err})")
-    return value
 
 
 def gaussian_hellinger(m1: float, s1: float, m2: float, s2: float) -> float:
@@ -357,51 +299,74 @@ def gaussian_hellinger(m1: float, s1: float, m2: float, s2: float) -> float:
 
 
 def model_hellinger(f: BoundedDensityModel, g: BoundedDensityModel, u=None) -> float:
-    """Hellinger distance between two density models at one input.
+    """Hellinger distance between two Gaussian models at one input.
 
-    Gaussian pairs take the closed form and cross-check it against
-    quadrature to 1e-6; everything else integrates numerically.
+    Closed form only; piecewise-constant pairs have the exact
+    ``piecewise_hellinger``, and other pairs raise TypeError.
     """
-    numeric = hellinger_density(
-        lambda x: f.density(x, u), lambda x: g.density(x, u), quadrature_for(f, g, u)
+    if not (isinstance(f, GaussianModel) and isinstance(g, GaussianModel)):
+        raise TypeError(f"no closed-form Hellinger distance for {f!r} and {g!r}")
+    return gaussian_hellinger(f.mean(u), f.sigma, g.mean(u), g.sigma)
+
+
+def _pieces(
+    f: PiecewiseConstantDensity, g: PiecewiseConstantDensity
+) -> Iterator[Tuple[Fraction, Fraction, Fraction]]:
+    """(width, f level, g level) on each interval between merged breakpoints."""
+    cuts = sorted(set(f.breaks) | set(g.breaks))
+    for lo, hi in zip(cuts, cuts[1:]):
+        yield hi - lo, f.level(lo), g.level(lo)
+
+
+def piecewise_square(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity) -> Fraction:
+    """integral (f - g)^2, exactly."""
+    return sum(((a - b) ** 2 * w for w, a, b in _pieces(f, g)), Fraction(0))
+
+
+def piecewise_hellinger(
+    f: PiecewiseConstantDensity, g: PiecewiseConstantDensity
+) -> FracInterval:
+    """Certified enclosure of integral (sqrt f - sqrt g)^2."""
+    return sum((hellinger_term(a, b) * w for w, a, b in _pieces(f, g)), ZERO_INTERVAL)
+
+
+def piecewise_kl(
+    f: PiecewiseConstantDensity, g: PiecewiseConstantDensity
+) -> Union[FracInterval, float]:
+    """Certified enclosure of integral f ln(f/g), or math.inf."""
+    total = ZERO_INTERVAL
+    for w, a, b in _pieces(f, g):
+        term = kl_term(a, b)
+        if term == math.inf:
+            return math.inf
+        total = total + term * w
+    return total
+
+
+def footnote_densities(n: int) -> Tuple[PiecewiseConstantDensity, PiecewiseConstantDensity]:
+    """The mirrored two-level pair: levels n/3 and 2n/3 on [-1/n, 0) and [0, 1/n)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    breaks = [Fraction(-1, n), 0, Fraction(1, n)]
+    low, high = Fraction(n, 3), 2 * Fraction(n, 3)
+    return (
+        PiecewiseConstantDensity(breaks, [low, high]),
+        PiecewiseConstantDensity(breaks, [high, low]),
     )
-    if isinstance(f, GaussianModel) and isinstance(g, GaussianModel):
-        closed = gaussian_hellinger(f.mean(u), f.sigma, g.mean(u), g.sigma)
-        if abs(closed - numeric) > 1e-6:
-            raise RuntimeError(
-                f"closed-form {closed} and quadrature {numeric} disagree"
-            )
-        return closed
-    return numeric
 
 
 def footnote_density_demo(n: int) -> Tuple[float, float]:
     """(square distance, KL) of the mirrored two-level density pair.
 
-    f places density n/3 on [-1/n, 0] and 2n/3 on (0, 1/n]; its mirror
-    swaps the levels.  The square distance grows as 2n/9 while the
+    f places density n/3 on [-1/n, 0) and 2n/3 on [0, 1/n); its mirror
+    swaps the levels.  The square distance is exactly 2n/9 while the
     relative entropy stays at ln(2)/3: squared error is useless as a
     density gauge, which is why regression uses Hellinger distance.
+    The exact values are ``piecewise_square`` and ``piecewise_kl`` of
+    ``footnote_densities(n)``; this returns their floats.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    f = PiecewiseConstantDensity([-1.0 / n, 0.0, 1.0 / n], [n / 3.0, 2.0 * n / 3.0])
-    g = PiecewiseConstantDensity([-1.0 / n, 0.0, 1.0 / n], [2.0 * n / 3.0, n / 3.0])
-    spec = quadrature_for(f, g)
-    points = [p for p in spec.breakpoints if spec.lo < p < spec.hi]
-
-    def sq(x: float) -> float:
-        return (f.density(x) - g.density(x)) ** 2
-
-    def kl(x: float) -> float:
-        fx, gx = f.density(x), g.density(x)
-        if fx == 0.0:
-            return 0.0
-        return fx * math.log(fx / gx)
-
-    square, _ = integrate.quad(sq, spec.lo, spec.hi, points=points, epsabs=1e-12)
-    relent, _ = integrate.quad(kl, spec.lo, spec.hi, points=points, epsabs=1e-12)
-    return square, relent
+    f, g = footnote_densities(n)
+    return float(piecewise_square(f, g)), piecewise_kl(f, g).midpoint_float()
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +403,7 @@ def monte_carlo_regression_hellinger(
     static budget is 21 / w_mu.
     """
     check_samples(samples)
-    weights = [Fraction(w) for w in weights]
+    weights = ConditionalClass(models, weights, true_index).weights
     inputs = list(inputs)
     true = models[true_index]
     log_w = [math.log(float(w)) for w in weights]

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .enclosure import FracInterval, ZERO_INTERVAL, hellinger_term, sqrt_interval
 from .errors import LossFunctionError
 from .measures import Word
@@ -424,6 +422,8 @@ def unit_square_inequality_scan(resolution: int = 2001) -> float:
     nonpositive within 1e-12 across the whole unit square.  Vectorized:
     the full 2001 x 2001 grid takes well under a second.
     """
+    import numpy as np  # only this float scan needs numpy
+
     if resolution < 2:
         raise ValueError("need at least a 2x2 grid")
     grid = np.linspace(0.0, 1.0, resolution)

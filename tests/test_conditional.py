@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from mdl_lab.conditional import (
@@ -13,14 +14,17 @@ from mdl_lab.conditional import (
     classify_dynamic,
     classify_static,
     conditional_to_sequence_class,
+    footnote_densities,
     footnote_density_demo,
     gaussian_hellinger,
-    hellinger_density,
     model_hellinger,
     monte_carlo_regression_hellinger,
-    quadrature_for,
+    piecewise_hellinger,
+    piecewise_kl,
+    piecewise_square,
     regression_map,
 )
+from mdl_lab.enclosure import FracInterval, ln_interval
 from mdl_lab.errors import DegenerateLikelihoodError, ZeroHistoryError
 from mdl_lab.metrics import check_bounds
 from mdl_lab.model_class import LARGEST_WEIGHT, LOWEST_INDEX, round_robin
@@ -186,6 +190,23 @@ class TestRegressionMap:
         with pytest.raises(ValueError):
             GaussianModel(0.0, sigma=1e-4)
 
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ([F(1)], "equal length"),
+            ([F(1, 2), F(0)], "positive"),
+            ([F(1, 2), F(3, 4)], "at most 1"),
+        ],
+    )
+    def test_malformed_prior_refused(self, weights, match):
+        models = [GaussianModel(0.0), GaussianModel(1.0)]
+        with pytest.raises(ValueError, match=match):
+            regression_map(models, weights, [0], [5.0])
+
+    def test_empty_prior_refused(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            regression_map([], [], [0], [5.0])
+
 
 class TestHellingerDensity:
     def test_identical_zero(self):
@@ -195,16 +216,36 @@ class TestHellingerDensity:
     def test_disjoint_boxes_two(self):
         f = PiecewiseConstantDensity([0.0, 1.0], [1.0])
         g = PiecewiseConstantDensity([2.0, 3.0], [1.0])
-        h = hellinger_density(f.density, g.density, quadrature_for(f, g))
-        assert abs(h - 2.0) < 1e-9
+        assert piecewise_hellinger(f, g) == FracInterval.exact(2)
 
     def test_unit_gaussians(self):
-        # Unit-variance means 0 and 1: h = 2 - 2 exp(-1/8); quadrature
-        # (run inside model_hellinger) independently confirms the value.
+        # Unit-variance means 0 and 1: h = 2 - 2 exp(-1/8).
         closed = 2 - 2 * math.exp(-1 / 8)
         assert abs(closed - 0.2350061948308091) < 1e-12
         h = model_hellinger(GaussianModel(0.0), GaussianModel(1.0))
         assert abs(h - closed) < 1e-9
+
+    def test_closed_form_matches_quadrature(self):
+        # The closed form against an independent 30-digit quadrature,
+        # split at both means, on seeded random pairs.
+        rng = suite_rng(10, 2)
+        root = lambda x, m, s: mpmath.sqrt(mpmath.npdf(x, m, s))
+        with mpmath.workdps(30):
+            for _ in range(25):
+                m1, m2 = rng.uniform(-3, 3), rng.uniform(-3, 3)
+                s1, s2 = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)
+                numeric = mpmath.quad(
+                    lambda x: (root(x, m1, s1) - root(x, m2, s2)) ** 2,
+                    [-mpmath.inf, min(m1, m2), max(m1, m2), mpmath.inf],
+                )
+                closed = gaussian_hellinger(m1, s1, m2, s2)
+                assert abs(closed - float(numeric)) < 1e-12, (m1, s1, m2, s2)
+
+    def test_mixed_pair_refused(self):
+        box = PiecewiseConstantDensity([0, 1], [1])
+        for pair in ((GaussianModel(0.0), box), (box, GaussianModel(0.0)), (box, box)):
+            with pytest.raises(TypeError):
+                model_hellinger(*pair)
 
     def test_symmetry_range(self):
         rng = suite_rng(10, 0)
@@ -233,6 +274,13 @@ class TestFootnoteDensities:
         square, kl = footnote_density_demo(n)
         assert abs(square - 2 * n / 9) <= 1e-8
         assert abs(kl - math.log(2) / 3) <= 1e-8
+        # The exact values behind the floats.
+        f, g = footnote_densities(n)
+        assert piecewise_square(f, g) == F(2 * n, 9)
+        kl_exact = piecewise_kl(f, g)
+        assert kl_exact.width < F(1, 2**100)
+        target = ln_interval(F(2)) * F(1, 3)
+        assert kl_exact.lo <= target.hi and target.lo <= kl_exact.hi
 
     def test_square_scales_linearly(self):
         s3, _ = footnote_density_demo(3)
@@ -242,6 +290,10 @@ class TestFootnoteDensities:
     def test_mass_validation(self):
         with pytest.raises(ValueError):
             PiecewiseConstantDensity([0.0, 1.0], [0.5])
+        # 3 * float(1/3) misses 1 by about 1e-17; only the exact check sees it.
+        with pytest.raises(ValueError):
+            PiecewiseConstantDensity([0, 3], [1 / 3])
+        PiecewiseConstantDensity([0, 3], [F(1, 3)])
 
 
 class TestRegressionLedger:
@@ -253,6 +305,23 @@ class TestRegressionLedger:
         assert summary.bound == 42.0
         assert summary.within_bound
         assert summary.mean < 2.0  # far inside the budget in practice
+
+    @pytest.mark.parametrize(
+        "weights, true_index, match",
+        [
+            ([F(1, 2)], 0, "equal length"),
+            ([F(1, 2), F(0)], 0, "positive"),
+            ([F(1, 2), F(3, 4)], 0, "at most 1"),
+            ([F(1, 2), F(1, 2)], -1, "true_index"),
+            ([F(1, 2), F(1, 2)], 2, "true_index"),
+        ],
+    )
+    def test_malformed_prior_refused(self, weights, true_index, match):
+        models = [GaussianModel(0.0), GaussianModel(1.0)]
+        with pytest.raises(ValueError, match=match):
+            monte_carlo_regression_hellinger(
+                models, weights, true_index, [0] * 3, samples=2, seed=0
+            )
 
     def test_zero_samples_refused(self):
         with pytest.raises(ValueError):

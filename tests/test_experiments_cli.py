@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import mdl_lab
 from mdl_lab.cli import _load_config, build_parser, main
 from mdl_lab.errors import ConfigError, IndeterminateTailError
 from mdl_lab.experiments import (
@@ -93,6 +97,28 @@ def _readme_run_lines():
     block = re.search(r"## Command line\n\n```\n(.*?)```", README.read_text(), re.S)
     lines = [line.split("#")[0].strip() for line in block.group(1).splitlines()]
     return [line for line in lines if line.startswith("mdl-lab run ")]
+
+
+def test_cli_import_loads_no_numeric_stack():
+    # Start-up loads only mpmath (and its optional gmpy backend) beyond
+    # the standard library; numpy serves the unit-square scan alone and is
+    # imported there, so a stray module-level import fails here.
+    src = str(Path(mdl_lab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import json, sys; before = set(sys.modules); import mdl_lab.cli; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(json.loads(result.stdout))
+    assert loaded <= {"mdl_lab", "mpmath", "gmpy", "gmpy2"}, loaded
 
 
 def test_readme_run_examples_resolve():
