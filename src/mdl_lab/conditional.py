@@ -327,7 +327,9 @@ def piecewise_hellinger(
     f: PiecewiseConstantDensity, g: PiecewiseConstantDensity
 ) -> FracInterval:
     """Certified enclosure of integral (sqrt f - sqrt g)^2."""
-    return sum((hellinger_term(a, b) * w for w, a, b in _pieces(f, g)), ZERO_INTERVAL)
+    return sum(
+        (hellinger_term(a, b) * w for w, a, b in _pieces(f, g)), ZERO_INTERVAL
+    ).outward()
 
 
 def piecewise_kl(
@@ -340,7 +342,7 @@ def piecewise_kl(
         if term == math.inf:
             return math.inf
         total = total + term * w
-    return total
+    return total.outward()
 
 
 def footnote_densities(n: int) -> Tuple[PiecewiseConstantDensity, PiecewiseConstantDensity]:

@@ -213,17 +213,38 @@ def _belief_hellinger(mu1: Fraction, phi1: Fraction) -> FracInterval:
     return hellinger_term(mu1, phi1) + hellinger_term(1 - mu1, 1 - phi1)
 
 
+SQRT_BITS = 64
+SQRT_BITS_CAP = 1024
+
+
+def _escalating(verdict_at: Callable[[int], object], what: str):
+    """The first conclusive ``verdict_at(bits)``, doubling the sqrt bits.
+
+    ``verdict_at`` returns None when its square-root enclosures at ``bits``
+    extra bits cannot decide; it is retried at 64, 128, ... up to
+    SQRT_BITS_CAP bits, past which the comparison raises RuntimeError.
+    """
+    bits = SQRT_BITS
+    while bits <= SQRT_BITS_CAP:
+        verdict = verdict_at(bits)
+        if verdict is not None:
+            return verdict
+        bits *= 2
+    raise RuntimeError(f"{what} inconclusive at {SQRT_BITS_CAP} extra sqrt bits")
+
+
 def _regret_ineq_certified(delta: Fraction, h: FracInterval, l_mu: Fraction) -> bool:
     """Certify delta <= 2h + 2 sqrt(2 h l_mu) for true (unknown) h in [h.lo, h.hi]."""
-    rhs_lo = 2 * h.lo + 2 * sqrt_interval(2 * h.lo * l_mu).lo
-    if delta <= rhs_lo:
-        return True
-    rhs_hi = 2 * h.hi + 2 * sqrt_interval(2 * h.hi * l_mu).hi
-    if delta > rhs_hi:
-        return False
-    raise RuntimeError(
-        "instantaneous regret check inconclusive; tighten sqrt enclosures"
-    )
+    h_lo, h_hi = h.lo, h.hi
+
+    def verdict_at(bits: int) -> Optional[bool]:
+        if delta <= 2 * h_lo + 2 * sqrt_interval(2 * h_lo * l_mu, bits).lo:
+            return True
+        if delta > 2 * h_hi + 2 * sqrt_interval(2 * h_hi * l_mu, bits).hi:
+            return False
+        return None
+
+    return _escalating(verdict_at, "instantaneous regret check")
 
 
 def decision_traces(
@@ -270,7 +291,7 @@ def decision_traces(
             loss_name=loss.name,
             l_phi=l_phi[k],
             l_mu=l_mu,
-            hellinger=hell[k],
+            hellinger=[h.outward() for h in hell[k]],
             instantaneous_ok=inst_ok[k],
         )
         for k in kinds
@@ -373,14 +394,19 @@ def check_regret_bound(
     winv = 1 / cls.true_weight
     l_phi = trace.cumulative_phi()
     l_mu = trace.cumulative_mu()
-    root = sqrt_interval(2 * c * l_mu * winv)
-    bound = FracInterval.exact(l_mu + 2 * c * winv) + 2 * root
-    if l_phi <= bound.lo:
-        passed = True
-    elif l_phi > bound.hi:
-        passed = False
-    else:
-        raise RuntimeError("regret bound comparison inconclusive; widen sqrt bits")
+    base = l_mu + 2 * c * winv
+    radicand = 2 * c * l_mu * winv
+
+    def verdict_at(bits: int) -> Optional[tuple]:
+        root = sqrt_interval(radicand, bits)
+        bound = FracInterval(base + 2 * root.lo, base + 2 * root.hi)
+        if l_phi <= bound.lo:
+            return True, bound
+        if l_phi > bound.hi:
+            return False, bound
+        return None
+
+    passed, bound = _escalating(verdict_at, "regret bound comparison")
     return BoundReport(
         predictor=predictor_kind,
         metric="expected_loss",

@@ -241,6 +241,11 @@ class CumulativeLedger:
         return out
 
 
+def _outward(x: ExtendedInterval) -> ExtendedInterval:
+    """An enclosure rounded outward onto the grid once its walk is done; inf stays."""
+    return x if x == math.inf else x.outward()
+
+
 def add_extended(a, b):
     if a == math.inf or b == math.inf:
         return math.inf
@@ -276,6 +281,8 @@ def cumulative_distances(
         ab[t] = ab[t] + w * d.absolute
 
     walk_support(cls, horizon, visit, tie_break, guard)
+    he = [h.outward() for h in he]
+    kl = [_outward(d) for d in kl]
     return CumulativeLedger(horizon, sq, he, kl, ab)
 
 
@@ -503,6 +510,9 @@ def check_bounds(
         one_minus_static += w * abs(1 - sum(node.prediction(STATIC)))
 
     walk_support(cls, horizon, visit, tie_break, guard)
+    hell = {kind: h.outward() for kind, h in hell.items()}
+    kl_rho_norm = _outward(kl_rho_norm)
+    abs_log_sum = _outward(abs_log_sum)
 
     ln_winv = ln_interval(winv) if winv != 1 else ZERO_INTERVAL
     w_plus_ln = FracInterval.exact(winv) + ln_winv

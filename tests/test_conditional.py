@@ -24,7 +24,7 @@ from mdl_lab.conditional import (
     piecewise_square,
     regression_map,
 )
-from mdl_lab.enclosure import FracInterval, ln_interval
+from mdl_lab.enclosure import GRID_BITS, FracInterval, ln_interval
 from mdl_lab.errors import DegenerateLikelihoodError, ZeroHistoryError
 from mdl_lab.metrics import check_bounds
 from mdl_lab.model_class import LARGEST_WEIGHT, LOWEST_INDEX, round_robin
@@ -216,7 +216,12 @@ class TestHellingerDensity:
     def test_disjoint_boxes_two(self):
         f = PiecewiseConstantDensity([0.0, 1.0], [1.0])
         g = PiecewiseConstantDensity([2.0, 3.0], [1.0])
-        assert piecewise_hellinger(f, g) == FracInterval.exact(2)
+        # Every piece has a zero level, so each term is an exact point and
+        # so is their weighted sum: the rational 2, not a grid enclosure.
+        total = piecewise_hellinger(f, g)
+        assert total.is_point
+        assert total == FracInterval.exact(2)
+        assert type(total.lo) is F and total.lo == 2
 
     def test_unit_gaussians(self):
         # Unit-variance means 0 and 1: h = 2 - 2 exp(-1/8).
@@ -278,7 +283,9 @@ class TestFootnoteDensities:
         f, g = footnote_densities(n)
         assert piecewise_square(f, g) == F(2 * n, 9)
         kl_exact = piecewise_kl(f, g)
-        assert kl_exact.width < F(1, 2**100)
+        # On the 2^-GRID_BITS grid a proper enclosure is at least one step
+        # wide; this one is at most two.
+        assert kl_exact.width <= 2 * F(1, 2**GRID_BITS)
         target = ln_interval(F(2)) * F(1, 3)
         assert kl_exact.lo <= target.hi and target.lo <= kl_exact.hi
 

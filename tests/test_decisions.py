@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mdl_lab import decisions, enclosure
 from mdl_lab.decisions import (
+    DecisionTrace,
     LossFunction,
     bayes_optimal_action,
     check_regret_bound,
@@ -18,8 +20,10 @@ from mdl_lab.decisions import (
     unit_square_inequality_scan,
     zero_one_loss,
 )
+from mdl_lab.enclosure import FracInterval
 from mdl_lab.errors import LossFunctionError
-from mdl_lab.model_class import bernoulli_class, example1_class
+from mdl_lab.measures import IidModel
+from mdl_lab.model_class import WeightedClass, bernoulli_class, example1_class
 from mdl_lab.suites import random_measure_class, random_stationary_loss, suite_rng
 
 rational_01 = st.fractions(min_value=0, max_value=1, max_denominator=40)
@@ -292,3 +296,72 @@ class TestSuperAdditivity:
             lhs = math.sqrt((h1 + h2) * (l1 + l2))
             rhs = math.sqrt(h1 * l1) + math.sqrt(h2 * l2)
             assert lhs >= rhs - 1e-12
+
+
+# sqrt(2) to 80 bits, rounded down: within 2^-80 below the true root.
+SQRT2_80 = F(math.isqrt(2 << 160), 2**80)
+NEAR = F(1, 2**72)
+
+
+def recording_sqrt(monkeypatch):
+    """Record the extra bits of every sqrt_interval call the decision layer makes."""
+    bits = []
+
+    def sqrt_interval(q, extra_bits=64):
+        bits.append(extra_bits)
+        return enclosure.sqrt_interval(q, extra_bits)
+
+    monkeypatch.setattr(decisions, "sqrt_interval", sqrt_interval)
+    return bits
+
+
+def hand_trace(l_phi, l_mu, h, kind="rho_norm"):
+    return DecisionTrace(
+        predictor=kind,
+        horizon=1,
+        loss_name="hand",
+        l_phi=[l_phi],
+        l_mu=[l_mu],
+        hellinger=[FracInterval.exact(h)],
+        instantaneous_ok=True,
+    )
+
+
+class TestPrecisionEscalation:
+    # Each verdict sits within 2^-70 of an irrational right-hand side,
+    # closer than the default 64-bit square roots can resolve.
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_regret_inequality_escalates(self, monkeypatch, side):
+        bits = recording_sqrt(monkeypatch)
+        # H = 1, L_mu = 1: the right-hand side is 2 + 2 sqrt(2).
+        rhs_near = 2 + 2 * (SQRT2_80 if side < 0 else SQRT2_80 + F(1, 2**80))
+        regret = rhs_near + side * NEAR
+        trace = hand_trace(1 + regret, F(1), F(1))
+        assert trace.cumulative_bound_ok() is (side < 0)
+        assert sorted(set(bits)) == [64, 128]
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_loss_theorem_escalates(self, monkeypatch, side):
+        bits = recording_sqrt(monkeypatch)
+        cls = WeightedClass(
+            [IidModel((F(1, 2), F(1, 2))), IidModel((F(1, 3), F(2, 3)))],
+            [F(1, 2), F(1, 2)],
+            true_index=0,
+        )
+        # c = 2, W = 2, L_mu = 1/4: the bound is 1/4 + 8 + 2 sqrt(2).
+        rhs_near = F(1, 4) + 8 + 2 * (SQRT2_80 if side < 0 else SQRT2_80 + F(1, 2**80))
+        trace = hand_trace(rhs_near + side * NEAR, F(1, 4), F(0))
+        report = check_regret_bound(cls, "rho_norm", zero_one_loss(), 1, trace=trace)
+        assert report.passed is (side < 0)
+        assert bits == [64, 128]
+        assert report.bound.width == 2 * F(1, 2**128)
+
+    def test_raises_past_the_cap(self, monkeypatch):
+        bits = recording_sqrt(monkeypatch)
+        # 2^-1100 below the right-hand side: closer than 1024 bits resolve.
+        root = F(math.isqrt(2 << 2400), 2**1200)
+        trace = hand_trace(1 + 2 + 2 * root - F(1, 2**1100), F(1), F(1))
+        with pytest.raises(RuntimeError, match="inconclusive at 1024"):
+            trace.cumulative_bound_ok()
+        assert sorted(set(bits)) == [64, 128, 256, 512, 1024]
