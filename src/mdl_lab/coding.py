@@ -121,7 +121,7 @@ def sequential_interval(cls: WeightedClass, index: int, x: Word) -> Tuple[Fracti
     lo = Fraction(0)
     for symbol in x:
         for b in range(symbol):
-            lo += cur.child_value(b)
+            lo += cur.advance(b).value
         cur = cur.advance(symbol)
     return lo, lo + cur.value
 
@@ -194,10 +194,11 @@ def decode(cls: WeightedClass, bits: Bits) -> Word:
     for _ in range(n):
         placed = False
         for a in range(cls.alphabet.size):
-            width = cur.child_value(a)
+            child = cur.advance(a)
+            width = child.value
             if width > 0 and lo <= point < lo + width:
                 word.append(a)
-                cur = cur.advance(a)
+                cur = child
                 placed = True
                 break
             lo += width

@@ -261,10 +261,6 @@ class ExperimentReport:
     wall_clock_s: float = 0.0
     version: str = __version__
 
-    @property
-    def all_bounds_pass(self) -> bool:
-        return all(row["pass"] for row in self.bound_rows)
-
     def failing_rows(self) -> List[dict]:
         return [row for row in self.bound_rows if not row["pass"]]
 

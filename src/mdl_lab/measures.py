@@ -13,7 +13,9 @@ data, so every built-in model pickles.  The martingale measure is
 defined by its cursor, which also gives its values.  The leaky wrapper
 scales any base by a keep factor per step.  A cursor is an O(1)-per-step
 incremental evaluator used by tree walks, samplers and Monte-Carlo traces;
-``evaluate_exact`` and ``conditional_exact`` read the same definition.
+it only steps forward, so callers read nu(xa) from the child they step to
+and evaluate each prefix once.  ``evaluate_exact`` and
+``conditional_exact`` read the same definition.
 """
 
 from __future__ import annotations
@@ -69,24 +71,19 @@ BINARY = Alphabet(2)
 class SemimeasureCursor:
     """Incremental evaluator positioned at some prefix.
 
-    ``value`` is nu(prefix); ``child_value(a)`` is nu(prefix + (a,));
-    ``advance(a)`` returns a new cursor one symbol deeper.  Cursors are
-    immutable, so tree walks may branch by advancing one cursor twice.
-
-    ``state_key()`` is a hashable summary of the cursor's state.  Two
-    cursors of one model at one depth with equal keys have equal
-    ``value`` and ``child_value``, and advancing both by the same symbol
-    gives equal keys again, so their subtrees are identical.  Lumped tree
-    walks merge prefixes on these keys.
+    Three members: ``value`` is nu(prefix); ``advance(a)`` returns a new
+    immutable cursor one symbol deeper, whose ``value`` is nu(prefix + (a,)),
+    so a caller that needs a child's value keeps that child; ``state_key()``
+    is a hashable summary of the state.  Two cursors of one model at one
+    depth with equal keys have equal ``value``, and advancing both by the
+    same symbol gives equal keys again, so their subtrees are identical.
+    Lumped tree walks merge prefixes on these keys.
     """
 
     __slots__ = ()
 
     @property
     def value(self) -> Fraction:
-        raise NotImplementedError
-
-    def child_value(self, a: int) -> Fraction:
         raise NotImplementedError
 
     def advance(self, a: int) -> "SemimeasureCursor":
@@ -163,20 +160,17 @@ def _advance_along(cursor: SemimeasureCursor, x: Word) -> SemimeasureCursor:
 class _GenericCursor(SemimeasureCursor):
     __slots__ = ("_model", "_prefix", "_value")
 
-    def __init__(self, model: Semimeasure, prefix: Word, value: Fraction = None):
+    def __init__(self, model: Semimeasure, prefix: Word):
         self._model = model
         self._prefix = prefix
-        self._value = model.evaluate_exact(prefix) if value is None else value
+        self._value = model.evaluate_exact(prefix)
 
     @property
     def value(self) -> Fraction:
         return self._value
 
-    def child_value(self, a: int) -> Fraction:
-        return self._model.evaluate_exact(self._prefix + (a,))
-
     def advance(self, a: int) -> "_GenericCursor":
-        return _GenericCursor(self._model, self._prefix + (a,), self.child_value(a))
+        return _GenericCursor(self._model, self._prefix + (a,))
 
     def state_key(self):
         return self._prefix  # nothing is known about the model: never merge
@@ -267,17 +261,15 @@ class _FactorizableCursor(SemimeasureCursor):
     def value(self) -> Fraction:
         return self._value
 
-    def child_value(self, a: int) -> Fraction:
-        value = self._value
-        if not value:
-            return value
-        p = self._step_distribution(self._step + 1)[a]
-        if not p:
-            return p
-        return value if p == 1 else value * p
-
     def advance(self, a: int) -> "_FactorizableCursor":
-        return _FactorizableCursor(self._step_distribution, self._step + 1, self.child_value(a))
+        value = self._value
+        if value:
+            p = self._step_distribution(self._step + 1)[a]
+            if not p:
+                value = p
+            elif p != 1:
+                value = value * p
+        return _FactorizableCursor(self._step_distribution, self._step + 1, value)
 
     def state_key(self):
         return self._value  # the step is the depth
@@ -369,9 +361,6 @@ class DyadicCursor(SemimeasureCursor):
     @property
     def value(self) -> Fraction:
         return Fraction(self.numerator, 1 << self.exponent)
-
-    def child_value(self, a: int) -> Fraction:
-        return self.advance(a).value
 
 
 def _martingale_children(big_f: int, dead: bool, parent_len: int):
@@ -520,19 +509,17 @@ class LeakySemimeasure(Semimeasure):
 
 
 class _LeakyCursor(SemimeasureCursor):
-    __slots__ = ("_keep", "_base", "_scale")
+    __slots__ = ("_keep", "_base", "_scale", "_value")
 
     def __init__(self, keep: Fraction, base: SemimeasureCursor, scale: Fraction):
         self._keep = keep
         self._base = base
         self._scale = scale
+        self._value = base.value * scale
 
     @property
     def value(self) -> Fraction:
-        return self._base.value * self._scale
-
-    def child_value(self, a: int) -> Fraction:
-        return self._base.child_value(a) * self._scale * self._keep
+        return self._value
 
     def advance(self, a: int) -> "_LeakyCursor":
         return _LeakyCursor(self._keep, self._base.advance(a), self._scale * self._keep)
@@ -578,8 +565,8 @@ def check_semimeasure(model: Semimeasure, depth: int) -> SemimeasureCheck:
     while stack:
         x, cur = stack.pop()
         nodes += 1
-        children = [cur.child_value(a) for a in range(k)]
-        total = sum(children)
+        children = [cur.advance(a) for a in range(k)]
+        total = sum(child.value for child in children)
         if total > cur.value:
             return SemimeasureCheck(
                 False, False, nodes, x, f"sum of children {total} > nu(x)={cur.value}"
@@ -595,9 +582,9 @@ def check_semimeasure(model: Semimeasure, depth: int) -> SemimeasureCheck:
                     f"measure with children sum {total} < nu(x)={cur.value}",
                 )
         if len(x) + 1 < depth:
-            for a in range(k):
-                if children[a] > 0:
-                    stack.append((x + (a,), cur.advance(a)))
+            for a, child in enumerate(children):
+                if child.value > 0:
+                    stack.append((x + (a,), child))
     return SemimeasureCheck(True, all_eq, nodes)
 
 
@@ -612,10 +599,7 @@ def derived_rng(seed: int, index: int) -> random.Random:
 
 def sample_sequence(model: Semimeasure, n: int, seed: int) -> Word:
     """Draw x_{1:n} with probability exactly nu(x_{1:n}); seed-reproducible."""
-    if not model.is_proper_measure:
-        raise SamplingError("sampling requires a proper measure")
-    rng = derived_rng(seed, 0)
-    return sample_path(model, n, rng)
+    return sample_path(model, n, derived_rng(seed, 0))
 
 
 def _draw_exact(probs, rng: random.Random) -> int:
@@ -631,6 +615,9 @@ def _draw_exact(probs, rng: random.Random) -> int:
 
 
 def sample_path(model: Semimeasure, n: int, rng: random.Random) -> Word:
+    """Draw x_{1:n} exactly; a strict semimeasure is refused at every n."""
+    if not model.is_proper_measure:
+        raise SamplingError("sampling requires a proper measure")
     if isinstance(model, IidModel):
         # Same draws as the generic walk (identical probs per step), one
         # integer uniform per symbol without cursor arithmetic.
@@ -642,9 +629,10 @@ def sample_path(model: Semimeasure, n: int, rng: random.Random) -> Word:
         v = cur.value
         if v == 0:
             raise SamplingError("cannot sample beyond a zero-probability prefix")
-        symbol = _draw_exact([cur.child_value(a) / v for a in range(k)], rng)
+        children = [cur.advance(a) for a in range(k)]
+        symbol = _draw_exact([child.value / v for child in children], rng)
         out.append(symbol)
-        cur = cur.advance(symbol)
+        cur = children[symbol]
     return tuple(out)
 
 

@@ -45,7 +45,7 @@ from .enclosure import (
     kl_term,
     ln_interval,
 )
-from .errors import TooLargeError
+from .errors import SamplingError, TooLargeError
 from .measures import Word, _draw_exact, derived_rng
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
 from .predictors import (
@@ -183,7 +183,7 @@ def walk_support(
                 if mu_cond[a] == 0:
                     continue
                 weight = node.weight * mu_cond[a]
-                cursors = [c.advance(a) for c in node.cursors]
+                cursors = node.child_cursors[a]
                 prefix = node.prefix + (a,)
                 key = tuple(c.state_key() for c in cursors)
                 if history_key is not None:
@@ -297,13 +297,16 @@ def monte_carlo_rows(
 ) -> List[list]:
     """Per-step rows along ``samples`` paths drawn from the true model.
 
-    Path i starts at the root node and, at each of ``horizon`` steps,
-    records ``row(node, mu_cond)`` and then draws the next symbol from
-    the true conditionals ``mu_cond`` with ``derived_rng(seed, i)``.  The
-    per-path row lists come back in index order, so the result is
-    identical for any worker count.
+    Path i starts at the root node and records ``row(node, mu_cond)`` at
+    each of ``horizon`` steps; between rows it draws the next symbol from
+    the true conditionals ``mu_cond`` with ``derived_rng(seed, i)`` and
+    steps to that child node.  A true model that is not a proper measure
+    is refused before any path.  The per-path row lists come back in
+    index order, so the result is identical for any worker count.
     """
     check_samples(samples)
+    if not cls.true_model.is_proper_measure:
+        raise SamplingError("sampling requires a proper measure")
 
     def one_path(i: int) -> list:
         rng = derived_rng(seed, i)
@@ -311,10 +314,11 @@ def monte_carlo_rows(
             cls, tie_break, (), [m.cursor() for m in cls.models], Fraction(1)
         )
         rows = []
-        for _ in range(horizon):
+        for t in range(horizon):
+            if t:
+                node = node.child_node(_draw_exact(mu_cond, rng))
             mu_cond = node.true_conditionals()
             rows.append(row(node, mu_cond))
-            node = node.child_node(_draw_exact(mu_cond, rng))
         return rows
 
     return ordered_parallel_map(one_path, range(samples), workers)

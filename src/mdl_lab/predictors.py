@@ -11,8 +11,9 @@ Given a class C with weights w and history x, the next-symbol values are
 
 All four are quotients of the model values nu(x) and nu(xa), so one
 engine computes them: a :class:`PredictionNode` holds those values at
-one history, read from per-model cursors.  Tree walks build nodes level
-by level; ``predict_*`` advance every cursor along x and read one node.
+one history, read from per-model cursors.  A node advances each cursor
+once per symbol and keeps the children, which tree walks and sampled
+paths step to; ``predict_*`` advance every cursor along x and read one node.
 Exact rationals and certified enclosures; float only for ledgers: every
 value here is an exact rational, and the float ledgers of
 :mod:`mdl_lab.metrics` convert at the edges.
@@ -71,9 +72,6 @@ class PredictiveDistribution:
     def sum_value(self) -> Fraction:
         return sum(self.values, Fraction(0))
 
-    def as_floats(self) -> Tuple[float, ...]:
-        return tuple(float(v) for v in self.values)
-
     def belief(self, a: int = 1) -> float:
         """Scalar belief in symbol ``a``; decision layer input."""
         return float(self.values[a])
@@ -92,10 +90,11 @@ class PredictionNode:
     """All model and predictor values at one history prefix.
 
     Built from per-model cursors, so each node costs O(|C| * k) exact
-    operations regardless of depth.  Everything here is exact; Monte-Carlo
-    estimates convert to floats at the edges.  ``weight`` is mu(prefix), the
-    true-measure weight a tree walk or sampled path carries; it is None
-    for a node built to answer one query.
+    operations regardless of depth; ``child_cursors[a]`` holds every
+    cursor advanced by a and ``child_values[a]`` their values.  Everything
+    here is exact; Monte-Carlo estimates convert to floats at the edges.
+    ``weight`` is mu(prefix), the true-measure weight a tree walk or
+    sampled path carries; it is None for a node built to answer one query.
     """
 
     __slots__ = (
@@ -105,6 +104,7 @@ class PredictionNode:
         "weight",
         "cursors",
         "values",
+        "child_cursors",
         "child_values",
         "_cache",
     )
@@ -124,7 +124,8 @@ class PredictionNode:
         self.weight = weight
         self.values = [c.value for c in cursors]
         k = cls.alphabet.size
-        self.child_values = [[c.child_value(a) for c in cursors] for a in range(k)]
+        self.child_cursors = [[c.advance(a) for c in cursors] for a in range(k)]
+        self.child_values = [[c.value for c in row] for row in self.child_cursors]
         self._cache: dict = {}
 
     # -- raw aggregates --------------------------------------------------
@@ -245,7 +246,7 @@ class PredictionNode:
             self.cls,
             self.tie_break,
             self.prefix + (a,),
-            [c.advance(a) for c in self.cursors],
+            self.child_cursors[a],
             self.weight * self.true_conditionals()[a],
         )
 

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,9 @@ from mdl_lab.measures import (
     sample_path,
     sample_sequence,
 )
+from mdl_lab.metrics import monte_carlo_distances, monte_carlo_rows, walk_support
+from mdl_lab.model_class import WeightedClass
+from mdl_lab.stabilization import monte_carlo_stabilization
 
 
 class TestEvaluate:
@@ -156,7 +160,7 @@ class TestCursors:
                 assert cur.value == model.evaluate_exact(x) == nu(x), (model, x)
                 for a in (0, 1):
                     xa = x + (a,)
-                    assert cur.child_value(a) == nu(xa), (model, xa)
+                    assert cur.advance(a).value == nu(xa), (model, xa)
                     cond = nu(xa) / nu(x) if nu(x) else 0
                     assert model.conditional_exact(a, x) == cond, (model, xa)
                     if len(xa) < REFERENCE_DEPTH:
@@ -169,6 +173,80 @@ class TestCursors:
         for read in (lambda m: m.evaluate("01"), lambda m: m.cursor()):
             with pytest.raises(NotImplementedError, match=r"cursor\(\) or evaluate_exact\(\)"):
                 read(Bare())
+
+
+class _Counting(Semimeasure):
+    """A member without a cursor of its own that counts evaluations per prefix."""
+
+    def __init__(self, model):
+        self.alphabet = model.alphabet
+        self.is_proper_measure = model.is_proper_measure
+        self._model = model
+        self.calls = Counter()
+
+    def evaluate_exact(self, x):
+        self.calls[x] += 1
+        return self._model.evaluate_exact(x)
+
+
+class TestCursorProtocol:
+    def test_each_prefix_evaluated_once(self):
+        # Every caller reads a child's value from the cursor it steps to,
+        # so no prefix is evaluated twice on one walk, path or check.
+        def counted_class():
+            truth = _Counting(IidModel((F(1, 3), F(2, 3))))
+            other = _Counting(LeakySemimeasure(OscillatingMartingaleMeasure(), F(1, 4)))
+            cls = WeightedClass(
+                [truth, other, IidModel((F(1, 2), F(1, 2)))],
+                [F(1, 2), F(1, 4), F(1, 4)],
+                true_index=0,
+            )
+            return cls, (truth, other)
+
+        def most_calls(*members):
+            return max(max(m.calls.values()) for m in members)
+
+        cls, members = counted_class()
+        assert walk_support(cls, 5, lambda node: None) == 31
+        assert len(members[1].calls) == 63  # the children of the last level too
+        assert most_calls(*members) == 1
+        for seed in range(4):
+            cls, members = counted_class()
+            monte_carlo_rows(cls, 12, 1, seed, lambda node, mu_cond: None)
+            assert most_calls(*members) == 1
+        for model in (IidModel((F(1, 3), F(2, 3))), OscillatingMartingaleMeasure()):
+            for seed in range(4):
+                counted = _Counting(model)
+                sample_path(counted, 12, derived_rng(seed, 0))
+                assert most_calls(counted) == 1
+            counted = _Counting(model)
+            assert check_semimeasure(counted, 6).passed
+            assert most_calls(counted) == 1
+
+    def test_equal_state_keys_have_equal_futures(self):
+        # The contract lumped walks merge on: at one depth, equal keys mean
+        # equal values, and one step by the same symbol keeps keys and
+        # values equal.  Checked at every prefix of length 0..8.
+        half = (F(1, 2), F(1, 2))
+        table = FactorizableModel.from_steps(BINARY, [(F(1, 4), F(3, 4)), (F(1), F(0))], half)
+        models = [model for model, _, _ in reference_zoo()] + [
+            LeakySemimeasure(table, F(1, 8)),
+            _Counting(OscillatingMartingaleMeasure()),
+        ]
+        merged = 0
+        for model in models:
+            level = [model.cursor()]
+            for depth in range(9):
+                seen = {}
+                next_level = []
+                for cur in level:
+                    children = [cur.advance(a) for a in (0, 1)]
+                    future = (cur.value, [(c.state_key(), c.value) for c in children])
+                    assert seen.setdefault(cur.state_key(), future) == future, (model, depth)
+                    next_level += children
+                merged += len(level) - len(seen)
+                level = next_level
+        assert merged > 0
 
 
 class TestPickle:
@@ -211,7 +289,7 @@ class TestStructure:
         assert report.passed and not report.all_equalities
         # Per-step leak: children sum to exactly (1 - gamma) * value.
         cur = leaky.cursor()
-        assert cur.child_value(0) + cur.child_value(1) == F(3, 4) * cur.value
+        assert cur.advance(0).value + cur.advance(1).value == F(3, 4) * cur.value
 
     def test_martingale_measure_to_depth_10(self):
         report = check_semimeasure(OscillatingMartingaleMeasure(), 10)
@@ -321,8 +399,8 @@ class TestIntegerMartingale:
             assert (m.f_value(bits), m.is_dead(bits)) == (f, dead)
         assert (cur.f_value, cur.dead, cur.value) == (f, dead, f / 2 ** len(bits))
         f0, f1, _, _ = _fraction_children(f, dead, len(bits))
-        assert cur.child_value(0) == f0 / 2 ** (len(bits) + 1)
-        assert cur.child_value(1) == f1 / 2 ** (len(bits) + 1)
+        assert cur.advance(0).value == f0 / 2 ** (len(bits) + 1)
+        assert cur.advance(1).value == f1 / 2 ** (len(bits) + 1)
 
     def test_every_node_to_depth_12(self):
         m = OscillatingMartingaleMeasure()
@@ -388,6 +466,20 @@ class TestSampling:
         leaky = LeakySemimeasure(IidModel((F(1, 2), F(1, 2))), F(1, 8))
         with pytest.raises(SamplingError):
             sample_sequence(leaky, 3, seed=0)
+
+    @pytest.mark.parametrize("horizon", [1, 20])
+    def test_strict_true_model_refused_before_any_draw(self, horizon):
+        # Refused before the first draw, so the outcome cannot depend on
+        # whether a drawn path happens to avoid the missing mass.
+        half = (F(1, 2), F(1, 2))
+        leaky = LeakySemimeasure(IidModel(half), F(1, 8))
+        cls = WeightedClass([leaky, IidModel(half)], [F(1, 2), F(1, 2)], true_index=0)
+        with pytest.raises(SamplingError):
+            sample_path(leaky, horizon, derived_rng(0, 0))
+        with pytest.raises(SamplingError):
+            monte_carlo_distances(cls, "rho", horizon, samples=4, seed=0)
+        with pytest.raises(SamplingError):
+            monte_carlo_stabilization(cls, horizon, samples=4, window=0, seed=0)
 
     def test_fair_coin_frequency_30_seeds(self):
         # Binomial concentration: 6+ sigma event per seed at n = 1e5.

@@ -85,7 +85,6 @@ def _refuse_cursor_fractions(monkeypatch):
 
     for kind in CURSOR_KINDS:
         monkeypatch.setattr(kind, "value", property(refuse))
-        monkeypatch.setattr(kind, "child_value", refuse)
 
 
 def _leaky_semimeasure_classes(seed, count):
