@@ -24,17 +24,16 @@ denominator, and ``lo``/``hi`` are their exact Fractions.
   its walk is done.
 
 Square roots are enclosed with ``math.isqrt``.  Logarithms come from
-``mpmath.libmp.mpf_log`` at an explicit working precision, rounded toward
-minus infinity for ``lo`` and plus infinity for ``hi``; no global mpmath
-state is read or written, so concurrent callers cannot disturb each other.
+``mpmath.libmp.mpf_log``, imported by the first logarithm, at an explicit
+working precision, rounded toward minus infinity for ``lo`` and plus
+infinity for ``hi``; no global mpmath state is read or written, so
+concurrent callers cannot disturb each other.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from mpmath.libmp import from_rational, mpf_log, round_ceiling, round_floor
 
 GRID_BITS = 96
 _GRID_DEN = 1 << GRID_BITS
@@ -218,6 +217,10 @@ def ln_interval(q: Fraction) -> FracInterval:
         raise ValueError("ln_interval needs a positive argument")
     if q == 1:
         return ZERO_INTERVAL
+    # Imported here, its only use, so that importing the package loads
+    # nothing beyond the standard library.
+    from mpmath.libmp import from_rational, mpf_log, round_ceiling, round_floor
+
     n, d = q.numerator, q.denominator
     lo = mpf_log(from_rational(n, d, _LN_PREC, round_floor), _LN_PREC, round_floor)
     hi = mpf_log(from_rational(n, d, _LN_PREC, round_ceiling), _LN_PREC, round_ceiling)

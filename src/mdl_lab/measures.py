@@ -7,15 +7,25 @@ helpers accept ASCII digit strings like "110" as well.
 
 All built-in families evaluate to exact rationals, and each is defined
 once.  i.i.d., deterministic and general factorizable models are products
-of per-step distributions and define only ``step_distribution``; one
-cursor and one closed form serve all three, and their laws are plain
-data, so every built-in model pickles.  The martingale measure is
-defined by its cursor, which also gives its values.  The leaky wrapper
-scales any base by a keep factor per step.  A cursor is an O(1)-per-step
-incremental evaluator used by tree walks, samplers and Monte-Carlo traces;
-it only steps forward, so callers read nu(xa) from the child they step to
-and evaluate each prefix once.  ``evaluate_exact`` and
-``conditional_exact`` read the same definition.
+of per-step distributions given by ``step_distribution``; one cursor
+serves all three, and their laws are plain data, so every built-in model
+pickles.  The martingale measure is defined by its cursor, which also
+gives its values.  The leaky wrapper scales any base by a keep factor per
+step.
+
+A value at one string is computed on integers: ``exact_ratio(x)`` returns
+(num, den), not necessarily in lowest terms, with num/den = nu(x).
+Factorizable models multiply the numerators and denominators of their
+steps, i.i.d. models raise theta's to the symbol counts, deterministic
+models compare x with their target, and the leaky wrapper multiplies its
+base's pair by keep^len(x); each of these reads ``evaluate_exact`` as
+``Fraction(*exact_ratio(x))``.  Any other semimeasure gets the pair from
+``evaluate_exact``, which by default reads the cursor.
+
+A cursor is an O(1)-per-step incremental evaluator used by tree walks,
+samplers and Monte-Carlo traces; it only steps forward, so callers read
+nu(xa) from the child they step to and evaluate each prefix once.
+``evaluate_exact`` and ``conditional_exact`` read the same definition.
 """
 
 from __future__ import annotations
@@ -48,9 +58,14 @@ class Alphabet:
 
     def word(self, x) -> Word:
         """Normalize a string spec ("110", iterable of ints) to a Word."""
-        if isinstance(x, tuple) and all(isinstance(s, int) for s in x):
-            w = x
-        elif isinstance(x, str):
+        if isinstance(x, tuple):
+            size = self.size
+            for s in x:
+                if not (isinstance(s, int) and 0 <= s < size):
+                    break
+            else:
+                return x  # one pass: every symbol is an in-range int
+        if isinstance(x, str):
             w = tuple(int(c) for c in x)
         else:
             w = tuple(int(s) for s in x)
@@ -112,6 +127,16 @@ class Semimeasure:
                 f"{type(self).__name__} must define cursor() or evaluate_exact()"
             )
         return _advance_along(self.cursor(), x).value
+
+    def exact_ratio(self, x: Word) -> tuple:
+        """(num, den), non-negative integers with den > 0 and num/den = nu(x).
+
+        Neither need be in lowest terms.  This default reads
+        :meth:`evaluate_exact`; the built-in families compute the pair on
+        integers and read their ``evaluate_exact`` from it.
+        """
+        value = self.evaluate_exact(x)
+        return value.numerator, value.denominator
 
     def evaluate(self, x) -> Fraction:
         return self.evaluate_exact(self.alphabet.word(x))
@@ -229,14 +254,11 @@ class FactorizableModel(Semimeasure):
         return self._steps[i - 1] if i <= len(self._steps) else self._tail
 
     def evaluate_exact(self, x: Word) -> Fraction:
-        num = den = 1
-        for i, s in enumerate(x, start=1):
-            p = self.step_distribution(i)[s]
-            if not p:
-                return Fraction(0)
-            num *= p.numerator
-            den *= p.denominator
-        return Fraction(num, den)
+        return Fraction(*self.exact_ratio(x))
+
+    def exact_ratio(self, x: Word) -> tuple:
+        steps = map(self.step_distribution, range(1, len(x) + 1))
+        return _product_ratio(steps, x)
 
     def cursor(self) -> SemimeasureCursor:
         return _FactorizableCursor(self.step_distribution, 0, Fraction(1))
@@ -247,6 +269,16 @@ class FactorizableModel(Semimeasure):
 
     def __repr__(self) -> str:
         return self._name
+
+
+def _product_ratio(dists, x: Word) -> tuple:
+    """prod_i dists[i][x_i]: one distribution per symbol of x."""
+    num = den = 1
+    for dist, s in zip(dists, x):
+        p = dist[s]
+        num *= p.numerator
+        den *= p.denominator
+    return (num, den) if num else (0, 1)
 
 
 class _FactorizableCursor(SemimeasureCursor):
@@ -294,6 +326,22 @@ class IidModel(FactorizableModel):
     def step_distribution(self, i: int) -> Sequence[Fraction]:
         return self.theta
 
+    def exact_ratio(self, x: Word) -> tuple:
+        """prod_i theta[x_i], as one integer power per symbol count."""
+        num = den = 1
+        counted = 0
+        for a, p in enumerate(self.theta):
+            count = x.count(a)
+            if count:
+                counted += count
+                num *= p.numerator**count
+                den *= p.denominator**count
+        if counted != len(x):  # a symbol no count saw would drop out of the product
+            raise AlphabetMismatchError(
+                f"{x} has a symbol outside alphabet of size {len(self.theta)}"
+            )
+        return (num, den) if num else (0, 1)
+
     @property
     def step_prob_infimum(self) -> Optional[Fraction]:
         nonzero = [t for t in self.theta if t > 0]
@@ -329,6 +377,16 @@ class DeterministicModel(FactorizableModel):
 
     def step_distribution(self, i: int) -> Sequence[Fraction]:
         return self._point_masses[self.target_symbol(i - 1)]
+
+    def exact_ratio(self, x: Word) -> tuple:
+        pre, period = self.preperiod, self.period
+        rest = len(x) - len(pre)
+        if rest <= 0:
+            hit = x == pre[: len(x)]
+        else:
+            target = pre + period * (rest // len(period) + 1)
+            hit = x == target[: len(x)]
+        return (1, 1) if hit else (0, 1)
 
     @property
     def step_prob_infimum(self) -> Fraction:
@@ -440,14 +498,19 @@ class OscillatingMartingaleMeasure(Semimeasure):
 
 
 class _MartingaleCursor(DyadicCursor):
-    """nu(x) = F / 2^(2n+2) at length n, with F = f(x) * 2^(n+2)."""
+    """nu(x) = F / 2^(2n+2) at length n, with F = f(x) * 2^(n+2).
 
-    __slots__ = ("_f", "_dead", "_len")
+    The first ``advance`` computes both children's (F, dead) and keeps
+    them, so advancing one node by 0 and by 1 computes them once.
+    """
+
+    __slots__ = ("_f", "_dead", "_len", "_children")
 
     def __init__(self, big_f: int, dead: bool, length: int):
         self._f = big_f
         self._dead = dead
         self._len = length
+        self._children = None
 
     @property
     def numerator(self) -> int:
@@ -466,7 +529,12 @@ class _MartingaleCursor(DyadicCursor):
         return self._dead
 
     def advance(self, a: int) -> "_MartingaleCursor":
-        f0, f1, d0, d1 = _martingale_children(self._f, self._dead, self._len)
+        children = self._children
+        if children is None:
+            children = self._children = _martingale_children(
+                self._f, self._dead, self._len
+            )
+        f0, f1, d0, d1 = children
         if a == 0:
             return _MartingaleCursor(f0, d0, self._len + 1)
         return _MartingaleCursor(f1, d1, self._len + 1)
@@ -499,7 +567,14 @@ class LeakySemimeasure(Semimeasure):
         self.keep = 1 - leak
 
     def evaluate_exact(self, x: Word) -> Fraction:
-        return self.base.evaluate_exact(x) * self.keep ** len(x)
+        return Fraction(*self.exact_ratio(x))
+
+    def exact_ratio(self, x: Word) -> tuple:
+        num, den = self.base.exact_ratio(x)
+        if not num:
+            return 0, 1
+        n, keep = len(x), self.keep
+        return num * keep.numerator**n, den * keep.denominator**n
 
     def cursor(self) -> SemimeasureCursor:
         return _LeakyCursor(self.keep, self.base.cursor(), Fraction(1))

@@ -8,12 +8,19 @@ the MAP estimator and the minimizer of the two-part code length.
 Infinite classes are represented by a materialized prefix plus an exact
 bound on the weight mass left out; the estimator refuses to answer when
 the tail could still contain the winner.
+
+Point queries at one string -- the MAP choice, rho(x) = max w_nu nu(x) and
+xi(x) = sum w_nu nu(x) -- read :func:`class_scores`: every member's
+``exact_ratio`` put over one common integer denominator, so the argmax,
+the tie set, the max and the sum run on integers, and each query builds a
+Fraction only for the value it returns.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Tuple
 
 from .errors import IndeterminateTailError
@@ -188,19 +195,40 @@ def check_tail(cls: WeightedClass, best: Fraction) -> None:
         )
 
 
+def class_scores(cls: WeightedClass, word: Word) -> Tuple[list, int]:
+    """(scores, den): integers with scores[i] / den = w_i * nu_i(word).
+
+    ``den`` is the lcm of the members' w_den * nu_den over their
+    ``exact_ratio`` pairs, so scores compare, add and tie exactly as the
+    rational values do.  ``word`` must already be a Word.
+    """
+    terms = []
+    for m, w in zip(cls.models, cls.weights):
+        num, den = m.exact_ratio(word)
+        terms.append((w.numerator * num, w.denominator * den))
+    den = lcm(*(d for _, d in terms))
+    return [n * (den // d) if n else 0 for n, d in terms], den
+
+
+def _map_choice(cls: WeightedClass, word: Word, tie_break: TieBreak):
+    """(index, tie set, scores, den) of one MAP search, refused on an open tail."""
+    scores, den = class_scores(cls, word)
+    index, tie_set = tie_break.select(scores, cls.weights, len(word))
+    if cls.tail_bound is not None:
+        check_tail(cls, Fraction(scores[index], den))
+    return index, tie_set, scores, den
+
+
 def map_estimator(
     cls: WeightedClass,
     x,
     tie_break: TieBreak = LARGEST_WEIGHT,
 ) -> MapResult:
     """argmax over the class of w_nu * nu(x) under the tie-break policy."""
-    word = cls.word(x)
-    values = [w * m.evaluate_exact(word) for m, w in zip(cls.models, cls.weights)]
-    index, tie_set = tie_break.select(values, cls.weights, len(word))
-    check_tail(cls, values[index])
+    index, tie_set, scores, den = _map_choice(cls, cls.word(x), tie_break)
     return MapResult(
         index=index,
-        value=values[index],
+        value=Fraction(scores[index], den),
         tied=len(tie_set) > 1,
         tie_set=tie_set,
     )
@@ -218,8 +246,10 @@ def two_part_value_at(
     tie_break: TieBreak = LARGEST_WEIGHT,
 ) -> Fraction:
     """rho^y(x) = w_{nu^y} * nu^y(x): select at y, evaluate at x."""
-    chosen = map_estimator(cls, chooser, tie_break).index
-    return cls.weights[chosen] * cls.models[chosen].evaluate_exact(cls.word(x))
+    chosen = _map_choice(cls, cls.word(chooser), tie_break)[0]
+    num, den = cls.models[chosen].exact_ratio(cls.word(x))
+    w = cls.weights[chosen]
+    return Fraction(w.numerator * num, w.denominator * den)
 
 
 def complexity(cls: WeightedClass, index: int) -> float:

@@ -44,6 +44,7 @@ from .model_class import (  # noqa: F401  map_estimator stays a name of this mod
     TieBreak,
     WeightedClass,
     check_tail,
+    class_scores,
     map_estimator,
 )
 
@@ -280,11 +281,8 @@ def bayes_mixture(cls: WeightedClass, x) -> Fraction:
     For truncated infinite classes this is the lower end of the interval
     returned by :func:`bayes_mixture_bounds`.
     """
-    word = cls.word(x)
-    return sum(
-        (w * m.evaluate_exact(word) for m, w in zip(cls.models, cls.weights)),
-        Fraction(0),
-    )
+    scores, den = class_scores(cls, cls.word(x))
+    return Fraction(sum(scores), den)
 
 
 def bayes_mixture_bounds(cls: WeightedClass, x) -> FracInterval:

@@ -100,9 +100,9 @@ def _readme_run_lines():
 
 
 def test_cli_import_loads_no_numeric_stack():
-    # Start-up loads only mpmath (and its optional gmpy backend) beyond
-    # the standard library; numpy serves the unit-square scan alone and is
-    # imported there, so a stray module-level import fails here.
+    # Start-up loads nothing beyond the standard library and mdl_lab:
+    # mpmath serves ln_interval alone and numpy the unit-square scan alone,
+    # each imported there, so a stray module-level import fails here.
     src = str(Path(mdl_lab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
@@ -118,7 +118,7 @@ def test_cli_import_loads_no_numeric_stack():
         check=True,
     )
     loaded = set(json.loads(result.stdout))
-    assert loaded <= {"mdl_lab", "mpmath", "gmpy", "gmpy2"}, loaded
+    assert loaded <= {"mdl_lab"}, loaded
 
 
 def test_readme_run_examples_resolve():

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from mdl_lab.errors import AlphabetMismatchError, SamplingError
+from mdl_lab import measures
+from mdl_lab.errors import AlphabetMismatchError, IndeterminateTailError, SamplingError
 from mdl_lab.measures import (
     BINARY,
     Alphabet,
@@ -24,7 +25,21 @@ from mdl_lab.measures import (
     sample_sequence,
 )
 from mdl_lab.metrics import monte_carlo_distances, monte_carlo_rows, walk_support
-from mdl_lab.model_class import WeightedClass
+from mdl_lab.model_class import (
+    LARGEST_WEIGHT,
+    LOWEST_INDEX,
+    WeightedClass,
+    check_tail,
+    example1_class,
+    example3_class,
+    example4_class,
+    example5_class,
+    map_estimator,
+    round_robin,
+    two_part_value,
+    two_part_value_at,
+)
+from mdl_lab.predictors import bayes_mixture
 from mdl_lab.stabilization import monte_carlo_stabilization
 
 
@@ -44,6 +59,70 @@ class TestEvaluate:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             IidModel((F(1, 2), F(1, 2))).evaluate("102")
+
+
+def _old_word(alphabet, x):
+    """Alphabet.word as first written: an all-int scan, then a range scan."""
+    if isinstance(x, tuple) and all(isinstance(s, int) for s in x):
+        w = x
+    elif isinstance(x, str):
+        w = tuple(int(c) for c in x)
+    else:
+        w = tuple(int(s) for s in x)
+    for s in w:
+        if not 0 <= s < alphabet.size:
+            raise AlphabetMismatchError(f"symbol {s} outside alphabet of size {alphabet.size}")
+    return w
+
+
+class TestAlphabetWord:
+    SPECS = [
+        lambda: "",
+        lambda: "0110",
+        lambda: "012",
+        lambda: "3",
+        lambda: "1a",
+        lambda: [0, 1, 1],
+        lambda: [],
+        lambda: [2, 0],
+        lambda: [0, -1],
+        lambda: (),
+        lambda: (0, 1, 1),
+        lambda: (0, 2),
+        lambda: (2, 0, 5),
+        lambda: (-1,),
+        lambda: (True, False),
+        lambda: (1.0, 0),
+        lambda: (0, "1"),
+        lambda: (5, "a"),
+        lambda: range(3),
+        lambda: (s for s in (1, 0, 1)),
+    ]
+
+    @staticmethod
+    def _outcome(read, spec):
+        try:
+            w = read(spec())
+        except (AlphabetMismatchError, ValueError) as exc:
+            return type(exc), str(exc)
+        return w, [type(s) for s in w]
+
+    def test_one_pass_matches_two_pass(self):
+        # Strings, lists, generators, tuples of ints and mixed tuples give
+        # the same word, and out-of-range symbols the same error message.
+        for alphabet in (BINARY, Alphabet(3)):
+            for spec in self.SPECS:
+                got = self._outcome(alphabet.word, spec)
+                assert got == self._outcome(lambda x: _old_word(alphabet, x), spec), (
+                    alphabet,
+                    spec(),
+                )
+
+    def test_in_range_int_tuple_returned_as_is(self):
+        x = (0, 1, 1, 0)
+        assert BINARY.word(x) is x
+        with pytest.raises(AlphabetMismatchError, match="symbol 2 outside alphabet of size 2"):
+            BINARY.word((0, 1, 2))
 
 
 class TestConditional:
@@ -446,6 +525,37 @@ class TestIntegerMartingale:
         assert m.dead_mass_by_depth(20) == _fraction_dead_masses(20)
         assert walk_support(example5_class(), 12, lambda node: None) == 133
 
+    def test_children_computed_once_per_node(self, monkeypatch):
+        # A cursor advanced by 0 and by 1, in either order and more than
+        # once, computes its children's (F, dead) pair once; values and
+        # state keys match the Fraction rule.
+        calls = []
+        original = measures._martingale_children
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(measures, "_martingale_children", counted)
+        nodes = walk_support(example5_class(), 12, lambda node: None)
+        assert nodes == 133 and len(calls) <= nodes
+        depth = 10
+        for order in ((0, 1), (1, 0)):
+            calls.clear()
+            level = [(OscillatingMartingaleMeasure().cursor(), F(1), False)]
+            for n in range(depth):
+                next_level = []
+                for cur, f, dead in level:
+                    kids = {a: cur.advance(a) for a in order}
+                    f0, f1, d0, d1 = _fraction_children(f, dead, n)
+                    for a, (g, g_dead) in enumerate(((f0, d0), (f1, d1))):
+                        for kid in (kids[a], cur.advance(a)):
+                            assert kid.value == g / 2 ** (n + 1)
+                            assert kid.state_key() == (g * 2 ** (n + 3), g_dead)
+                        next_level.append((kids[a], g, g_dead))
+                level = next_level
+            assert len(calls) == 2**depth - 1
+
 
 class TestSampling:
     def test_deterministic_path(self):
@@ -527,3 +637,162 @@ class TestNamedConstructions:
         assert alpha.format((2, 0, 1)) == "201"
         with pytest.raises(ValueError):
             Alphabet(1)
+
+
+# ----------------------------------------------------------------------
+# Point queries on integers against the Fraction formulas they replaced
+# ----------------------------------------------------------------------
+
+WORDS_BELOW_8 = [w for n in range(8) for w in itertools.product((0, 1), repeat=n)]
+TIE_BREAKS = (LARGEST_WEIGHT, LOWEST_INDEX, round_robin(1))
+
+
+def _cursor_values(cls):
+    """{word: [nu(word) per member]} for every word shorter than 8, by cursor."""
+    out = {}
+    stack = [((), [m.cursor() for m in cls.models])]
+    while stack:
+        x, cursors = stack.pop()
+        out[x] = [c.value for c in cursors]
+        if len(x) < 7:
+            for a in (0, 1):
+                stack.append((x + (a,), [c.advance(a) for c in cursors]))
+    return out
+
+
+class _Refusal(tuple):
+    """The message of an IndeterminateTailError, as a comparable outcome."""
+
+
+def _refused(read):
+    try:
+        return read()
+    except IndeterminateTailError as exc:
+        return _Refusal((str(exc),))
+
+
+def _old_map(cls, values, n, tie_break):
+    """map_estimator as first written: w * nu(x) Fractions, max, tie set."""
+    scored = [w * v for w, v in zip(cls.weights, values)]
+    index, tie_set = tie_break.select(scored, cls.weights, n)
+    check_tail(cls, scored[index])
+    return index, scored[index], tie_set
+
+
+def _differential_classes():
+    zoo = [model for model, _, _ in reference_zoo()]
+    bases = [m for m in zoo if not isinstance(m, LeakySemimeasure)]
+    third = (F(1, 3), F(2, 3))
+    evaluate_only = [_Counting(IidModel(third)), _Counting(OscillatingMartingaleMeasure())]
+    geometric = [DeterministicModel((1,) * i, (0,)) for i in range(4)]
+    return [
+        WeightedClass(zoo, [F(1, len(zoo))] * len(zoo)),
+        WeightedClass(zoo, [F(i + 1, 100) for i in range(len(zoo))]),
+        WeightedClass(
+            [LeakySemimeasure(m, F(1, 5)) for m in bases + evaluate_only],
+            [F(1, len(bases) + 2)] * (len(bases) + 2),
+        ),
+        WeightedClass(
+            evaluate_only + [LeakySemimeasure(evaluate_only[0], F(1, 3)), IidModel(third)],
+            [F(1, 4), F(1, 8), F(1, 8), F(1, 2)],
+        ),
+        example1_class(4),
+        example3_class(),
+        example4_class(),
+        example5_class(),
+        WeightedClass(
+            geometric,
+            [F(1, 2 ** (i + 1)) for i in range(4)],
+            tail_bound=F(1, 16),
+            descending_weights=True,
+        ),
+        WeightedClass(
+            [IidModel((F(1, 2), F(1, 2))), IidModel(third), geometric[1]],
+            [F(1, 4), F(1, 4), F(1, 8)],
+            tail_bound=F(1, 64),
+        ),
+    ]
+
+
+class TestIntegerPointQueries:
+    def test_exact_ratio_matches_cursor_values(self):
+        for model, nu, _ in reference_zoo():
+            for x in WORDS_BELOW_8:
+                num, den = model.exact_ratio(x)
+                assert type(num) is int and type(den) is int and num >= 0 and den > 0
+                assert F(num, den) == model.evaluate_exact(x) == nu(x), (model, x)
+                assert num or den == 1, (model, x)  # a zero value is (0, 1)
+
+    def test_iid_models_refuse_symbols_outside_the_alphabet(self):
+        # A symbol no per-symbol count sees must not drop out of the product.
+        iid = IidModel((F(1, 3), F(2, 3)))
+        for model in (iid, LeakySemimeasure(iid, F(1, 2))):
+            for x in ((0, 2), (1, 1, -1)):
+                with pytest.raises(AlphabetMismatchError, match="outside alphabet of size 2"):
+                    model.exact_ratio(x)
+
+    def test_queries_match_fraction_formulas(self):
+        # Every word shorter than 8, every tie-break: index, value, tie set,
+        # rho, rho^y and xi equal the Fraction formulas exactly, and the
+        # truncated classes refuse at the same words.
+        fixed = (1, 0, 1, 1, 0, 0, 1)
+        refusals = zero_members = zero_mixtures = 0
+        for cls in _differential_classes():
+            values = _cursor_values(cls)
+            for x in WORDS_BELOW_8:
+                for m, v in zip(cls.models, values[x]):
+                    assert F(*m.exact_ratio(x)) == m.evaluate_exact(x) == v, (cls.describe(), x)
+                zero_members += values[x].count(0)
+                xi = sum((w * v for w, v in zip(cls.weights, values[x])), F(0))
+                assert bayes_mixture(cls, x) == xi
+                zero_mixtures += xi == 0
+                rho = _refused(lambda: _old_map(cls, values[x], len(x), LARGEST_WEIGHT)[1])
+                assert _refused(lambda: two_part_value(cls, x)) == rho
+                refusals += isinstance(rho, _Refusal)
+                for tb in TIE_BREAKS:
+                    old = _refused(lambda: _old_map(cls, values[x], len(x), tb))
+                    new = _refused(lambda: map_estimator(cls, x, tb))
+                    if not isinstance(old, _Refusal):
+                        new = (new.index, new.value, new.tie_set)
+                        assert new[1] == max(w * v for w, v in zip(cls.weights, values[x]))
+                    assert new == old, (cls.describe(), x, tb)
+                    for y in (x, x[:-1], fixed):
+                        expected = old
+                        if not isinstance(old, _Refusal):
+                            expected = cls.weights[old[0]] * values[y][old[0]]
+                        got = _refused(lambda: two_part_value_at(cls, x, y, tb))
+                        assert got == expected, (cls.describe(), x, y, tb)
+        assert refusals and zero_members and zero_mixtures
+
+    def test_no_value_memo_survives_a_call(self, monkeypatch):
+        # A repeated query evaluates every member again: nothing is kept on
+        # models or classes between calls.
+        calls = Counter()
+        families = (
+            Semimeasure,
+            FactorizableModel,
+            IidModel,
+            DeterministicModel,
+            LeakySemimeasure,
+        )
+        for family in families:
+            original = family.__dict__["exact_ratio"]
+
+            def counted(self, x, original=original, family=family):
+                calls[family] += 1
+                return original(self, x)
+
+            monkeypatch.setattr(family, "exact_ratio", counted)
+        cls = _differential_classes()[0]
+        word = (1, 0, 1, 1)
+        for query in (
+            lambda: map_estimator(cls, word),
+            lambda: two_part_value_at(cls, word, word[:2]),
+            lambda: bayes_mixture(cls, word),
+        ):
+            counts = []
+            for _ in range(2):
+                calls.clear()
+                query()
+                counts.append(dict(calls))
+            assert counts[0] == counts[1] and sum(counts[0].values()) >= len(cls)
