@@ -20,7 +20,10 @@ steps, i.i.d. models raise theta's to the symbol counts, deterministic
 models compare x with their target, and the leaky wrapper multiplies its
 base's pair by keep^len(x); each of these reads ``evaluate_exact`` as
 ``Fraction(*exact_ratio(x))``.  Any other semimeasure gets the pair from
-``evaluate_exact``, which by default reads the cursor.
+``evaluate_exact``, which by default reads the cursor.  Every built-in
+family's ``exact_ratio``, ``evaluate_exact`` and cursor ``advance`` raise
+AlphabetMismatchError for a symbol outside the alphabet, each with one
+compare on the path it already takes.
 
 A cursor is an O(1)-per-step incremental evaluator used by tree walks,
 samplers and Monte-Carlo traces; it only steps forward, so callers read
@@ -71,9 +74,7 @@ class Alphabet:
             w = tuple(int(s) for s in x)
         for s in w:
             if not 0 <= s < self.size:
-                raise AlphabetMismatchError(
-                    f"symbol {s} outside alphabet of size {self.size}"
-                )
+                raise _outside_alphabet(s, self.size)
         return w
 
     def format(self, w: Word) -> str:
@@ -81,6 +82,10 @@ class Alphabet:
 
 
 BINARY = Alphabet(2)
+
+
+def _outside_alphabet(symbol: int, size: int) -> AlphabetMismatchError:
+    return AlphabetMismatchError(f"symbol {symbol} outside alphabet of size {size}")
 
 
 class SemimeasureCursor:
@@ -258,10 +263,10 @@ class FactorizableModel(Semimeasure):
 
     def exact_ratio(self, x: Word) -> tuple:
         steps = map(self.step_distribution, range(1, len(x) + 1))
-        return _product_ratio(steps, x)
+        return _product_ratio(steps, x, self.alphabet.size)
 
     def cursor(self) -> SemimeasureCursor:
-        return _FactorizableCursor(self.step_distribution, 0, Fraction(1))
+        return _FactorizableCursor(self.step_distribution, self.alphabet.size, 0, Fraction(1))
 
     @property
     def step_prob_infimum(self) -> Optional[Fraction]:
@@ -271,10 +276,12 @@ class FactorizableModel(Semimeasure):
         return self._name
 
 
-def _product_ratio(dists, x: Word) -> tuple:
+def _product_ratio(dists, x: Word, size: int) -> tuple:
     """prod_i dists[i][x_i]: one distribution per symbol of x."""
     num = den = 1
     for dist, s in zip(dists, x):
+        if not 0 <= s < size:
+            raise _outside_alphabet(s, size)
         p = dist[s]
         num *= p.numerator
         den *= p.denominator
@@ -282,10 +289,11 @@ def _product_ratio(dists, x: Word) -> tuple:
 
 
 class _FactorizableCursor(SemimeasureCursor):
-    __slots__ = ("_step_distribution", "_step", "_value")
+    __slots__ = ("_step_distribution", "_size", "_step", "_value")
 
-    def __init__(self, step_distribution, step: int, value: Fraction):
+    def __init__(self, step_distribution, size: int, step: int, value: Fraction):
         self._step_distribution = step_distribution  # the model's bound method
+        self._size = size  # the alphabet's: a dead cursor reads no distribution
         self._step = step
         self._value = value
 
@@ -294,6 +302,9 @@ class _FactorizableCursor(SemimeasureCursor):
         return self._value
 
     def advance(self, a: int) -> "_FactorizableCursor":
+        size = self._size
+        if not 0 <= a < size:
+            raise _outside_alphabet(a, size)
         value = self._value
         if value:
             p = self._step_distribution(self._step + 1)[a]
@@ -301,7 +312,7 @@ class _FactorizableCursor(SemimeasureCursor):
                 value = p
             elif p != 1:
                 value = value * p
-        return _FactorizableCursor(self._step_distribution, self._step + 1, value)
+        return _FactorizableCursor(self._step_distribution, size, self._step + 1, value)
 
     def state_key(self):
         return self._value  # the step is the depth
@@ -386,7 +397,12 @@ class DeterministicModel(FactorizableModel):
         else:
             target = pre + period * (rest // len(period) + 1)
             hit = x == target[: len(x)]
-        return (1, 1) if hit else (0, 1)
+        if hit:
+            return 1, 1
+        low, high = min(x), max(x)  # a miss can hide a symbol outside the alphabet
+        if low < 0 or high >= self.alphabet.size:
+            raise _outside_alphabet(low if low < 0 else high, self.alphabet.size)
+        return 0, 1
 
     @property
     def step_prob_infimum(self) -> Fraction:
@@ -537,7 +553,9 @@ class _MartingaleCursor(DyadicCursor):
         f0, f1, d0, d1 = children
         if a == 0:
             return _MartingaleCursor(f0, d0, self._len + 1)
-        return _MartingaleCursor(f1, d1, self._len + 1)
+        if a == 1:
+            return _MartingaleCursor(f1, d1, self._len + 1)
+        raise _outside_alphabet(a, 2)
 
     def state_key(self):
         return (self._f, self._dead)  # at one length, a bijection of (f, dead)

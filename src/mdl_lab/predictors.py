@@ -9,11 +9,15 @@ Given a class C with weights w and history x, the next-symbol values are
 * hybrid MDL:      nu^{xa}(xa) / nu^x(x) -- re-select per continuation
                    but drop the weights from the quotient
 
-All four are quotients of the model values nu(x) and nu(xa), so one
-engine computes them: a :class:`PredictionNode` holds those values at
-one history, read from per-model cursors.  A node advances each cursor
-once per symbol and keeps the children, which tree walks and sampled
-paths step to; ``predict_*`` advance every cursor along x and read one node.
+All four are quotients of reductions of one weighted row, w_nu nu(x)
+over the class: xi and rho divide the sums or maxima of the rows at xa
+and at x, and static and hybrid divide the model values at the argmax of
+a row.  One engine computes them: a :class:`PredictionNode` holds the
+model values at one history and its children, read from per-model
+cursors, and forms each row once, on first read.  A node advances each
+cursor once per symbol and keeps the children, which tree walks and
+sampled paths step to; ``predict_*`` advance every cursor along x and
+read one node.
 Exact rationals and certified enclosures; float only for ledgers: every
 value here is an exact rational, and the float ledgers of
 :mod:`mdl_lab.metrics` convert at the edges.
@@ -92,10 +96,19 @@ class PredictionNode:
 
     Built from per-model cursors, so each node costs O(|C| * k) exact
     operations regardless of depth; ``child_cursors[a]`` holds every
-    cursor advanced by a and ``child_values[a]`` their values.  Everything
-    here is exact; Monte-Carlo estimates convert to floats at the edges.
-    ``weight`` is mu(prefix), the true-measure weight a tree walk or
-    sampled path carries; it is None for a node built to answer one query.
+    cursor advanced by a and ``child_values[a]`` their values.
+
+    Every predictor is a quotient of reductions of one weighted row,
+    ``row(a)`` = [w_i * nu_i(prefix + a)] (``row()`` at the prefix
+    itself): xi and rho divide the sums or maxima of two rows, while
+    static, hybrid and true divide ``child_values`` by ``values`` at one
+    index -- ``choice()``, ``choice(a)`` (the tie-break's MAP index on
+    that row) or the true model's.  Each row, choice and prediction is
+    built on first read and kept, so a node forms each product w_i * nu_i
+    once and each prediction list once.  Everything here is exact;
+    Monte-Carlo estimates convert to floats at the edges.  ``weight`` is
+    mu(prefix), the true-measure weight a tree walk or sampled path
+    carries; it is None for a node built to answer one query.
     """
 
     __slots__ = (
@@ -129,118 +142,63 @@ class PredictionNode:
         self.child_values = [[c.value for c in row] for row in self.child_cursors]
         self._cache: dict = {}
 
-    # -- raw aggregates --------------------------------------------------
-
     @property
     def t(self) -> int:
         return len(self.prefix)
 
-    def rho(self) -> Fraction:
-        out = self._cache.get("rho")
-        if out is None:
-            w = self.cls.weights
-            out = max(w[i] * v for i, v in enumerate(self.values))
-            self._cache["rho"] = out
-        return out
-
-    def rho_child(self, a: int) -> Fraction:
-        key = ("rho_child", a)
+    def row(self, a: Optional[int] = None) -> List[Fraction]:
+        """[w_i * nu_i(prefix)], or at prefix + (a,) when a is given."""
+        key = ("row", a)
         out = self._cache.get(key)
         if out is None:
-            w = self.cls.weights
-            out = max(w[i] * v for i, v in enumerate(self.child_values[a]))
-            self._cache[key] = out
+            values = self.values if a is None else self.child_values[a]
+            out = self._cache[key] = [w * v for w, v in zip(self.cls.weights, values)]
         return out
 
-    def xi(self) -> Fraction:
-        out = self._cache.get("xi")
-        if out is None:
-            out = sum(
-                (w * v for w, v in zip(self.cls.weights, self.values)), Fraction(0)
-            )
-            self._cache["xi"] = out
-        return out
-
-    def xi_child(self, a: int) -> Fraction:
-        key = ("xi_child", a)
+    def choice(self, a: Optional[int] = None) -> int:
+        """The MAP index on ``row(a)`` under the node's tie-break."""
+        key = ("choice", a)
         out = self._cache.get(key)
         if out is None:
-            out = sum(
-                (w * v for w, v in zip(self.cls.weights, self.child_values[a])),
-                Fraction(0),
-            )
+            x_len = len(self.prefix) + (a is not None)
+            out = self.tie_break.select(self.row(a), self.cls.weights, x_len)[0]
             self._cache[key] = out
         return out
-
-    def map_index(self) -> int:
-        """Maximizer index at the prefix, under the node's tie-break."""
-        out = self._cache.get("map_index")
-        if out is None:
-            out = self._argmax(self.values, len(self.prefix))
-            self._cache["map_index"] = out
-        return out
-
-    def map_child_index(self, a: int) -> int:
-        key = ("map_child", a)
-        out = self._cache.get(key)
-        if out is None:
-            out = self._argmax(self.child_values[a], len(self.prefix) + 1)
-            self._cache[key] = out
-        return out
-
-    def _argmax(self, values, x_len: int) -> int:
-        w = self.cls.weights
-        return self.tie_break.select([w[i] * v for i, v in enumerate(values)], w, x_len)[0]
-
-    # -- predictions ------------------------------------------------------
 
     def true_conditionals(self) -> List[Fraction]:
-        i = self.cls.true_index
-        if i is None:
-            raise ValueError("class has no designated true model")
-        base = self.values[i]
-        return [cv[i] / base for cv in self.child_values]
+        return self.prediction(TRUE)
 
     def prediction(self, kind: str) -> List[Fraction]:
-        out = self._cache.get(("pred", kind))
+        out = self._cache.get(kind)
         if out is None:
-            out = self._prediction(kind)
-            self._cache[("pred", kind)] = out
+            out = self._cache[kind] = self._prediction(kind)
         return out
 
     def _prediction(self, kind: str) -> List[Fraction]:
-        k = self.cls.alphabet.size
-        if kind == TRUE:
-            return self.true_conditionals()
-        if kind == XI:
-            base = self.xi()
+        if kind in (XI, RHO):
+            reduce = sum if kind == XI else max
+            base = reduce(self.row())
             if base == 0:
-                raise ZeroHistoryError(f"xi = 0 at {self.prefix}")
-            return [self.xi_child(a) / base for a in range(k)]
-        if kind == RHO:
-            base = self.rho()
-            if base == 0:
-                raise ZeroHistoryError(f"rho = 0 at {self.prefix}")
-            return [self.rho_child(a) / base for a in range(k)]
+                raise ZeroHistoryError(f"{kind} = 0 at {self.prefix}")
+            return [reduce(self.row(a)) / base for a in self.cls.alphabet.symbols()]
         if kind == RHO_NORM:
             return _normalize_list(self.prediction(RHO))
-        if kind == STATIC:
-            i = self.map_index()
-            base = self.values[i]
-            if base == 0:
-                raise ZeroHistoryError(f"nu^x = 0 at {self.prefix}")
-            return [self.child_values[a][i] / base for a in range(k)]
         if kind == STATIC_NORM:
             return _normalize_list(self.prediction(STATIC))
-        if kind == HYBRID:
-            i = self.map_index()
-            base = self.values[i]
-            if base == 0:
+        if kind == TRUE:
+            i = self.cls.true_index
+            if i is None:
+                raise ValueError("class has no designated true model")
+        elif kind in (STATIC, HYBRID):
+            i = self.choice()
+            if self.values[i] == 0:
                 raise ZeroHistoryError(f"nu^x = 0 at {self.prefix}")
-            return [
-                self.child_values[a][self.map_child_index(a)] / base for a in range(k)
-            ]
-        raise ValueError(f"unknown predictor kind {kind!r}")
+        else:
+            raise ValueError(f"unknown predictor kind {kind!r}")
+        base = self.values[i]
+        if kind == HYBRID:
+            return [cv[self.choice(a)] / base for a, cv in enumerate(self.child_values)]
+        return [cv[i] / base for cv in self.child_values]
 
     def child_node(self, a: int) -> "PredictionNode":
         return PredictionNode(
@@ -292,11 +250,22 @@ def bayes_mixture_bounds(cls: WeightedClass, x) -> FracInterval:
     return FracInterval(lower, lower + tail)
 
 
-def _search(cls: WeightedClass, best: Fraction, stats: Optional[EvalStats]) -> None:
-    """Account for one MAP search whose materialized maximum is ``best``."""
-    check_tail(cls, best)
+def _search(node: PredictionNode, a: Optional[int], stats: Optional[EvalStats]) -> None:
+    """Account for one MAP search on ``node.row(a)``, refused on an open tail."""
+    check_tail(node.cls, max(node.row(a)))
     if stats is not None:
         stats.map_searches += 1
+
+
+def _predict(node: PredictionNode, kind: str, stats: Optional[EvalStats]) -> List[Fraction]:
+    """``node.prediction(kind)`` after one search at x; dynamic and hybrid
+    re-select, so they add one search per continuation xa."""
+    _search(node, None, stats)
+    values = node.prediction(kind)  # a zero history raises before the child searches
+    if kind != STATIC:
+        for a in node.cls.alphabet.symbols():
+            _search(node, a, stats)
+    return values
 
 
 def predict_bayes(cls: WeightedClass, x) -> PredictiveDistribution:
@@ -311,7 +280,7 @@ def predict_dynamic(
     stats: Optional[EvalStats] = None,
 ) -> PredictiveDistribution:
     """Entries rho(a|x) = rho(xa) / rho(x); k+1 MAP searches."""
-    return _reselecting(cls, x, tie_break, stats, RHO)
+    return _distribution(_predict(_node_at(cls, x, tie_break), RHO, stats))
 
 
 def predict_static(
@@ -321,9 +290,7 @@ def predict_static(
     stats: Optional[EvalStats] = None,
 ) -> PredictiveDistribution:
     """Entries nu^x(xa) / nu^x(x) for the single maximizer at the history."""
-    node = _node_at(cls, x, tie_break)
-    _search(cls, node.rho(), stats)
-    return _distribution(node.prediction(STATIC))
+    return _distribution(_predict(_node_at(cls, x, tie_break), STATIC, stats))
 
 
 def predict_hybrid(
@@ -333,17 +300,7 @@ def predict_hybrid(
     stats: Optional[EvalStats] = None,
 ) -> PredictiveDistribution:
     """Entries nu^{xa}(xa) / nu^x(x): re-select per child, drop the weights."""
-    return _reselecting(cls, x, tie_break, stats, HYBRID)
-
-
-def _reselecting(cls, x, tie_break, stats, kind: str) -> PredictiveDistribution:
-    """Dynamic or hybrid: one search at x, then one per continuation xa."""
-    node = _node_at(cls, x, tie_break)
-    _search(cls, node.rho(), stats)
-    values = node.prediction(kind)  # a zero history raises before the child searches
-    for a in cls.alphabet.symbols():
-        _search(cls, node.rho_child(a), stats)
-    return _distribution(values)
+    return _distribution(_predict(_node_at(cls, x, tie_break), HYBRID, stats))
 
 
 def predict_true(cls: WeightedClass, x) -> PredictiveDistribution:
@@ -374,9 +331,16 @@ def normalizer_product(cls: WeightedClass, x) -> Fraction:
     N_rho(x) = prod_{t=1..len(x)+1} [sum_a rho(x_<t a)] / rho(x_<t);
     the value is 1 for every x when the class holds a single proper
     measure, and tie-breaking never enters because only rho values do.
+    Each prefix's node steps to its parent's child cursors, and each
+    factor makes the k+1 tail-checked searches of :func:`predict_dynamic`.
     """
     word = cls.word(x)
+    node = _node_at(cls, ())
     product = Fraction(1)
     for t in range(len(word) + 1):
-        product *= predict_dynamic(cls, word[:t]).sum_value()
+        if t:
+            node = PredictionNode(
+                cls, LARGEST_WEIGHT, word[:t], node.child_cursors[word[t - 1]]
+            )
+        product *= sum(_predict(node, RHO, None))
     return product

@@ -29,6 +29,7 @@ from mdl_lab.errors import DegenerateLikelihoodError, ZeroHistoryError
 from mdl_lab.metrics import check_bounds
 from mdl_lab.model_class import LARGEST_WEIGHT, LOWEST_INDEX, round_robin
 from mdl_lab.suites import suite_rng
+from oracle import outcome
 
 
 class TestClassification:
@@ -107,10 +108,10 @@ class TestClassification:
             scores = _joint_scores(cc, inputs, outputs)
             seen["tie"] += scores[0] == scores[1] != 0
             for u, tb, (classify, dynamic) in itertools.product((0, 1), tie_breaks, rules):
-                want = _outcome(
+                want = outcome(
                     lambda: _joint_reference(cc, inputs, outputs, u, tb, dynamic)
                 )
-                got = _outcome(lambda: classify(cc, inputs, outputs, u, tb).values)
+                got = outcome(lambda: classify(cc, inputs, outputs, u, tb).values)
                 assert got == want, (cc.models, cc.weights, inputs, outputs, u, tb)
                 seen[want if want is ZeroHistoryError else "value"] += 1
         assert all(seen.values()), seen
@@ -154,13 +155,6 @@ def _joint_reference(cc, inputs, outputs, next_input, tie_break, dynamic):
         )
     chosen, _ = tie_break.select(scores, cc.weights, len(outputs))
     return cc.models[chosen].distribution(next_input)
-
-
-def _outcome(fn):
-    try:
-        return fn()
-    except ZeroHistoryError:
-        return ZeroHistoryError
 
 
 class TestRegressionMap:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import pickle
 from collections import Counter
@@ -730,6 +731,32 @@ class TestIntegerPointQueries:
             for x in ((0, 2), (1, 1, -1)):
                 with pytest.raises(AlphabetMismatchError, match="outside alphabet of size 2"):
                     model.exact_ratio(x)
+
+    def test_every_family_refuses_symbols_outside_the_alphabet(self):
+        # (0, 2) leaves the deterministic target at its first symbol, so its
+        # cursor is dead (value 0) when it meets 2; -1 must not read as the
+        # last symbol of a step distribution.
+        det = DeterministicModel((), (1, 0))
+        steps = FactorizableModel.from_steps(BINARY, [(F(1, 4), F(3, 4))], (F(1, 2), F(1, 2)))
+        families = (
+            IidModel((F(1, 3), F(2, 3))),
+            det,
+            steps,
+            make_example4_pair()[0],
+            OscillatingMartingaleMeasure(),
+            LeakySemimeasure(det, F(1, 8)),
+            LeakySemimeasure(steps, F(1, 8)),
+        )
+        entry_points = (
+            lambda model, x: model.exact_ratio(x),
+            lambda model, x: model.evaluate_exact(x),
+            lambda model, x: functools.reduce(lambda c, a: c.advance(a), x, model.cursor()),
+        )
+        for model in families:
+            for x in ((0, 2), (1, -1)):
+                for entry in entry_points:
+                    with pytest.raises(AlphabetMismatchError, match="outside alphabet of size 2"):
+                        entry(model, x)
 
     def test_queries_match_fraction_formulas(self):
         # Every word shorter than 8, every tie-break: index, value, tie set,

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdl_lab.errors import AllZeroError, IndeterminateTailError, ZeroHistoryError
-from mdl_lab.measures import DeterministicModel, IidModel
+from mdl_lab.measures import Alphabet, DeterministicModel, IidModel, Semimeasure
+from mdl_lab.metrics import walk_support
 from mdl_lab.model_class import (
     LARGEST_WEIGHT,
     LOWEST_INDEX,
@@ -15,11 +16,15 @@ from mdl_lab.model_class import (
     bernoulli_class,
     example1_class,
     example3_class,
+    example5_class,
     map_estimator,
     round_robin,
     two_part_value,
 )
 from mdl_lab.predictors import (
+    ALL_KINDS,
+    TRUE,
+    PredictionNode,
     PredictiveDistribution,
     bayes_mixture,
     bayes_mixture_bounds,
@@ -32,6 +37,8 @@ from mdl_lab.predictors import (
     predict_true,
 )
 from mdl_lab.suites import random_measure_class, random_semimeasure_class, random_word, suite_rng
+import oracle
+from oracle import StopsAfter, all_words, outcome
 
 
 class TestBayesMixture:
@@ -217,6 +224,27 @@ class TestNormalizerProduct:
                 log_sum += math.log(total / two_part_value(cls, prefix))
             assert abs(math.log(product) - log_sum) < 1e-9
 
+    def test_matches_product_of_dynamic_sums(self):
+        # The same value, tail refusal or zero history as the product of
+        # predict_dynamic sums over every prefix, first failing prefix first.
+        classes = [random_measure_class(22, case) for case in range(6)]
+        classes += list(TestTailRefusal().truncated_classes())
+        classes.append(WeightedClass([StopsAfter(2)], [F(1, 2)]))
+        seen = set()
+        for cls in classes:
+            for x in all_words(4):
+
+                def reference():
+                    product = F(1)
+                    for t in range(len(x) + 1):
+                        product *= predict_dynamic(cls, x[:t]).sum_value()
+                    return product
+
+                want = outcome(reference)
+                assert outcome(lambda: normalizer_product(cls, x)) == want, (cls.describe(), x)
+                seen.add(want if isinstance(want, type) else F)
+        assert seen == {F, ZeroHistoryError, IndeterminateTailError}
+
 
 class TestSemimeasureDifferenceLemma:
     def words_to_depth(self, depth):
@@ -327,41 +355,30 @@ def quotient_reference(kind, cls, x, tb):
     )
 
 
-def _outcome(fn):
-    try:
-        return fn()
-    except (ZeroHistoryError, IndeterminateTailError) as exc:
-        return type(exc)
-
-
 def _assert_facade_matches(cls, words):
     for x in words:
         for tb in TIE_BREAKS:
             for kind, predict in FACADE.items():
                 stats = EvalStats()
-                got = _outcome(lambda: predict(cls, x, tb, stats).values)
-                want = _outcome(lambda: quotient_reference(kind, cls, x, tb))
+                got = outcome(lambda: predict(cls, x, tb, stats).values)
+                want = outcome(lambda: quotient_reference(kind, cls, x, tb))
                 assert got == want, (cls.describe(), x, tb, kind)
                 if isinstance(got, tuple):
                     assert stats.map_searches == SEARCHES[kind]
 
 
-def _all_words(max_len):
-    return [w for n in range(max_len + 1) for w in itertools.product((0, 1), repeat=n)]
-
-
 class TestFacadeDifferential:
     def test_random_measure_classes(self):
         for case in range(12):
-            _assert_facade_matches(random_measure_class(41, case), _all_words(5))
+            _assert_facade_matches(random_measure_class(41, case), all_words(5))
 
     def test_random_semimeasure_classes(self):
         for case in range(12):
-            _assert_facade_matches(random_semimeasure_class(42, case), _all_words(5))
+            _assert_facade_matches(random_semimeasure_class(42, case), all_words(5))
 
     def test_named_classes(self):
         for cls in (example1_class(4), example3_class()):
-            _assert_facade_matches(cls, _all_words(5))
+            _assert_facade_matches(cls, all_words(5))
 
 
 class TestTailRefusal:
@@ -384,19 +401,153 @@ class TestTailRefusal:
     def test_predictors_refuse_where_map_estimator_refuses(self):
         refusals = 0
         for cls in self.truncated_classes():
-            for x in _all_words(5):
-                at_x = _outcome(lambda: map_estimator(cls, x).index)
+            for x in all_words(5):
+                at_x = outcome(lambda: map_estimator(cls, x).index)
                 at_children = [
-                    _outcome(lambda: map_estimator(cls, x + (a,)).index) for a in (0, 1)
+                    outcome(lambda: map_estimator(cls, x + (a,)).index) for a in (0, 1)
                 ]
                 refused = at_x is IndeterminateTailError
                 refused_child = IndeterminateTailError in at_children
                 refusals += refused
                 for tb in TIE_BREAKS:
-                    static = _outcome(lambda: predict_static(cls, x, tb))
+                    static = outcome(lambda: predict_static(cls, x, tb))
                     assert (static is IndeterminateTailError) == refused
                     for predict in (predict_dynamic, predict_hybrid):
-                        got = _outcome(lambda: predict(cls, x, tb))
+                        got = outcome(lambda: predict(cls, x, tb))
                         assert (got is IndeterminateTailError) == (refused or refused_child)
                 _assert_facade_matches(cls, [x])
         assert refusals > 0
+
+
+# ----------------------------------------------------------------------
+# Prediction nodes against the oracle's Fraction formulas
+# ----------------------------------------------------------------------
+
+
+def _node_at(cls, x, tie_break):
+    cursors = [m.cursor() for m in cls.models]
+    for a in x:
+        cursors = [c.advance(a) for c in cursors]
+    return PredictionNode(cls, tie_break, x, cursors)
+
+
+def _zero_history_class():
+    """Mass runs out after two symbols off the true path 1^inf."""
+    return WeightedClass(
+        [StopsAfter(2), DeterministicModel((), (1,))], [F(1, 2), F(1, 4)], true_index=1
+    )
+
+
+class TestNodeOracle:
+    def classes(self):
+        for case in range(6):
+            yield random_measure_class(44, case)
+            yield random_semimeasure_class(45, case)
+        yield random_measure_class(46, 0, alphabet=Alphabet(3))
+        yield example1_class(4)
+        yield example3_class()
+        yield example5_class()
+        yield _zero_history_class()
+
+    def test_every_kind_matches_the_oracle(self):
+        seen = set()
+        for cls in self.classes():
+            for x in all_words(5 if cls.alphabet.size == 2 else 3, cls.alphabet.size):
+                live = cls.true_model.evaluate_exact(x) != 0
+                for tb in TIE_BREAKS:
+                    node = _node_at(cls, x, tb)
+                    for kind in ALL_KINDS:
+                        if kind == TRUE and not live:
+                            continue  # walks and paths visit positive true mass only
+                        got = outcome(lambda: node.prediction(kind))
+                        want = outcome(lambda: oracle.prediction(kind, cls, x, tb))
+                        assert got == want, (cls.describe(), x, tb, kind)
+                        seen.add(want if isinstance(want, type) else kind)
+        assert seen == set(ALL_KINDS) | {ZeroHistoryError, AllZeroError}
+
+    def test_rows_and_choices_match_the_oracle(self):
+        cls = example3_class()
+        for x in all_words(4):
+            for tb in TIE_BREAKS:
+                node = _node_at(cls, x, tb)
+                assert node.row() == oracle.weighted_row(cls, x)
+                assert node.choice() == oracle.map_index(cls, x, tb)
+                for a in (0, 1):
+                    assert node.row(a) == oracle.weighted_row(cls, x + (a,))
+                    assert node.choice(a) == oracle.map_index(cls, x + (a,), tb)
+
+
+class _Counted(F):
+    """A model value that counts the products and quotients formed with it."""
+
+    products = 0
+    quotients = 0
+
+    def __rmul__(self, other):
+        _Counted.products += 1
+        return F(other) * F(self)
+
+    def __truediv__(self, other):
+        _Counted.quotients += 1
+        return F(self) / F(other)
+
+
+class _CountedCursor:
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def value(self):
+        return _Counted(self.inner.value)
+
+    def advance(self, a):
+        return _CountedCursor(self.inner.advance(a))
+
+    def state_key(self):
+        return self.inner.state_key()
+
+
+class _CountedModel(Semimeasure):
+    def __init__(self, inner):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+        self.is_proper_measure = inner.is_proper_measure
+
+    def cursor(self):
+        return _CountedCursor(self.inner.cursor())
+
+
+def _counted(cls):
+    return WeightedClass(
+        [_CountedModel(m) for m in cls.models], cls.weights, true_index=cls.true_index
+    )
+
+
+class TestNodeWork:
+    def test_all_kinds_form_each_weighted_product_once(self):
+        for cls in (random_measure_class(47, 0), example3_class(), _zero_history_class()):
+            counted = _counted(cls)
+            bound = len(cls) * (cls.alphabet.size + 1)
+            for x in all_words(3):
+                if cls.true_model.evaluate_exact(x) == 0:
+                    continue
+                node = _node_at(counted, x, LARGEST_WEIGHT)
+                _Counted.products = 0
+                for _ in range(2):
+                    for kind in ALL_KINDS:
+                        outcome(lambda: node.prediction(kind))
+                    node.true_conditionals()
+                assert 0 < _Counted.products <= bound, (cls.describe(), x)
+
+    def test_walk_divides_true_conditionals_once_per_node(self):
+        cls = _counted(random_measure_class(47, 1))
+
+        def visit(node):
+            for _ in range(3):
+                node.true_conditionals()
+
+        _Counted.quotients = 0
+        nodes = walk_support(cls, 6, visit)
+        # The visit reads each node's conditionals three times and the walk
+        # once more to step on, yet each entry is divided once.
+        assert _Counted.quotients == cls.alphabet.size * nodes

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -37,12 +36,9 @@ from mdl_lab.stabilization import (
     stabilization_verdict,
 )
 from mdl_lab.suites import random_measure_class, random_semimeasure_class
+from oracle import all_words
 
 TIE_BREAKS = (LARGEST_WEIGHT, LOWEST_INDEX, round_robin(1))
-
-
-def _all_words(max_len):
-    return [w for n in range(max_len + 1) for w in itertools.product((0, 1), repeat=n)]
 
 
 def _truncated(base, tail_bound):
@@ -162,7 +158,7 @@ class TestMapTraceDifferential:
         errors = []
         for cls in classes:
             assert all(m.is_factorizable for m in cls.models)
-            errors += _assert_trace_matches(cls, _all_words(6))
+            errors += _assert_trace_matches(cls, all_words(6))
         assert ZeroHistoryError in errors and IndeterminateTailError in errors
 
     def test_dyadic_and_leaky_classes_run_on_integers(self):
@@ -195,7 +191,7 @@ class TestMapTraceDifferential:
         ]
         errors = []
         for cls in classes:
-            errors += _assert_trace_matches(cls, _all_words(6), _refuse_cursor_fractions)
+            errors += _assert_trace_matches(cls, all_words(6), _refuse_cursor_fractions)
         assert ZeroHistoryError in errors and IndeterminateTailError in errors
 
     def test_example5_long_paths_match_fraction_trace(self):
@@ -242,7 +238,7 @@ class TestMapTraceDifferential:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measures._GenericCursor, "value", property(counted))
             for cls in classes:
-                _assert_trace_matches(cls, _all_words(6))
+                _assert_trace_matches(cls, all_words(6))
         assert reads
 
     def test_truncated_class_refuses_where_map_estimator_refuses(self):
@@ -366,7 +362,7 @@ class TestHybridSeries:
     def test_matches_quotients_of_evaluate_exact(self):
         for cls in (example3_class(), example4_class(F(3, 7), F(4, 7)), example5_class()):
             for tb in (LARGEST_WEIGHT, round_robin()):
-                for word in _all_words(6) + [(1,) * 12]:
+                for word in all_words(6) + [(1,) * 12]:
                     trace = map_trace(cls, word, tb)
                     want = [
                         cls.models[trace.indices[t]].evaluate_exact(word[:t])
