@@ -22,8 +22,11 @@ base's pair by keep^len(x); each of these reads ``evaluate_exact`` as
 ``Fraction(*exact_ratio(x))``.  Any other semimeasure gets the pair from
 ``evaluate_exact``, which by default reads the cursor.  Every built-in
 family's ``exact_ratio``, ``evaluate_exact`` and cursor ``advance`` raise
-AlphabetMismatchError for a symbol outside the alphabet, each with one
-compare on the path it already takes.
+AlphabetMismatchError for a symbol outside the alphabet: cursors and
+factorizable products compare each symbol they already read, i.i.d.
+models compare the sum of their symbol counts with len(x), and
+deterministic models scan x for its least and greatest symbol only on
+a miss.
 
 A cursor is an O(1)-per-step incremental evaluator used by tree walks,
 samplers and Monte-Carlo traces; it only steps forward, so callers read

@@ -331,16 +331,9 @@ def normalizer_product(cls: WeightedClass, x) -> Fraction:
     N_rho(x) = prod_{t=1..len(x)+1} [sum_a rho(x_<t a)] / rho(x_<t);
     the value is 1 for every x when the class holds a single proper
     measure, and tie-breaking never enters because only rho values do.
-    Each prefix's node steps to its parent's child cursors, and each
-    factor makes the k+1 tail-checked searches of :func:`predict_dynamic`.
     """
     word = cls.word(x)
-    node = _node_at(cls, ())
     product = Fraction(1)
     for t in range(len(word) + 1):
-        if t:
-            node = PredictionNode(
-                cls, LARGEST_WEIGHT, word[:t], node.child_cursors[word[t - 1]]
-            )
-        product *= sum(_predict(node, RHO, None))
+        product *= predict_dynamic(cls, word[:t]).sum_value()
     return product

@@ -224,27 +224,6 @@ class TestNormalizerProduct:
                 log_sum += math.log(total / two_part_value(cls, prefix))
             assert abs(math.log(product) - log_sum) < 1e-9
 
-    def test_matches_product_of_dynamic_sums(self):
-        # The same value, tail refusal or zero history as the product of
-        # predict_dynamic sums over every prefix, first failing prefix first.
-        classes = [random_measure_class(22, case) for case in range(6)]
-        classes += list(TestTailRefusal().truncated_classes())
-        classes.append(WeightedClass([StopsAfter(2)], [F(1, 2)]))
-        seen = set()
-        for cls in classes:
-            for x in all_words(4):
-
-                def reference():
-                    product = F(1)
-                    for t in range(len(x) + 1):
-                        product *= predict_dynamic(cls, x[:t]).sum_value()
-                    return product
-
-                want = outcome(reference)
-                assert outcome(lambda: normalizer_product(cls, x)) == want, (cls.describe(), x)
-                seen.add(want if isinstance(want, type) else F)
-        assert seen == {F, ZeroHistoryError, IndeterminateTailError}
-
 
 class TestSemimeasureDifferenceLemma:
     def words_to_depth(self, depth):
