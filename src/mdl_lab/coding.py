@@ -178,6 +178,8 @@ def decode(cls: WeightedClass, bits: Bits) -> Word:
     running interval, then re-encodes and insists on bit identity, so
     corrupted inputs either raise or are caught by the mismatch.
     """
+    if not set(bits) <= {"0", "1"}:
+        raise MalformedCodeError("a code holds only the characters 0 and 1")
     index, pos = _decode_header(cls, bits)
     n_plus_1, pos = gamma_decode(bits, pos)
     n = n_plus_1 - 1

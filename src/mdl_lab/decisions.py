@@ -158,10 +158,19 @@ def history_parity_loss(even: dict, odd: dict, name: str = "history_parity") -> 
 
 def bayes_optimal_action(belief: Belief, loss: LossFunction, history: Word = ()) -> int:
     """Least expected loss under the belief; exact ties go to action 0."""
-    table = loss.table(history)
+    return _optimal_action(belief, loss.table(history))
+
+
+def _optimal_action(belief: Belief, table: dict) -> int:
     expected0 = (1 - belief) * table[(0, 0)] + belief * table[(1, 0)]
     expected1 = (1 - belief) * table[(0, 1)] + belief * table[(1, 1)]
     return 0 if expected0 <= expected1 else 1
+
+
+def _acted_loss(belief: Belief, mu_cond: list, table: dict) -> Tuple[int, Fraction]:
+    """(action, its mu-expected loss) for an actor holding ``belief`` in 1."""
+    action = _optimal_action(belief, table)
+    return action, mu_cond[0] * table[(0, action)] + mu_cond[1] * table[(1, action)]
 
 
 # ----------------------------------------------------------------------
@@ -270,13 +279,11 @@ def decision_traces(
         table = loss.table(node.prefix)
         mu_cond = node.true_conditionals()
         mu1 = mu_cond[1]
-        mu_action = bayes_optimal_action(mu1, loss, node.prefix)
-        step_mu = mu_cond[0] * table[(0, mu_action)] + mu1 * table[(1, mu_action)]
+        step_mu = _acted_loss(mu1, mu_cond, table)[1]
         l_mu[t] += w * step_mu
         for k in kinds:
             phi1 = node.prediction(k)[1]
-            action = bayes_optimal_action(phi1, loss, node.prefix)
-            step_phi = mu_cond[0] * table[(0, action)] + mu1 * table[(1, action)]
+            step_phi = _acted_loss(phi1, mu_cond, table)[1]
             l_phi[k][t] += w * step_phi
             h = _belief_hellinger(mu1, phi1)
             hell[k][t] = hell[k][t] + w * h
@@ -351,16 +358,9 @@ def monte_carlo_decision_trace(
 
     def row(node: PredictionNode, mu_cond: list) -> Tuple[float, float, int]:
         table = loss.table(node.prefix)
-        phi1 = node.prediction(predictor_kind)[1]
-        action = bayes_optimal_action(phi1, loss, node.prefix)
-        mu_action = bayes_optimal_action(mu_cond[1], loss, node.prefix)
-        step_phi = float(
-            mu_cond[0] * table[(0, action)] + mu_cond[1] * table[(1, action)]
-        )
-        step_mu = float(
-            mu_cond[0] * table[(0, mu_action)] + mu_cond[1] * table[(1, mu_action)]
-        )
-        return step_phi, step_mu, action
+        action, step_phi = _acted_loss(node.prediction(predictor_kind)[1], mu_cond, table)
+        step_mu = _acted_loss(mu_cond[1], mu_cond, table)[1]
+        return float(step_phi), float(step_mu), action
 
     paths = monte_carlo_rows(cls, horizon, samples, seed, row, tie_break, workers)
     steps = list(zip(*paths))

@@ -63,7 +63,11 @@ class Alphabet:
         return range(self.size)
 
     def word(self, x) -> Word:
-        """Normalize a string spec ("110", iterable of ints) to a Word."""
+        """Normalize a string spec ("110", iterable of ints) to a Word.
+
+        A symbol that is not an integer, or lies outside the alphabet,
+        raises AlphabetMismatchError.
+        """
         if isinstance(x, tuple):
             size = self.size
             for s in x:
@@ -71,10 +75,7 @@ class Alphabet:
                     break
             else:
                 return x  # one pass: every symbol is an in-range int
-        if isinstance(x, str):
-            w = tuple(int(c) for c in x)
-        else:
-            w = tuple(int(s) for s in x)
+        w = tuple(_symbol(s) for s in x)
         for s in w:
             if not 0 <= s < self.size:
                 raise _outside_alphabet(s, self.size)
@@ -85,6 +86,17 @@ class Alphabet:
 
 
 BINARY = Alphabet(2)
+
+
+def _symbol(s) -> int:
+    """A symbol as an int: an integral number, or a digit of a string spec."""
+    try:
+        value = int(s)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or (value != s and not isinstance(s, str)):
+        raise AlphabetMismatchError(f"symbol {s!r} is not an integer")
+    return value
 
 
 def _outside_alphabet(symbol: int, size: int) -> AlphabetMismatchError:

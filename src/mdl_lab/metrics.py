@@ -11,8 +11,12 @@ applied verbatim to raw prediction entries (no implicit normalization;
 the unnormalized variants are bounded as-is).  Cumulative ledgers take
 expectations over the true measure by exact enumeration of the sequence
 tree (:func:`walk_support`), pruning zero-probability subtrees, or by
-seeded Monte Carlo: :func:`monte_carlo_rows` is the one sampled-path
-driver and :func:`mean_stderr` the one reduction of its columns.
+seeded Monte Carlo: :func:`monte_carlo_rows` drives the sampled paths of
+the distance and decision ledgers, and :func:`mean_stderr` reduces their
+columns.  (``monte_carlo_stabilization`` draws its own paths with
+``sample_path`` and ``map_trace``, and ``monte_carlo_regression_hellinger``
+its own samples.)  Both the walk and the sampled paths need a fully
+materialized class.
 
 Exact ledgers hold square and absolute sums as exact rationals and
 Hellinger and KL sums as certified rational enclosures, so every bound
@@ -160,10 +164,13 @@ def walk_support(
     The default merges regardless of history; :func:`prefix_key` never
     merges.  Memory is the widest lumped level.  Raises TooLargeError as
     soon as more than ``guard`` lumped nodes have been built; returns the
-    number of nodes visited.
+    number of nodes visited, 0 at horizon 0.
     """
     if cls.true_index is None:
         raise ValueError("walking the support needs a designated true model")
+    _check_path_class(cls, horizon)
+    if horizon == 0:
+        return 0
     k = cls.alphabet.size
     level = [
         PredictionNode(cls, tie_break, (), [m.cursor() for m in cls.models], Fraction(1))
@@ -200,6 +207,18 @@ def walk_support(
             PredictionNode(cls, tie_break, prefix, cursors, weight)
             for prefix, cursors, weight in merged.values()
         ]
+
+
+def _check_path_class(cls: WeightedClass, horizon: int) -> None:
+    """Refuse a walk or sampled paths over an open tail or a negative horizon.
+
+    Predictions on a class with an unmaterialized tail may be refused at
+    any node, so a ledger over one would leave them out.
+    """
+    if cls.tail_bound is not None:
+        raise ValueError("ledgers need a fully materialized class")
+    if horizon < 0:
+        raise ValueError(f"horizon must be at least 0, got {horizon}")
 
 
 def prefix_key(prefix: Word) -> Word:
@@ -305,6 +324,7 @@ def monte_carlo_rows(
     index order, so the result is identical for any worker count.
     """
     check_samples(samples)
+    _check_path_class(cls, horizon)
     if not cls.true_model.is_proper_measure:
         raise SamplingError("sampling requires a proper measure")
 
@@ -477,8 +497,6 @@ def check_bounds(
     Finite partial sums are valid checks because each bound holds
     uniformly in the horizon.  Requires a fully materialized class.
     """
-    if cls.tail_bound is not None:
-        raise ValueError("bound checks need a fully materialized class")
     winv = inverse_weight(cls)
     k = cls.alphabet.size
 

@@ -24,13 +24,6 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-def relative_close(a: float, b: float, rel: float = 1e-9) -> bool:
-    """Relative agreement with sensible zero handling."""
-    if a == b:
-        return True
-    return abs(a - b) <= rel * max(abs(a), abs(b))
-
-
 # -- rational parsing / formatting (wire format "p/q") ------------------
 
 

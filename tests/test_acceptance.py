@@ -12,7 +12,6 @@ The test asserts the criterion as stated; the exact ledger value is
 reported alongside.
 """
 
-import itertools
 import json
 import math
 import time
@@ -50,6 +49,7 @@ from mdl_lab.suites import (
     random_word,
     suite_rng,
 )
+from oracle import all_words
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -95,9 +95,7 @@ def test_criterion_03_lemma_inequality_suite():
     violations = 0
 
     # Depth <= 8 trees, 50 random classes (leaky members included).
-    words = [
-        w for n in range(8) for w in itertools.product((0, 1), repeat=n)
-    ]
+    words = all_words(7)
     for case in range(50):
         rng = suite_rng(1, case)
         cls = (
@@ -206,8 +204,7 @@ def test_criterion_07_example5_martingale():
     m = OscillatingMartingaleMeasure()
     identity = all(
         2 * m.f_value(bits) == m.f_value(bits + (0,)) + m.f_value(bits + (1,))
-        for n in range(12)
-        for bits in itertools.product((0, 1), repeat=n)
+        for bits in all_words(11)
     )
     masses = m.dead_mass_by_depth(20)
     mass_ok = all(mass <= F(1, 4) for mass in masses)

@@ -27,9 +27,8 @@ from mdl_lab.conditional import (
 from mdl_lab.enclosure import GRID_BITS, FracInterval, ln_interval
 from mdl_lab.errors import DegenerateLikelihoodError, ZeroHistoryError
 from mdl_lab.metrics import check_bounds
-from mdl_lab.model_class import LARGEST_WEIGHT, LOWEST_INDEX, round_robin
 from mdl_lab.suites import suite_rng
-from oracle import outcome
+from oracle import TIE_BREAKS, outcome
 
 
 class TestClassification:
@@ -102,12 +101,11 @@ class TestClassification:
             for outputs in itertools.product((0, 1), repeat=n)
         ]
         rules = ((classify_static, False), (classify_dynamic, True))
-        tie_breaks = (LARGEST_WEIGHT, LOWEST_INDEX, round_robin(1))
         seen = {"tie": 0, "value": 0, ZeroHistoryError: 0}
         for cc, (inputs, outputs) in itertools.product(classes, histories):
             scores = _joint_scores(cc, inputs, outputs)
             seen["tie"] += scores[0] == scores[1] != 0
-            for u, tb, (classify, dynamic) in itertools.product((0, 1), tie_breaks, rules):
+            for u, tb, (classify, dynamic) in itertools.product((0, 1), TIE_BREAKS, rules):
                 want = outcome(
                     lambda: _joint_reference(cc, inputs, outputs, u, tb, dynamic)
                 )

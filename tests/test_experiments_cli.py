@@ -492,9 +492,18 @@ class TestCli:
         assert main(["code", "decode", "--bits", bits, "--preset", "bernoulli3"]) == 0
         assert capsys.readouterr().out.strip() == "1100"
 
-    def test_code_corrupted_exit_2(self):
-        rc = main(["code", "decode", "--bits", "000000000001", "--preset", "bernoulli3"])
-        assert rc == 2
+    def test_code_corrupted_exit_2(self, capsys):
+        # A symbol outside the alphabet or a character other than 0 and 1
+        # is a usage error too, reported without a traceback.
+        for argv in (
+            ["decode", "--bits", "000000000001"],
+            ["decode", "--bits", "001x"],
+            ["decode", "--bits", "001012"],
+            ["encode", "--string", "01a"],
+        ):
+            assert main(["code", *argv, "--preset", "bernoulli3"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(("error:", "malformed code:")) and "Traceback" not in err
 
     def test_code_encode_needs_exactly_one_source(self):
         assert main(["code", "encode", "--preset", "bernoulli3"]) == 2

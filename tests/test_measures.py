@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mdl_lab import measures
+from mdl_lab import coding, measures
 from mdl_lab.errors import AlphabetMismatchError, IndeterminateTailError, SamplingError
 from mdl_lab.measures import (
     BINARY,
@@ -28,20 +28,32 @@ from mdl_lab.measures import (
 from mdl_lab.metrics import monte_carlo_distances, monte_carlo_rows, walk_support
 from mdl_lab.model_class import (
     LARGEST_WEIGHT,
-    LOWEST_INDEX,
     WeightedClass,
-    check_tail,
-    example1_class,
-    example3_class,
-    example4_class,
     example5_class,
     map_estimator,
-    round_robin,
     two_part_value,
     two_part_value_at,
 )
-from mdl_lab.predictors import bayes_mixture
-from mdl_lab.stabilization import monte_carlo_stabilization
+from mdl_lab.predictors import (
+    bayes_mixture,
+    predict_bayes,
+    predict_dynamic,
+    predict_hybrid,
+    predict_static,
+    predict_true,
+)
+from mdl_lab.stabilization import hybrid_value_series, map_trace, monte_carlo_stabilization
+import oracle
+from oracle import (
+    REFERENCE_DEPTH,
+    TIE_BREAKS,
+    EvaluateOnly,
+    all_words,
+    martingale_children,
+    outcome,
+    reference_zoo,
+    table_reference,
+)
 
 
 class TestEvaluate:
@@ -63,13 +75,19 @@ class TestEvaluate:
 
 
 def _old_word(alphabet, x):
-    """Alphabet.word as first written: an all-int scan, then a range scan."""
+    """Alphabet.word as first written: an all-int scan, then a range scan.
+
+    A symbol that is not an integer is refused like one outside the
+    alphabet, with AlphabetMismatchError.
+    """
     if isinstance(x, tuple) and all(isinstance(s, int) for s in x):
         w = x
-    elif isinstance(x, str):
-        w = tuple(int(c) for c in x)
     else:
-        w = tuple(int(s) for s in x)
+        w = tuple(x)
+        for s in w:
+            if not (s.isdigit() if isinstance(s, str) else s == int(s)):
+                raise AlphabetMismatchError(f"symbol {s!r} is not an integer")
+        w = tuple(int(s) for s in w)
     for s in w:
         if not 0 <= s < alphabet.size:
             raise AlphabetMismatchError(f"symbol {s} outside alphabet of size {alphabet.size}")
@@ -96,6 +114,8 @@ class TestAlphabetWord:
         lambda: (1.0, 0),
         lambda: (0, "1"),
         lambda: (5, "a"),
+        lambda: (0, 1.5),
+        lambda: "01a",
         lambda: range(3),
         lambda: (s for s in (1, 0, 1)),
     ]
@@ -141,96 +161,10 @@ class TestConditional:
         assert nu.conditional(1, ()) == F(1, 2)
 
 
-REFERENCE_DEPTH = 9  # every word shorter than this is checked
-
-
-def _iid_reference(theta):
-    def nu(x):
-        out = F(1)
-        for a, p in enumerate(theta):
-            out *= p ** x.count(a)
-        return out
-
-    return nu, lambda i: theta
-
-
-def _deterministic_reference(preperiod, period):
-    target = (preperiod + period * REFERENCE_DEPTH)[:REFERENCE_DEPTH]
-
-    def step(i):
-        return tuple(F(int(a == target[i - 1])) for a in (0, 1))
-
-    return (lambda x: F(int(x == target[: len(x)]))), step
-
-
-def _product_reference(step):
-    def nu(x):
-        out = F(1)
-        for i, s in enumerate(x, start=1):
-            out *= step(i)[s]
-        return out
-
-    return nu, step
-
-
-def _table_reference(steps, tail):
-    return _product_reference(lambda i: steps[i - 1] if i <= len(steps) else tail)
-
-
-def _example4_reference(offset):
-    # mu_i(1) = 1 - 2^(-2*ceil(i/2)) (offset 0), nu_i(1) = 1 - 2^(1-2*ceil((i+1)/2)).
-    def step(i):
-        p0 = F(1, 2 ** (2 * ((i + offset + 1) // 2) - offset))
-        return (p0, 1 - p0)
-
-    return _product_reference(step)
-
-
-def _martingale_reference(x):
-    f, dead = F(1), False
-    for n, a in enumerate(x):
-        f0, f1, d0, d1 = _fraction_children(f, dead, n)
-        f, dead = (f0, d0) if a == 0 else (f1, d1)
-    return f / 2 ** len(x)
-
-
-def reference_zoo():
-    """(model, nu, step) with nu and per-step law computed independently.
-
-    ``step`` is None for a model that is not factorizable.
-    """
-    half, third = (F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))
-    table = [(F(1, 4), F(3, 4)), (F(1), F(0))]
-    leaky_nu, _ = _iid_reference(half)
-    mu, nu = make_example4_pair()
-    return [
-        (IidModel(half), *_iid_reference(half)),
-        (IidModel(third), *_iid_reference(third)),
-        (IidModel((F(1), F(0))), *_iid_reference((F(1), F(0)))),
-        (DeterministicModel((1,), (0,)), *_deterministic_reference((1,), (0,))),
-        (DeterministicModel((), (1,)), *_deterministic_reference((), (1,))),
-        (DeterministicModel((0, 0), (1, 0, 1)), *_deterministic_reference((0, 0), (1, 0, 1))),
-        (FactorizableModel.from_steps(BINARY, table, half), *_table_reference(table, half)),
-        (mu, *_example4_reference(0)),
-        (nu, *_example4_reference(1)),
-        (OscillatingMartingaleMeasure(), _martingale_reference, None),
-        (
-            LeakySemimeasure(IidModel(half), F(1, 4)),
-            lambda x: leaky_nu(x) * F(3, 4) ** len(x),
-            None,
-        ),
-        (
-            LeakySemimeasure(OscillatingMartingaleMeasure(), F(1, 3)),
-            lambda x: _martingale_reference(x) * F(2, 3) ** len(x),
-            None,
-        ),
-    ]
-
-
 class TestCursors:
     def test_cursor_matches_evaluate(self):
-        # Cursors, closed forms, conditionals and per-step laws against
-        # formulas written here, on every word shorter than REFERENCE_DEPTH.
+        # Cursors, closed forms, conditionals and per-step laws against the
+        # oracle's formulas, on every word shorter than REFERENCE_DEPTH.
         for model, nu, step in reference_zoo():
             for i in range(1, REFERENCE_DEPTH + 1):
                 assert model.step_distribution(i) == (None if step is None else step(i))
@@ -255,27 +189,13 @@ class TestCursors:
                 read(Bare())
 
 
-class _Counting(Semimeasure):
-    """A member without a cursor of its own that counts evaluations per prefix."""
-
-    def __init__(self, model):
-        self.alphabet = model.alphabet
-        self.is_proper_measure = model.is_proper_measure
-        self._model = model
-        self.calls = Counter()
-
-    def evaluate_exact(self, x):
-        self.calls[x] += 1
-        return self._model.evaluate_exact(x)
-
-
 class TestCursorProtocol:
     def test_each_prefix_evaluated_once(self):
         # Every caller reads a child's value from the cursor it steps to,
         # so no prefix is evaluated twice on one walk, path or check.
         def counted_class():
-            truth = _Counting(IidModel((F(1, 3), F(2, 3))))
-            other = _Counting(LeakySemimeasure(OscillatingMartingaleMeasure(), F(1, 4)))
+            truth = EvaluateOnly(IidModel((F(1, 3), F(2, 3))))
+            other = EvaluateOnly(LeakySemimeasure(OscillatingMartingaleMeasure(), F(1, 4)))
             cls = WeightedClass(
                 [truth, other, IidModel((F(1, 2), F(1, 2)))],
                 [F(1, 2), F(1, 4), F(1, 4)],
@@ -296,10 +216,10 @@ class TestCursorProtocol:
             assert most_calls(*members) == 1
         for model in (IidModel((F(1, 3), F(2, 3))), OscillatingMartingaleMeasure()):
             for seed in range(4):
-                counted = _Counting(model)
+                counted = EvaluateOnly(model)
                 sample_path(counted, 12, derived_rng(seed, 0))
                 assert most_calls(counted) == 1
-            counted = _Counting(model)
+            counted = EvaluateOnly(model)
             assert check_semimeasure(counted, 6).passed
             assert most_calls(counted) == 1
 
@@ -311,7 +231,7 @@ class TestCursorProtocol:
         table = FactorizableModel.from_steps(BINARY, [(F(1, 4), F(3, 4)), (F(1), F(0))], half)
         models = [model for model, _, _ in reference_zoo()] + [
             LeakySemimeasure(table, F(1, 8)),
-            _Counting(OscillatingMartingaleMeasure()),
+            EvaluateOnly(OscillatingMartingaleMeasure()),
         ]
         merged = 0
         for model in models:
@@ -347,13 +267,12 @@ class TestPickle:
         zoo = [(model, nu) for model, nu, _ in reference_zoo()]
         for channel, model in zip(channels, frozen.models):
             dists = [channel.distribution(u) for u in inputs]
-            zoo.append((model, _table_reference(dists[:-1], dists[-1])[0]))
-        words = [w for n in range(8) for w in itertools.product((0, 1), repeat=n)]
+            zoo.append((model, table_reference(dists[:-1], dists[-1])[0]))
         for model, nu in zoo:
             copy = pickle.loads(pickle.dumps(model))
             assert repr(copy) == repr(model)
             assert copy.step_prob_infimum == model.step_prob_infimum
-            for x in words:
+            for x in all_words(7):
                 assert copy.evaluate_exact(x) == nu(x), (model, x)
 
 
@@ -401,19 +320,17 @@ class TestStructure:
 class TestMartingale:
     def test_identity_exact_to_depth_8(self):
         m = OscillatingMartingaleMeasure()
-        for n in range(8):
-            for bits in itertools.product((0, 1), repeat=n):
-                f = m.f_value(bits)
-                assert 2 * f == m.f_value(bits + (0,)) + m.f_value(bits + (1,))
+        for bits in all_words(7):
+            f = m.f_value(bits)
+            assert 2 * f == m.f_value(bits + (0,)) + m.f_value(bits + (1,))
 
     def test_figure_nodes(self):
         # 000 is the first dead string; every other length-<=3 node is alive.
         m = OscillatingMartingaleMeasure()
         assert m.is_dead("000")
-        for n in range(4):
-            for bits in itertools.product((0, 1), repeat=n):
-                if bits != (0, 0, 0):
-                    assert not m.is_dead(bits), bits
+        for bits in all_words(3):
+            if bits != (0, 0, 0):
+                assert not m.is_dead(bits), bits
 
     def test_dead_value_freezes(self):
         m = OscillatingMartingaleMeasure()
@@ -439,31 +356,13 @@ class TestMartingale:
             assert masses[n] == brute
 
 
-def _fraction_children(f, dead, parent_len):
-    """The martingale's child rule on Fractions, as first written."""
-    n = parent_len + 1
-    if dead:
-        return f, f, True, True
-    if f > F(3, 4):
-        f0 = F(3, 4) - F(1, 2 ** (n + 2))
-        f1 = 2 * f - f0
-    else:
-        f1 = F(3, 4) + F(1, 2 ** (n + 2))
-        f0 = 2 * f - f1
-
-    def dead_at(g):
-        return g <= F(3, 4) and g < F(3, 8) + F(1, 2 ** (n + 4))
-
-    return f0, f1, dead_at(f0), dead_at(f1)
-
-
 def _fraction_dead_masses(depth):
     level = {(F(1), False): F(1)}
     masses = [F(0)]
     for length in range(1, depth + 1):
         nxt = {}
         for (f, dead), mass in level.items():
-            f0, f1, d0, d1 = _fraction_children(f, dead, length - 1)
+            f0, f1, d0, d1 = martingale_children(f, dead, length - 1)
             for key in ((f0, d0), (f1, d1)):
                 nxt[key] = nxt.get(key, F(0)) + mass / 2
         level = nxt
@@ -478,7 +377,7 @@ class TestIntegerMartingale:
         if m is not None:
             assert (m.f_value(bits), m.is_dead(bits)) == (f, dead)
         assert (cur.f_value, cur.dead, cur.value) == (f, dead, f / 2 ** len(bits))
-        f0, f1, _, _ = _fraction_children(f, dead, len(bits))
+        f0, f1, _, _ = martingale_children(f, dead, len(bits))
         assert cur.advance(0).value == f0 / 2 ** (len(bits) + 1)
         assert cur.advance(1).value == f1 / 2 ** (len(bits) + 1)
 
@@ -493,7 +392,7 @@ class TestIntegerMartingale:
             keys.setdefault((len(bits), cur.state_key()), (f, dead))
             assert keys[len(bits), cur.state_key()] == (f, dead)
             if len(bits) < 12:
-                f0, f1, d0, d1 = _fraction_children(f, dead, len(bits))
+                f0, f1, d0, d1 = martingale_children(f, dead, len(bits))
                 stack.append((bits + (0,), cur.advance(0), f0, d0))
                 stack.append((bits + (1,), cur.advance(1), f1, d1))
         assert len({(n, v) for (n, _), v in keys.items()}) == len(keys)
@@ -510,7 +409,7 @@ class TestIntegerMartingale:
             cur, f, dead = m.cursor(), F(1), False
             for t, a in enumerate(path):
                 self._check(m if t % 97 == 0 else None, path[:t], cur, f, dead)
-                f0, f1, d0, d1 = _fraction_children(f, dead, t)
+                f0, f1, d0, d1 = martingale_children(f, dead, t)
                 f, dead = (f0, d0) if a == 0 else (f1, d1)
                 cur = cur.advance(a)
             self._check(m, path, cur, f, dead)
@@ -519,9 +418,6 @@ class TestIntegerMartingale:
         pytest.fail("no alive and dead 2000-step paths among 100 samples")
 
     def test_dead_masses_and_lumped_walk_unchanged(self):
-        from mdl_lab.metrics import walk_support
-        from mdl_lab.model_class import example5_class
-
         m = OscillatingMartingaleMeasure()
         assert m.dead_mass_by_depth(20) == _fraction_dead_masses(20)
         assert walk_support(example5_class(), 12, lambda node: None) == 133
@@ -548,7 +444,7 @@ class TestIntegerMartingale:
                 next_level = []
                 for cur, f, dead in level:
                     kids = {a: cur.advance(a) for a in order}
-                    f0, f1, d0, d1 = _fraction_children(f, dead, n)
+                    f0, f1, d0, d1 = martingale_children(f, dead, n)
                     for a, (g, g_dead) in enumerate(((f0, d0), (f1, d1))):
                         for kid in (kids[a], cur.advance(a)):
                             assert kid.value == g / 2 ** (n + 1)
@@ -641,84 +537,14 @@ class TestNamedConstructions:
 
 
 # ----------------------------------------------------------------------
-# Point queries on integers against the Fraction formulas they replaced
+# Point queries on integers against the oracle's Fraction formulas
 # ----------------------------------------------------------------------
-
-WORDS_BELOW_8 = [w for n in range(8) for w in itertools.product((0, 1), repeat=n)]
-TIE_BREAKS = (LARGEST_WEIGHT, LOWEST_INDEX, round_robin(1))
-
-
-def _cursor_values(cls):
-    """{word: [nu(word) per member]} for every word shorter than 8, by cursor."""
-    out = {}
-    stack = [((), [m.cursor() for m in cls.models])]
-    while stack:
-        x, cursors = stack.pop()
-        out[x] = [c.value for c in cursors]
-        if len(x) < 7:
-            for a in (0, 1):
-                stack.append((x + (a,), [c.advance(a) for c in cursors]))
-    return out
-
-
-class _Refusal(tuple):
-    """The message of an IndeterminateTailError, as a comparable outcome."""
-
-
-def _refused(read):
-    try:
-        return read()
-    except IndeterminateTailError as exc:
-        return _Refusal((str(exc),))
-
-
-def _old_map(cls, values, n, tie_break):
-    """map_estimator as first written: w * nu(x) Fractions, max, tie set."""
-    scored = [w * v for w, v in zip(cls.weights, values)]
-    index, tie_set = tie_break.select(scored, cls.weights, n)
-    check_tail(cls, scored[index])
-    return index, scored[index], tie_set
-
-
-def _differential_classes():
-    zoo = [model for model, _, _ in reference_zoo()]
-    bases = [m for m in zoo if not isinstance(m, LeakySemimeasure)]
-    third = (F(1, 3), F(2, 3))
-    evaluate_only = [_Counting(IidModel(third)), _Counting(OscillatingMartingaleMeasure())]
-    geometric = [DeterministicModel((1,) * i, (0,)) for i in range(4)]
-    return [
-        WeightedClass(zoo, [F(1, len(zoo))] * len(zoo)),
-        WeightedClass(zoo, [F(i + 1, 100) for i in range(len(zoo))]),
-        WeightedClass(
-            [LeakySemimeasure(m, F(1, 5)) for m in bases + evaluate_only],
-            [F(1, len(bases) + 2)] * (len(bases) + 2),
-        ),
-        WeightedClass(
-            evaluate_only + [LeakySemimeasure(evaluate_only[0], F(1, 3)), IidModel(third)],
-            [F(1, 4), F(1, 8), F(1, 8), F(1, 2)],
-        ),
-        example1_class(4),
-        example3_class(),
-        example4_class(),
-        example5_class(),
-        WeightedClass(
-            geometric,
-            [F(1, 2 ** (i + 1)) for i in range(4)],
-            tail_bound=F(1, 16),
-            descending_weights=True,
-        ),
-        WeightedClass(
-            [IidModel((F(1, 2), F(1, 2))), IidModel(third), geometric[1]],
-            [F(1, 4), F(1, 4), F(1, 8)],
-            tail_bound=F(1, 64),
-        ),
-    ]
 
 
 class TestIntegerPointQueries:
     def test_exact_ratio_matches_cursor_values(self):
         for model, nu, _ in reference_zoo():
-            for x in WORDS_BELOW_8:
+            for x in all_words(REFERENCE_DEPTH - 1):
                 num, den = model.exact_ratio(x)
                 assert type(num) is int and type(den) is int and num >= 0 and den > 0
                 assert F(num, den) == model.evaluate_exact(x) == nu(x), (model, x)
@@ -733,6 +559,7 @@ class TestIntegerPointQueries:
                     model.exact_ratio(x)
 
     def test_every_family_refuses_symbols_outside_the_alphabet(self):
+        # Every family's own entries and every public entry taking a word.
         # (0, 2) leaves the deterministic target at its first symbol, so its
         # cursor is dead (value 0) when it meets 2; -1 must not read as the
         # last symbol of a step distribution.
@@ -752,43 +579,63 @@ class TestIntegerPointQueries:
             lambda model, x: model.evaluate_exact(x),
             lambda model, x: functools.reduce(lambda c, a: c.advance(a), x, model.cursor()),
         )
-        for model in families:
-            for x in ((0, 2), (1, -1)):
+        cls = WeightedClass(families, [F(1, 8)] * len(families), true_index=0)
+        public = (
+            lambda x: map_estimator(cls, x),
+            lambda x: two_part_value(cls, x),
+            lambda x: two_part_value_at(cls, x, ()),
+            lambda x: two_part_value_at(cls, (), x),
+            lambda x: bayes_mixture(cls, x),
+            lambda x: predict_bayes(cls, x),
+            lambda x: predict_dynamic(cls, x),
+            lambda x: predict_static(cls, x),
+            lambda x: predict_hybrid(cls, x),
+            lambda x: predict_true(cls, x),
+            lambda x: map_trace(cls, x),
+            lambda x: hybrid_value_series(cls, x, LARGEST_WEIGHT),
+            lambda x: coding.encode(cls, 0, x),
+            lambda x: coding.code_length_report(cls, x),
+        )
+        for x in ((0, 2), (1, -1), "01a"):
+            for entry in public:
+                with pytest.raises(AlphabetMismatchError):
+                    entry(x)
+            for model in families if isinstance(x, tuple) else ():
                 for entry in entry_points:
                     with pytest.raises(AlphabetMismatchError, match="outside alphabet of size 2"):
                         entry(model, x)
 
     def test_queries_match_fraction_formulas(self):
-        # Every word shorter than 8, every tie-break: index, value, tie set,
-        # rho, rho^y and xi equal the Fraction formulas exactly, and the
-        # truncated classes refuse at the same words.
+        # Every word shorter than 8, every tie-break: each member's
+        # exact_ratio, cursor and evaluate_exact agree, and index, value,
+        # tie set, rho, rho^y and xi equal the oracle's formulas exactly;
+        # the truncated classes refuse at the same words.
         fixed = (1, 0, 1, 1, 0, 0, 1)
         refusals = zero_members = zero_mixtures = 0
-        for cls in _differential_classes():
-            values = _cursor_values(cls)
-            for x in WORDS_BELOW_8:
-                for m, v in zip(cls.models, values[x]):
-                    assert F(*m.exact_ratio(x)) == m.evaluate_exact(x) == v, (cls.describe(), x)
-                zero_members += values[x].count(0)
-                xi = sum((w * v for w, v in zip(cls.weights, values[x])), F(0))
-                assert bayes_mixture(cls, x) == xi
-                zero_mixtures += xi == 0
-                rho = _refused(lambda: _old_map(cls, values[x], len(x), LARGEST_WEIGHT)[1])
-                assert _refused(lambda: two_part_value(cls, x)) == rho
-                refusals += isinstance(rho, _Refusal)
+        for cls in oracle.differential_classes():
+            cursors = {(): [m.cursor() for m in cls.models]}
+            for x in all_words(7):
+                if x:
+                    cursors[x] = [c.advance(x[-1]) for c in cursors[x[:-1]]]
+                for m, c in zip(cls.models, cursors[x]):
+                    assert F(*m.exact_ratio(x)) == c.value == m.evaluate_exact(x), (m, x)
+                row = oracle.weighted_row(cls, x)
+                zero_members += row.count(0)
+                assert bayes_mixture(cls, x) == sum(row)
+                zero_mixtures += sum(row) == 0
+                rho = outcome(lambda: oracle.map_choice(cls, x, LARGEST_WEIGHT)[1])
+                assert outcome(lambda: two_part_value(cls, x)) == rho
+                refusals += rho is IndeterminateTailError
                 for tb in TIE_BREAKS:
-                    old = _refused(lambda: _old_map(cls, values[x], len(x), tb))
-                    new = _refused(lambda: map_estimator(cls, x, tb))
-                    if not isinstance(old, _Refusal):
-                        new = (new.index, new.value, new.tie_set)
-                        assert new[1] == max(w * v for w, v in zip(cls.weights, values[x]))
-                    assert new == old, (cls.describe(), x, tb)
+                    want = outcome(lambda: oracle.map_choice(cls, x, tb))
+                    got = outcome(lambda: map_estimator(cls, x, tb))
+                    if want is not IndeterminateTailError:
+                        got = (got.index, got.value, got.tie_set)
+                    assert got == want, (cls.describe(), x, tb)
                     for y in (x, x[:-1], fixed):
-                        expected = old
-                        if not isinstance(old, _Refusal):
-                            expected = cls.weights[old[0]] * values[y][old[0]]
-                        got = _refused(lambda: two_part_value_at(cls, x, y, tb))
-                        assert got == expected, (cls.describe(), x, y, tb)
+                        got = outcome(lambda: two_part_value_at(cls, x, y, tb))
+                        refused = want is IndeterminateTailError
+                        assert got == (want if refused else oracle.weighted_row(cls, y)[want[0]])
         assert refusals and zero_members and zero_mixtures
 
     def test_no_value_memo_survives_a_call(self, monkeypatch):
@@ -810,7 +657,7 @@ class TestIntegerPointQueries:
                 return original(self, x)
 
             monkeypatch.setattr(family, "exact_ratio", counted)
-        cls = _differential_classes()[0]
+        cls = oracle.differential_classes()[0]
         word = (1, 0, 1, 1)
         for query in (
             lambda: map_estimator(cls, word),

@@ -24,6 +24,7 @@ from mdl_lab.model_class import (
     bernoulli_class,
     bernoulli_sharpness_class,
     example1_class,
+    example3_class,
     example5_class,
 )
 from mdl_lab.suites import (
@@ -228,14 +229,36 @@ class TestCheckBounds:
             assert all(r.passed for r in check_bounds(cls, 7))
 
     def test_requires_materialized_class(self):
+        # Static MDL refuses at "0", so no ledger may come out of this class.
         cls = WeightedClass(
-            [IidModel((F(1, 2), F(1, 2)))],
-            [F(1, 2)],
+            [IidModel((F(1, 2), F(1, 2))), IidModel((F(1, 4), F(3, 4)))],
+            [F(1, 8), F(1, 8)],
             true_index=0,
-            tail_bound=F(1, 4),
+            tail_bound=F(3, 4),
         )
-        with pytest.raises(ValueError):
-            check_bounds(cls, 4)
+        for ledger in _ledgers(cls):
+            with pytest.raises(ValueError, match="fully materialized class"):
+                ledger(3)
+
+
+def _ledgers(cls):
+    """The static square, regret and mixture-bound ledgers, by horizon."""
+    loss = decisions.zero_one_loss()
+    return (
+        lambda h: cumulative_distances(cls, "static", h).cumulative("square"),
+        lambda h: monte_carlo_distances(cls, "static", h, 2, 0).cumulative("square"),
+        lambda h: decisions.decision_traces(cls, ["static"], loss, h)["static"].regret(),
+        lambda h: {r.bound_name: r.measured.hi for r in check_bounds(cls, h)}["mixture_square"],
+    )
+
+
+def test_horizon_zero_visits_nothing_and_negative_is_refused():
+    cls = example3_class()
+    assert walk_support(cls, 0, lambda node: pytest.fail("visited")) == 0
+    for ledger in _ledgers(cls):
+        assert ledger(0) == 0
+        with pytest.raises(ValueError, match="horizon must be at least 0"):
+            ledger(-1)
 
 
 # ----------------------------------------------------------------------

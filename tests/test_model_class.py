@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mdl_lab.errors import IndeterminateTailError
-from mdl_lab.measures import DeterministicModel, IidModel
+from mdl_lab.measures import IidModel
 from mdl_lab.model_class import (
     LARGEST_WEIGHT,
     LOWEST_INDEX,
@@ -21,6 +21,7 @@ from mdl_lab.model_class import (
     two_part_value_at,
 )
 from mdl_lab.suites import random_measure_class, random_word, suite_rng
+from oracle import geometric_class
 
 
 class TestWeightedClass:
@@ -154,28 +155,16 @@ class TestArgmaxInvariance:
 
 
 class TestTailBound:
-    def geometric_class(self):
-        models = [
-            DeterministicModel((1,) * i, (0,)) for i in range(4)
-        ]
-        r = F(1, 2)
-        weights = [(1 - r) * r**i for i in range(4)]
-        return WeightedClass(
-            models,
-            weights,
-            tail_bound=r**4,
-            descending_weights=True,
-        )
-
     def test_clear_winner_is_accepted(self):
-        cls = self.geometric_class()
-        assert map_estimator(cls, "").index == 0
+        assert map_estimator(geometric_class(), "").index == 0
 
     def test_indeterminate_tail_refused(self):
-        cls = self.geometric_class()
         # Every materialized model dies on 1111; the tail could win.
-        with pytest.raises(IndeterminateTailError):
-            map_estimator(cls, "1111")
+        with pytest.raises(
+            IndeterminateTailError,
+            match="materialized maximum 0 does not exceed the tail bound 1/16",
+        ):
+            map_estimator(geometric_class(), "1111")
 
 
 def test_sharpness_class_shape():

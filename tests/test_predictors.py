@@ -1,31 +1,33 @@
-import itertools
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mdl_lab.errors import AllZeroError, IndeterminateTailError, ZeroHistoryError
-from mdl_lab.measures import Alphabet, DeterministicModel, IidModel, Semimeasure
+from mdl_lab.measures import Alphabet, IidModel
 from mdl_lab.metrics import walk_support
 from mdl_lab.model_class import (
     LARGEST_WEIGHT,
-    LOWEST_INDEX,
     EvalStats,
     WeightedClass,
     bernoulli_class,
     example1_class,
     example3_class,
     example5_class,
-    map_estimator,
     round_robin,
-    two_part_value,
 )
 from mdl_lab.predictors import (
     ALL_KINDS,
+    HYBRID,
+    RHO,
+    STATIC,
     TRUE,
-    PredictionNode,
+    XI,
     PredictiveDistribution,
+    _node_at,
     bayes_mixture,
     bayes_mixture_bounds,
     normalize,
@@ -38,7 +40,14 @@ from mdl_lab.predictors import (
 )
 from mdl_lab.suites import random_measure_class, random_semimeasure_class, random_word, suite_rng
 import oracle
-from oracle import StopsAfter, all_words, outcome
+from oracle import (
+    TIE_BREAKS,
+    EvaluateOnly,
+    all_words,
+    outcome,
+    truncated_classes,
+    zero_history_class,
+)
 
 
 class TestBayesMixture:
@@ -202,8 +211,7 @@ class TestNormalizerProduct:
         assert normalizer_product(cls, "1") == 4  # factors 2 * 2
 
     def test_log_identity_random_classes(self):
-        import math
-
+        # N_rho(x) is the product of sum_a rho(x_<t a) / rho(x_<t), exactly.
         for case in range(20):
             rng = suite_rng(21, case)
             cls = random_measure_class(21, case)
@@ -212,25 +220,14 @@ class TestNormalizerProduct:
                 product = normalizer_product(cls, x)
             except ZeroHistoryError:
                 continue
-            word = cls.word(x)
-            from mdl_lab.model_class import two_part_value
-
-            log_sum = 0.0
-            for t in range(len(word) + 1):
-                prefix = word[:t]
-                total = sum(
-                    (two_part_value(cls, prefix + (a,)) for a in (0, 1)), F(0)
-                )
-                log_sum += math.log(total / two_part_value(cls, prefix))
-            assert abs(math.log(product) - log_sum) < 1e-9
+            want = F(1)
+            for t in range(len(x) + 1):
+                rho = [max(oracle.weighted_row(cls, x[:t] + (a,))) for a in (0, 1)]
+                want *= sum(rho) / max(oracle.weighted_row(cls, x[:t]))
+            assert product == want
 
 
 class TestSemimeasureDifferenceLemma:
-    def words_to_depth(self, depth):
-        return [
-            bits for n in range(depth) for bits in itertools.product((0, 1), repeat=n)
-        ]
-
     def test_mixture_minus_two_part_is_semimeasure(self):
         # xi - rho keeps the semimeasure inequality, in both variants,
         # on random classes including leaky members.
@@ -238,7 +235,7 @@ class TestSemimeasureDifferenceLemma:
 
         for case in range(8):
             cls = random_semimeasure_class(31, case)
-            for x in self.words_to_depth(6):
+            for x in all_words(5):
                 xi_x = bayes_mixture(cls, x)
                 rho_x = two_part_value(cls, x)
                 children_gap = F(0)
@@ -258,7 +255,7 @@ class TestSemimeasureDifferenceLemma:
 
         for case in range(8):
             cls = random_measure_class(32, case, allow_deficient=False)
-            for x in self.words_to_depth(6):
+            for x in all_words(5):
                 rho_x = two_part_value(cls, x)
                 total = sum(
                     (two_part_value(cls, tuple(x) + (a,)) for a in (0, 1)), F(0)
@@ -268,7 +265,7 @@ class TestSemimeasureDifferenceLemma:
     def test_dominance(self):
         for case in range(8):
             cls = random_semimeasure_class(33, case)
-            for x in self.words_to_depth(6):
+            for x in all_words(5):
                 xi_x = bayes_mixture(cls, x)
                 for m, w in zip(cls.models, cls.weights):
                     assert xi_x >= w * m.evaluate_exact(x)
@@ -296,125 +293,74 @@ class TestPredictorObjects:
 
 
 # ----------------------------------------------------------------------
-# The node-reading facade against quotients of point evaluations
+# Prediction nodes and the predict_* readers against the oracle
 # ----------------------------------------------------------------------
 
-TIE_BREAKS = (LARGEST_WEIGHT, LOWEST_INDEX, round_robin(1))
 FACADE = {
-    "xi": lambda cls, x, tb, stats: predict_bayes(cls, x),
-    "rho": predict_dynamic,
-    "static": predict_static,
-    "hybrid": predict_hybrid,
+    XI: lambda cls, x, tb, stats: predict_bayes(cls, x),
+    RHO: predict_dynamic,
+    STATIC: predict_static,
+    HYBRID: predict_hybrid,
 }
-SEARCHES = {"xi": 0, "rho": 3, "static": 1, "hybrid": 3}
 
 
-def quotient_reference(kind, cls, x, tb):
-    """Each prediction as a quotient of from-scratch point evaluations."""
-    children = [x + (a,) for a in cls.alphabet.symbols()]
-    if kind == "xi":
-        base = bayes_mixture(cls, x)
-        if base == 0:
-            raise ZeroHistoryError(x)
-        return tuple(bayes_mixture(cls, xa) / base for xa in children)
-    if kind == "rho":
-        base = two_part_value(cls, x)
-        if base == 0:
-            raise ZeroHistoryError(x)
-        return tuple(two_part_value(cls, xa) / base for xa in children)
-    chosen = cls.models[map_estimator(cls, x, tb).index]
-    base = chosen.evaluate_exact(x)
-    if base == 0:
-        raise ZeroHistoryError(x)
-    if kind == "static":
-        return tuple(chosen.evaluate_exact(xa) / base for xa in children)
-    return tuple(
-        cls.models[map_estimator(cls, xa, tb).index].evaluate_exact(xa) / base
-        for xa in children
-    )
+def _assert_matches_oracle(cls, words):
+    """Every node row, choice and prediction kind, and every predict_* reader
+    with its search count, equal the oracle at each word and tie-break.
 
-
-def _assert_facade_matches(cls, words):
+    A reader searches at x (static), at x and every child (dynamic,
+    hybrid) or nowhere (xi), and refuses where the oracle's MAP choice
+    refuses at a searched word.  Returns the kinds answered and the error
+    types raised.
+    """
+    seen = set()
+    k = cls.alphabet.size
+    searches = {XI: 0, RHO: 1 + k, STATIC: 1, HYBRID: 1 + k}
     for x in words:
+        live = cls.true_index is not None and cls.true_model.evaluate_exact(x) != 0
+        around = [x] + [x + (a,) for a in cls.alphabet.symbols()]
         for tb in TIE_BREAKS:
-            for kind, predict in FACADE.items():
-                stats = EvalStats()
-                got = outcome(lambda: predict(cls, x, tb, stats).values)
-                want = outcome(lambda: quotient_reference(kind, cls, x, tb))
-                assert got == want, (cls.describe(), x, tb, kind)
-                if isinstance(got, tuple):
-                    assert stats.map_searches == SEARCHES[kind]
+            node = _node_at(cls, x, tb)
+            for a, xa in zip((None, *cls.alphabet.symbols()), around):
+                assert tuple(node.row(a)) == oracle.weighted_row(cls, xa), (cls.describe(), xa)
+                assert node.choice(a) == oracle.map_index(cls, xa, tb), (cls.describe(), xa, tb)
+            refused = [
+                outcome(lambda: oracle.map_choice(cls, y, tb)) is IndeterminateTailError
+                for y in around
+            ]
+            for kind in ALL_KINDS:
+                if kind == TRUE and not live:
+                    continue  # walks and paths visit positive true mass only
+                want = outcome(lambda: oracle.prediction(kind, cls, x, tb))
+                assert outcome(lambda: node.prediction(kind)) == want, (cls.describe(), x, tb, kind)
+                seen.add(want if isinstance(want, type) else kind)
+                if kind in FACADE:
+                    stats = EvalStats()
+                    got = outcome(lambda: tuple(FACADE[kind](cls, x, tb, stats).values))
+                    if any(refused[: searches[kind]]):
+                        want = IndeterminateTailError
+                    assert got == (want if isinstance(want, type) else tuple(want)), (
+                        cls.describe(), x, tb, kind,
+                    )
+                    if isinstance(got, tuple):
+                        assert stats.map_searches == searches[kind]
+                    else:
+                        seen.add(got)
+    return seen
 
 
 class TestFacadeDifferential:
     def test_random_measure_classes(self):
         for case in range(12):
-            _assert_facade_matches(random_measure_class(41, case), all_words(5))
+            _assert_matches_oracle(random_measure_class(41, case), all_words(5))
 
     def test_random_semimeasure_classes(self):
         for case in range(12):
-            _assert_facade_matches(random_semimeasure_class(42, case), all_words(5))
+            _assert_matches_oracle(random_semimeasure_class(42, case), all_words(5))
 
     def test_named_classes(self):
         for cls in (example1_class(4), example3_class()):
-            _assert_facade_matches(cls, all_words(5))
-
-
-class TestTailRefusal:
-    def truncated_classes(self):
-        geometric = WeightedClass(
-            [DeterministicModel((1,) * i, (0,)) for i in range(4)],
-            [F(1, 2 ** (i + 1)) for i in range(4)],
-            tail_bound=F(1, 16),
-            descending_weights=True,
-        )
-        yield geometric
-        for case in range(6):
-            base = random_measure_class(43, case)
-            yield WeightedClass(
-                base.models,
-                [w / 2 for w in base.weights],
-                tail_bound=F(1, 2 ** (3 + case % 3)),
-            )
-
-    def test_predictors_refuse_where_map_estimator_refuses(self):
-        refusals = 0
-        for cls in self.truncated_classes():
-            for x in all_words(5):
-                at_x = outcome(lambda: map_estimator(cls, x).index)
-                at_children = [
-                    outcome(lambda: map_estimator(cls, x + (a,)).index) for a in (0, 1)
-                ]
-                refused = at_x is IndeterminateTailError
-                refused_child = IndeterminateTailError in at_children
-                refusals += refused
-                for tb in TIE_BREAKS:
-                    static = outcome(lambda: predict_static(cls, x, tb))
-                    assert (static is IndeterminateTailError) == refused
-                    for predict in (predict_dynamic, predict_hybrid):
-                        got = outcome(lambda: predict(cls, x, tb))
-                        assert (got is IndeterminateTailError) == (refused or refused_child)
-                _assert_facade_matches(cls, [x])
-        assert refusals > 0
-
-
-# ----------------------------------------------------------------------
-# Prediction nodes against the oracle's Fraction formulas
-# ----------------------------------------------------------------------
-
-
-def _node_at(cls, x, tie_break):
-    cursors = [m.cursor() for m in cls.models]
-    for a in x:
-        cursors = [c.advance(a) for c in cursors]
-    return PredictionNode(cls, tie_break, x, cursors)
-
-
-def _zero_history_class():
-    """Mass runs out after two symbols off the true path 1^inf."""
-    return WeightedClass(
-        [StopsAfter(2), DeterministicModel((), (1,))], [F(1, 2), F(1, 4)], true_index=1
-    )
+            _assert_matches_oracle(cls, all_words(5))
 
 
 class TestNodeOracle:
@@ -423,25 +369,14 @@ class TestNodeOracle:
             yield random_measure_class(44, case)
             yield random_semimeasure_class(45, case)
         yield random_measure_class(46, 0, alphabet=Alphabet(3))
-        yield example1_class(4)
-        yield example3_class()
         yield example5_class()
-        yield _zero_history_class()
+        yield zero_history_class()
 
     def test_every_kind_matches_the_oracle(self):
         seen = set()
         for cls in self.classes():
-            for x in all_words(5 if cls.alphabet.size == 2 else 3, cls.alphabet.size):
-                live = cls.true_model.evaluate_exact(x) != 0
-                for tb in TIE_BREAKS:
-                    node = _node_at(cls, x, tb)
-                    for kind in ALL_KINDS:
-                        if kind == TRUE and not live:
-                            continue  # walks and paths visit positive true mass only
-                        got = outcome(lambda: node.prediction(kind))
-                        want = outcome(lambda: oracle.prediction(kind, cls, x, tb))
-                        assert got == want, (cls.describe(), x, tb, kind)
-                        seen.add(want if isinstance(want, type) else kind)
+            k = cls.alphabet.size
+            seen |= _assert_matches_oracle(cls, all_words(5 if k == 2 else 3, k))
         assert seen == set(ALL_KINDS) | {ZeroHistoryError, AllZeroError}
 
     def test_rows_and_choices_match_the_oracle(self):
@@ -449,11 +384,36 @@ class TestNodeOracle:
         for x in all_words(4):
             for tb in TIE_BREAKS:
                 node = _node_at(cls, x, tb)
-                assert node.row() == oracle.weighted_row(cls, x)
+                assert tuple(node.row()) == oracle.weighted_row(cls, x)
                 assert node.choice() == oracle.map_index(cls, x, tb)
                 for a in (0, 1):
-                    assert node.row(a) == oracle.weighted_row(cls, x + (a,))
+                    assert tuple(node.row(a)) == oracle.weighted_row(cls, x + (a,))
                     assert node.choice(a) == oracle.map_index(cls, x + (a,), tb)
+
+
+class TestTailRefusal:
+    def test_predictors_refuse_where_map_estimator_refuses(self):
+        seen = set()
+        for cls in truncated_classes(43, 6):
+            seen |= _assert_matches_oracle(cls, all_words(5))
+        assert IndeterminateTailError in seen
+
+
+def test_oracle_reads_no_engine():
+    # An engine entry point the oracle imported or read as an attribute
+    # would make it check an engine against itself; predict_* count too.
+    engines = {
+        "class_scores", "map_estimator", "two_part_value", "two_part_value_at",
+        "bayes_mixture", "PredictionNode", "map_trace", "walk_support",
+        "cumulative_distances", "check_bounds", "check_tail", "select", "choose", "*",
+    }
+    read = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            read |= {name for alias in node.names for name in alias.name.split(".")}
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    assert not {n for n in read if n in engines or n.startswith("predict_")}, read
 
 
 class _Counted(F):
@@ -471,29 +431,11 @@ class _Counted(F):
         return F(self) / F(other)
 
 
-class _CountedCursor:
-    def __init__(self, inner):
-        self.inner = inner
+class _CountedModel(EvaluateOnly):
+    """An evaluate-only member whose values are counted."""
 
-    @property
-    def value(self):
-        return _Counted(self.inner.value)
-
-    def advance(self, a):
-        return _CountedCursor(self.inner.advance(a))
-
-    def state_key(self):
-        return self.inner.state_key()
-
-
-class _CountedModel(Semimeasure):
-    def __init__(self, inner):
-        self.inner = inner
-        self.alphabet = inner.alphabet
-        self.is_proper_measure = inner.is_proper_measure
-
-    def cursor(self):
-        return _CountedCursor(self.inner.cursor())
+    def evaluate_exact(self, x):
+        return _Counted(super().evaluate_exact(x))
 
 
 def _counted(cls):
@@ -504,7 +446,7 @@ def _counted(cls):
 
 class TestNodeWork:
     def test_all_kinds_form_each_weighted_product_once(self):
-        for cls in (random_measure_class(47, 0), example3_class(), _zero_history_class()):
+        for cls in (random_measure_class(47, 0), example3_class(), zero_history_class()):
             counted = _counted(cls)
             bound = len(cls) * (cls.alphabet.size + 1)
             for x in all_words(3):

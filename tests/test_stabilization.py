@@ -10,20 +10,17 @@ from mdl_lab.measures import (
     IidModel,
     LeakySemimeasure,
     OscillatingMartingaleMeasure,
-    Semimeasure,
     derived_rng,
     sample_path,
 )
 from mdl_lab.model_class import (
     LARGEST_WEIGHT,
-    LOWEST_INDEX,
     WeightedClass,
     bernoulli_class,
     example1_class,
     example3_class,
     example4_class,
     example5_class,
-    map_estimator,
     round_robin,
 )
 from mdl_lab.stabilization import (
@@ -35,37 +32,17 @@ from mdl_lab.stabilization import (
     profile_class,
     stabilization_verdict,
 )
-from mdl_lab.suites import random_measure_class, random_semimeasure_class
-from oracle import all_words
-
-TIE_BREAKS = (LARGEST_WEIGHT, LOWEST_INDEX, round_robin(1))
-
-
-def _truncated(base, tail_bound):
-    return WeightedClass(base.models, [w / 2 for w in base.weights], tail_bound=tail_bound)
-
-
-def _geometric_truncated_class():
-    """nu_i on 1^i 0^inf with weight 2^-(i+1); four materialized, tail 1/16."""
-    return WeightedClass(
-        [DeterministicModel((1,) * i, (0,)) for i in range(4)],
-        [F(1, 2 ** (i + 1)) for i in range(4)],
-        tail_bound=F(1, 16),
-        descending_weights=True,
-    )
-
-
-class _Generic(Semimeasure):
-    """A model without a cursor of its own, evaluated prefix by prefix."""
-
-    def __init__(self, model):
-        self.alphabet = model.alphabet
-        self.is_proper_measure = model.is_proper_measure
-        self._model = model
-
-    def evaluate_exact(self, x):
-        return self._model.evaluate_exact(x)
-
+from mdl_lab.suites import random_measure_class
+import oracle
+from oracle import (
+    TIE_BREAKS,
+    EvaluateOnly,
+    all_words,
+    geometric_class,
+    leaky_semimeasure_classes,
+    truncated,
+    truncated_classes,
+)
 
 CURSOR_KINDS = (
     measures._GenericCursor,
@@ -83,39 +60,15 @@ def _refuse_cursor_fractions(monkeypatch):
         monkeypatch.setattr(kind, "value", property(refuse))
 
 
-def _leaky_semimeasure_classes(seed, count):
-    classes = (random_semimeasure_class(seed, case) for case in range(4 * count))
-    leaky = [
-        cls for cls in classes if any(isinstance(m, LeakySemimeasure) for m in cls.models)
-    ]
-    assert len(leaky) >= count
-    return leaky[:count]
-
-
-def _reference_trace(cls, word, tie_break):
-    """Per-prefix map_estimator: indices, tie flags and (error, prefix length)."""
-    indices, ties = [], []
-    for t in range(len(word) + 1):
-        try:
-            res = map_estimator(cls, word[:t], tie_break)
-        except IndeterminateTailError:
-            return indices, ties, (IndeterminateTailError, t)
-        if res.value == 0:
-            return indices, ties, (ZeroHistoryError, t)
-        indices.append(res.index)
-        ties.append(res.tied)
-    return indices, ties, None
-
-
 def _assert_trace_matches(cls, words, guard=None):
-    """map_trace equals per-prefix map_estimator; returns the errors seen.
+    """map_trace equals the oracle's per-prefix MAP choice; returns the errors seen.
 
     The references are computed first; ``guard(monkeypatch)``, if given,
     then patches the library for the map_trace calls only, since
-    map_estimator itself may read cursors.
+    evaluate_exact itself may read cursors.
     """
     references = [
-        (tb, word, _reference_trace(cls, word, tb)) for tb in TIE_BREAKS for word in words
+        (tb, word, oracle.map_trace(cls, word, tb)) for tb in TIE_BREAKS for word in words
     ]
     errors = []
     with pytest.MonkeyPatch.context() as mp:
@@ -144,12 +97,7 @@ class TestMapTraceDifferential:
         for kind in (IidModel, DeterministicModel, FactorizableModel):
             monkeypatch.setattr(kind, "cursor", no_cursor)
         classes = [random_measure_class(51, case) for case in range(16)]
-        classes += [
-            _truncated(random_measure_class(52, case), F(1, 2 ** (3 + case % 3)))
-            for case in range(6)
-        ]
-        classes += [
-            _geometric_truncated_class(),
+        classes += truncated_classes(52, 6) + [
             example1_class(4),
             example3_class(),
             example4_class(),
@@ -162,10 +110,10 @@ class TestMapTraceDifferential:
         assert ZeroHistoryError in errors and IndeterminateTailError in errors
 
     def test_dyadic_and_leaky_classes_run_on_integers(self):
-        leaky = _leaky_semimeasure_classes(53, 6)
+        leaky = leaky_semimeasure_classes(53, 6)
         lam, mart, _, _ = measures.example5_pair()
-        classes = [example5_class(), _truncated(example5_class(), F(1, 64))] + leaky
-        classes += [_truncated(cls, F(1, 2 ** (3 + k))) for k, cls in enumerate(leaky[:3])]
+        classes = [example5_class(), truncated(example5_class(), F(1, 64))] + leaky
+        classes += [truncated(cls, F(1, 2 ** (3 + k))) for k, cls in enumerate(leaky[:3])]
         classes += [
             # Dyadic cursors under one and two leaks, next to other members.
             WeightedClass(
@@ -206,10 +154,8 @@ class TestMapTraceDifferential:
             for t in range(len(path) + 1):
                 if t:
                     cursors = [c.advance(path[t - 1]) for c in cursors]
-                scores = [w * c.value for w, c in zip(cls.weights, cursors)]
-                best = max(scores)
-                tied = tuple(j for j, v in enumerate(scores) if v == best)
-                want.append(LARGEST_WEIGHT.choose(tied, cls.weights, t))
+                row = [w * c.value for w, c in zip(cls.weights, cursors)]
+                want.append(oracle.pick(cls, row, t, LARGEST_WEIGHT)[0])
             with pytest.MonkeyPatch.context() as mp:
                 _refuse_cursor_fractions(mp)
                 assert map_trace(cls, path).indices == want
@@ -228,13 +174,13 @@ class TestMapTraceDifferential:
 
         classes = [
             WeightedClass(
-                [_Generic(m) if i == 0 else m for i, m in enumerate(cls.models)],
+                [EvaluateOnly(m) if i == 0 else m for i, m in enumerate(cls.models)],
                 cls.weights,
                 true_index=cls.true_index,
             )
-            for cls in [example5_class()] + _leaky_semimeasure_classes(53, 4)
+            for cls in [example5_class()] + leaky_semimeasure_classes(53, 4)
         ]
-        classes.append(_truncated(classes[0], F(1, 64)))
+        classes.append(truncated(classes[0], F(1, 64)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measures._GenericCursor, "value", property(counted))
             for cls in classes:
@@ -242,15 +188,10 @@ class TestMapTraceDifferential:
         assert reads
 
     def test_truncated_class_refuses_where_map_estimator_refuses(self):
-        cls = _geometric_truncated_class()
+        cls = geometric_class()
         ones = (1,) * 6
-        refusals = []
-        for t in range(len(ones) + 1):
-            try:
-                map_estimator(cls, ones[:t])
-            except IndeterminateTailError:
-                refusals.append(t)
-        assert refusals[0] == 3  # only nu_3 survives 1^3, at weight 1/16
+        # Only nu_3 survives 1^3, at weight 1/16: the first refusal.
+        assert oracle.map_trace(cls, ones, LARGEST_WEIGHT)[2] == (IndeterminateTailError, 3)
         assert map_trace(cls, ones[:2]).indices == [0, 1, 2]
         with pytest.raises(IndeterminateTailError):
             map_trace(cls, ones[:3])
@@ -363,10 +304,10 @@ class TestHybridSeries:
         for cls in (example3_class(), example4_class(F(3, 7), F(4, 7)), example5_class()):
             for tb in (LARGEST_WEIGHT, round_robin()):
                 for word in all_words(6) + [(1,) * 12]:
-                    trace = map_trace(cls, word, tb)
+                    chosen = oracle.map_trace(cls, word, tb)[0]
                     want = [
-                        cls.models[trace.indices[t]].evaluate_exact(word[:t])
-                        / cls.models[trace.indices[t - 1]].evaluate_exact(word[: t - 1])
+                        cls.models[chosen[t]].evaluate_exact(word[:t])
+                        / cls.models[chosen[t - 1]].evaluate_exact(word[: t - 1])
                         for t in range(1, len(word) + 1)
                     ]
                     assert hybrid_value_series(cls, word, tb) == want

@@ -12,7 +12,6 @@ from mdl_lab.values import (
     log2_frac,
     neg_log2_ceil,
     parse_rational,
-    relative_close,
 )
 
 
@@ -54,9 +53,3 @@ class TestIntegerLog2:
 
     def test_log2_frac(self):
         assert math.isclose(log2_frac(F(1, 5)), -math.log2(5))
-
-
-def test_relative_close():
-    assert relative_close(1.0, 1.0 + 1e-12)
-    assert not relative_close(1.0, 1.01)
-    assert relative_close(0.0, 0.0)
