@@ -224,6 +224,8 @@ def cmd_code(args) -> int:
             from .model_class import map_estimator
 
             index = map_estimator(cls, word).index
+        elif not 0 <= index < len(cls):
+            raise ConfigError(f"--model must lie in 0..{len(cls) - 1}, got {index}")
         code = encode(cls, index, word)
         print(f"model_index: {code.model_index}")
         print(f"total_bits: {code.total_bits}")

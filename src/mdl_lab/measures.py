@@ -30,13 +30,18 @@ a miss.
 
 A cursor is an O(1)-per-step incremental evaluator used by tree walks,
 samplers and Monte-Carlo traces; it only steps forward, so callers read
-nu(xa) from the child they step to and evaluate each prefix once.
-``evaluate_exact`` and ``conditional_exact`` read the same definition.
+nu(xa) from the child they step to and evaluate each prefix once.  A
+factorizable or leaky cursor also reports the exact factor of its last
+step, so prediction nodes and samplers step on small step probabilities
+and never divide two values; its own value is an unreduced integer pair
+made a Fraction only when read.  ``evaluate_exact`` and
+``conditional_exact`` read the same definition.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -106,16 +111,25 @@ def _outside_alphabet(symbol: int, size: int) -> AlphabetMismatchError:
 class SemimeasureCursor:
     """Incremental evaluator positioned at some prefix.
 
-    Three members: ``value`` is nu(prefix); ``advance(a)`` returns a new
+    Four members: ``value`` is nu(prefix); ``advance(a)`` returns a new
     immutable cursor one symbol deeper, whose ``value`` is nu(prefix + (a,)),
-    so a caller that needs a child's value keeps that child; ``state_key()``
-    is a hashable summary of the state.  Two cursors of one model at one
-    depth with equal keys have equal ``value``, and advancing both by the
-    same symbol gives equal keys again, so their subtrees are identical.
-    Lumped tree walks merge prefixes on these keys.
+    so a caller that needs a child's value keeps that child; ``factor`` is
+    the exact factor nu(prefix) / nu(prefix[:-1]) of the last step, or None
+    when the cursor does not know it without dividing; ``state_key()`` is a
+    hashable summary of the state.  Two cursors of one model at one depth
+    with equal keys have equal ``value``, and advancing both by the same
+    symbol gives equal keys again, so their subtrees are identical.  Lumped
+    tree walks merge prefixes on these keys.
+
+    A factorizable cursor's factor is the step probability, a leaky
+    cursor's is its base's times keep, and a cursor below a prefix of
+    value 0 has factor 0 and reads no distribution.  Root, generic and
+    dyadic cursors give None, and their callers divide values instead.
     """
 
     __slots__ = ()
+
+    factor: Optional[Fraction] = None
 
     @property
     def value(self) -> Fraction:
@@ -281,7 +295,7 @@ class FactorizableModel(Semimeasure):
         return _product_ratio(steps, x, self.alphabet.size)
 
     def cursor(self) -> SemimeasureCursor:
-        return _FactorizableCursor(self.step_distribution, self.alphabet.size, 0, Fraction(1))
+        return _FactorizableCursor(self.step_distribution, self.alphabet.size, 0, 1, 1, None)
 
     @property
     def step_prob_infimum(self) -> Optional[Fraction]:
@@ -303,34 +317,49 @@ def _product_ratio(dists, x: Word, size: int) -> tuple:
     return (num, den) if num else (0, 1)
 
 
-class _FactorizableCursor(SemimeasureCursor):
-    __slots__ = ("_step_distribution", "_size", "_step", "_value")
+_ZERO = Fraction(0)
 
-    def __init__(self, step_distribution, size: int, step: int, value: Fraction):
+
+class _FactorizableCursor(SemimeasureCursor):
+    """nu(prefix) = num / den, an unreduced product of step probabilities.
+
+    ``factor`` is the last step probability; the Fraction ``value`` is
+    built and kept on first read.
+    """
+
+    __slots__ = ("_step_distribution", "_size", "_step", "_num", "_den", "factor", "_value")
+
+    def __init__(self, step_distribution, size: int, step: int, num: int, den: int, factor):
         self._step_distribution = step_distribution  # the model's bound method
         self._size = size  # the alphabet's: a dead cursor reads no distribution
         self._step = step
-        self._value = value
+        self._num = num
+        self._den = den
+        self.factor = factor
+        self._value = None
 
     @property
     def value(self) -> Fraction:
-        return self._value
+        value = self._value
+        if value is None:
+            value = self._value = Fraction(self._num, self._den)
+        return value
 
     def advance(self, a: int) -> "_FactorizableCursor":
         size = self._size
         if not 0 <= a < size:
             raise _outside_alphabet(a, size)
-        value = self._value
-        if value:
-            p = self._step_distribution(self._step + 1)[a]
-            if not p:
-                value = p
-            elif p != 1:
-                value = value * p
-        return _FactorizableCursor(self._step_distribution, size, self._step + 1, value)
+        step = self._step + 1
+        p = self._step_distribution(step)[a] if self._num else _ZERO
+        if not p:
+            return _FactorizableCursor(self._step_distribution, size, step, 0, 1, p)
+        return _FactorizableCursor(
+            self._step_distribution, size, step,
+            self._num * p.numerator, self._den * p.denominator, p,
+        )
 
     def state_key(self):
-        return self._value  # the step is the depth
+        return self.value  # the step is the depth
 
 
 class IidModel(FactorizableModel):
@@ -610,27 +639,37 @@ class LeakySemimeasure(Semimeasure):
         return num * keep.numerator**n, den * keep.denominator**n
 
     def cursor(self) -> SemimeasureCursor:
-        return _LeakyCursor(self.keep, self.base.cursor(), Fraction(1))
+        return _LeakyCursor(self.keep, self.base.cursor(), 0, None)
 
     def __repr__(self) -> str:
         return f"leaky({self.base!r},gamma={self.leak})"
 
 
 class _LeakyCursor(SemimeasureCursor):
-    __slots__ = ("_keep", "_base", "_scale", "_value")
+    """nu(prefix) = base(prefix) * keep^depth, built and kept on first read."""
 
-    def __init__(self, keep: Fraction, base: SemimeasureCursor, scale: Fraction):
+    __slots__ = ("_keep", "_base", "_depth", "factor", "_value")
+
+    def __init__(self, keep: Fraction, base: SemimeasureCursor, depth: int, factor):
         self._keep = keep
         self._base = base
-        self._scale = scale
-        self._value = base.value * scale
+        self._depth = depth
+        self.factor = factor
+        self._value = None
 
     @property
     def value(self) -> Fraction:
-        return self._value
+        value = self._value
+        if value is None:
+            value = self._value = self._base.value * self._keep**self._depth
+        return value
 
     def advance(self, a: int) -> "_LeakyCursor":
-        return _LeakyCursor(self._keep, self._base.advance(a), self._scale * self._keep)
+        base = self._base.advance(a)
+        factor = base.factor
+        if factor is not None:
+            factor = factor * self._keep
+        return _LeakyCursor(self._keep, base, self._depth + 1, factor)
 
     def state_key(self):
         return self._base.state_key()  # the scale is fixed by the depth
@@ -710,35 +749,56 @@ def sample_sequence(model: Semimeasure, n: int, seed: int) -> Word:
     return sample_path(model, n, derived_rng(seed, 0))
 
 
+def _cumulative(probs) -> tuple:
+    """(den, cumulative numerators) of probs over the lcm of their denominators."""
+    den = lcm(*[p.denominator for p in probs])
+    acc = 0
+    cumulative = []
+    for p in probs:
+        acc += p.numerator * (den // p.denominator)
+        cumulative.append(acc)
+    return den, cumulative
+
+
+def _draw_on(den: int, cumulative: list, rng: random.Random) -> int:
+    """The first symbol whose cumulative numerator exceeds one uniform draw."""
+    a = bisect_right(cumulative, rng.randrange(den))
+    if a == len(cumulative):
+        raise SamplingError("conditional probabilities sum to less than 1")
+    return a
+
+
 def _draw_exact(probs, rng: random.Random) -> int:
     """Inverse-CDF draw with one integer uniform on a common denominator."""
-    den = lcm(*(p.denominator for p in probs))
-    r = rng.randrange(den)
-    acc = 0
-    for a, p in enumerate(probs):
-        acc += p.numerator * (den // p.denominator)
-        if r < acc:
-            return a
-    raise SamplingError("conditional probabilities sum to less than 1")
+    return _draw_on(*_cumulative(probs), rng)
 
 
 def sample_path(model: Semimeasure, n: int, rng: random.Random) -> Word:
-    """Draw x_{1:n} exactly; a strict semimeasure is refused at every n."""
+    """Draw x_{1:n} exactly; a strict semimeasure is refused at every n.
+
+    Each symbol is one integer uniform on the lcm of the reduced
+    conditionals' denominators, read from the child cursors' factors (or
+    quotients of their values where a cursor has no factor).  An i.i.d.
+    model has the same conditionals at every step, so its denominator and
+    cumulative numerators are computed once and the draws are the same.
+    """
     if not model.is_proper_measure:
         raise SamplingError("sampling requires a proper measure")
     if isinstance(model, IidModel):
-        # Same draws as the generic walk (identical probs per step), one
-        # integer uniform per symbol without cursor arithmetic.
-        return tuple(_draw_exact(model.theta, rng) for _ in range(n))
+        den, cumulative = _cumulative(model.theta)
+        return tuple(_draw_on(den, cumulative, rng) for _ in range(n))
     cur = model.cursor()
     out = []
     k = model.alphabet.size
     for _ in range(n):
-        v = cur.value
-        if v == 0:
-            raise SamplingError("cannot sample beyond a zero-probability prefix")
         children = [cur.advance(a) for a in range(k)]
-        symbol = _draw_exact([child.value / v for child in children], rng)
+        probs = [child.factor for child in children]
+        if any(p is None for p in probs):
+            v = cur.value
+            if v == 0:
+                raise SamplingError("cannot sample beyond a zero-probability prefix")
+            probs = [child.value / v for child in children]
+        symbol = _draw_exact(probs, rng)
         out.append(symbol)
         cur = children[symbol]
     return tuple(out)

@@ -14,6 +14,9 @@ xi(x) = sum w_nu nu(x) -- read :func:`class_scores`: every member's
 ``exact_ratio`` put over one common integer denominator, so the argmax,
 the tie set, the max and the sum run on integers, and each query builds a
 Fraction only for the value it returns.  Nothing is kept between calls.
+Prediction nodes and MAP traces keep such a row along a sequence and step
+it with :func:`step_multipliers`, so its denominator grows only by the
+small denominators of each step's factors.
 """
 
 from __future__ import annotations
@@ -195,6 +198,14 @@ def check_tail(cls: WeightedClass, best: Fraction) -> None:
         )
 
 
+def common_denominator(terms) -> Tuple[list, int]:
+    """(scores, den) for (num_i, den_i) pairs, den_i > 0: integers over the
+    lcm of the den_i with scores[i] / den = num_i / den_i, so they compare,
+    add and tie exactly as the rational values do."""
+    den = lcm(*[d for _, d in terms])
+    return [n * (den // d) if n else 0 for n, d in terms], den
+
+
 def class_scores(cls: WeightedClass, word: Word) -> Tuple[list, int]:
     """(scores, den): integers with scores[i] / den = w_i * nu_i(word).
 
@@ -206,8 +217,32 @@ def class_scores(cls: WeightedClass, word: Word) -> Tuple[list, int]:
     for m, w in zip(cls.models, cls.weights):
         num, den = m.exact_ratio(word)
         terms.append((w.numerator * num, w.denominator * den))
-    den = lcm(*(d for _, d in terms))
-    return [n * (den // d) if n else 0 for n, d in terms], den
+    return common_denominator(terms)
+
+
+def cursor_scores(weights: Sequence[Fraction], cursors) -> Tuple[list, int]:
+    """(scores, den): integers with scores[i] / den = w_i * cursors[i].value."""
+    terms = []
+    for w, c in zip(weights, cursors):
+        v = c.value
+        terms.append((w.numerator * v.numerator, w.denominator * v.denominator))
+    return common_denominator(terms)
+
+
+def step_multipliers(factors: Sequence[Fraction]) -> Tuple[list, int]:
+    """(multipliers, step) of one step of a score row by exact factors.
+
+    ``step`` is the lcm of the factors' denominators and multipliers[i] =
+    factors[i] * step, so scores[i] * multipliers[i] over den * step equal
+    scores[i] / den * factors[i]: the row's denominator grows only by the
+    step's small lcm and no big number is divided.
+    """
+    # A list, not a generator: ``lcm(*generator)`` resizes a fresh argument
+    # tuple each call, and every such tuple stays on the interpreter's tuple
+    # free list, which then grows by one tuple per step of a long path (up
+    # to its cap of 2000 tuples per size).
+    step = lcm(*[f.denominator for f in factors])
+    return [f.numerator * (step // f.denominator) for f in factors], step
 
 
 def _map_choice(cls: WeightedClass, word: Word, tie_break: TieBreak):

@@ -13,11 +13,17 @@ All four are quotients of reductions of one weighted row, w_nu nu(x)
 over the class: xi and rho divide the sums or maxima of the rows at xa
 and at x, and static and hybrid divide the model values at the argmax of
 a row.  One engine computes them: a :class:`PredictionNode` holds the
-model values at one history and its children, read from per-model
-cursors, and forms each row once, on first read.  A node advances each
-cursor once per symbol and keeps the children, which tree walks and
-sampled paths step to; ``predict_*`` advance every cursor along x and
-read one node.
+per-model cursors at one history and their children, and forms each row
+once, on first read, as integer scores over one denominator.  A child's
+row is its parent's scores times the child cursors' step factors, so
+along a sampled path the denominator grows only by each step's small
+lcm and no big number is divided; a node built from bare cursors, or
+with a member that reports no factor, puts the cursor values over one
+lcm instead.  The argmax and tie set are taken on the integers, static
+and true read the factors, and xi, rho and hybrid build one Fraction per
+entry.  A node advances each cursor once per symbol and keeps the
+children, which tree walks and sampled paths step to; ``predict_*``
+advance every cursor along x and read one node.
 Exact rationals and certified enclosures; float only for ledgers: every
 value here is an exact rational, and the float ledgers of
 :mod:`mdl_lab.metrics` convert at the edges.
@@ -49,7 +55,9 @@ from .model_class import (  # noqa: F401  map_estimator stays a name of this mod
     WeightedClass,
     check_tail,
     class_scores,
+    cursor_scores,
     map_estimator,
+    step_multipliers,
 )
 
 # Predictor kinds.
@@ -96,16 +104,19 @@ class PredictionNode:
 
     Built from per-model cursors, so each node costs O(|C| * k) exact
     operations regardless of depth; ``child_cursors[a]`` holds every
-    cursor advanced by a and ``child_values[a]`` their values.
+    cursor advanced by a.
 
     Every predictor is a quotient of reductions of one weighted row,
-    ``row(a)`` = [w_i * nu_i(prefix + a)] (``row()`` at the prefix
-    itself): xi and rho divide the sums or maxima of two rows, while
-    static, hybrid and true divide ``child_values`` by ``values`` at one
-    index -- ``choice()``, ``choice(a)`` (the tie-break's MAP index on
-    that row) or the true model's.  Each row, choice and prediction is
-    built on first read and kept, so a node forms each product w_i * nu_i
-    once and each prediction list once.  Everything here is exact;
+    ``scores(a)`` = (scores, den) with scores[i] / den = w_i * nu_i(prefix
+    + a) (``scores()`` at the prefix itself): xi and rho divide the sums
+    or maxima of two rows, hybrid divides entries of two rows at
+    ``choice(a)`` and ``choice()`` (the tie-break's MAP index on a row),
+    and static and true read the step factors of the chosen or the true
+    model.  A child row is the prefix row stepped by its cursors' factors;
+    ``row``, when given, is the prefix row a parent already built, and
+    otherwise, as for any row with a member that reports no factor, it is
+    put together from the cursor values.  Each row, choice and prediction
+    is built on first read and kept.  Everything here is exact;
     Monte-Carlo estimates convert to floats at the edges.  ``weight`` is
     mu(prefix), the true-measure weight a tree walk or sampled path
     carries; it is None for a node built to answer one query.
@@ -117,9 +128,7 @@ class PredictionNode:
         "prefix",
         "weight",
         "cursors",
-        "values",
         "child_cursors",
-        "child_values",
         "_cache",
     )
 
@@ -130,38 +139,46 @@ class PredictionNode:
         prefix: Word,
         cursors,
         weight: Optional[Fraction] = None,
+        row: Optional[Tuple[List[int], int]] = None,
     ):
         self.cls = cls
         self.tie_break = tie_break
         self.prefix = prefix
         self.cursors = cursors
         self.weight = weight
-        self.values = [c.value for c in cursors]
         k = cls.alphabet.size
         self.child_cursors = [[c.advance(a) for c in cursors] for a in range(k)]
-        self.child_values = [[c.value for c in row] for row in self.child_cursors]
-        self._cache: dict = {}
+        self._cache: dict = {} if row is None else {("scores", None): row}
 
     @property
     def t(self) -> int:
         return len(self.prefix)
 
-    def row(self, a: Optional[int] = None) -> List[Fraction]:
-        """[w_i * nu_i(prefix)], or at prefix + (a,) when a is given."""
-        key = ("row", a)
+    def scores(self, a: Optional[int] = None) -> Tuple[List[int], int]:
+        """(scores, den), integers with scores[i] / den = w_i * nu_i(prefix),
+        or at prefix + (a,) when a is given."""
+        key = ("scores", a)
         out = self._cache.get(key)
         if out is None:
-            values = self.values if a is None else self.child_values[a]
-            out = self._cache[key] = [w * v for w, v in zip(self.cls.weights, values)]
+            out = self._cache[key] = self._build_row(a)
         return out
 
+    def _build_row(self, a: Optional[int]) -> Tuple[List[int], int]:
+        cursors = self.cursors if a is None else self.child_cursors[a]
+        factors = None if a is None else [c.factor for c in cursors]
+        if factors is None or any(f is None for f in factors):
+            return cursor_scores(self.cls.weights, cursors)
+        scores, den = self.scores()
+        multipliers, step = step_multipliers(factors)
+        return [s * m for s, m in zip(scores, multipliers)], den * step
+
     def choice(self, a: Optional[int] = None) -> int:
-        """The MAP index on ``row(a)`` under the node's tie-break."""
+        """The MAP index on ``scores(a)`` under the node's tie-break."""
         key = ("choice", a)
         out = self._cache.get(key)
         if out is None:
             x_len = len(self.prefix) + (a is not None)
-            out = self.tie_break.select(self.row(a), self.cls.weights, x_len)[0]
+            out = self.tie_break.select(self.scores(a)[0], self.cls.weights, x_len)[0]
             self._cache[key] = out
         return out
 
@@ -175,12 +192,18 @@ class PredictionNode:
         return out
 
     def _prediction(self, kind: str) -> List[Fraction]:
+        symbols = self.cls.alphabet.symbols()
         if kind in (XI, RHO):
             reduce = sum if kind == XI else max
-            base = reduce(self.row())
+            scores, den = self.scores()
+            base = reduce(scores)
             if base == 0:
                 raise ZeroHistoryError(f"{kind} = 0 at {self.prefix}")
-            return [reduce(self.row(a)) / base for a in self.cls.alphabet.symbols()]
+            out = []
+            for a in symbols:
+                child, child_den = self.scores(a)
+                out.append(Fraction(reduce(child) * den, child_den * base))
+            return out
         if kind == RHO_NORM:
             return _normalize_list(self.prediction(RHO))
         if kind == STATIC_NORM:
@@ -189,16 +212,39 @@ class PredictionNode:
             i = self.cls.true_index
             if i is None:
                 raise ValueError("class has no designated true model")
-        elif kind in (STATIC, HYBRID):
-            i = self.choice()
-            if self.values[i] == 0:
-                raise ZeroHistoryError(f"nu^x = 0 at {self.prefix}")
-        else:
+            return self._conditionals(i)
+        if kind not in (STATIC, HYBRID):
             raise ValueError(f"unknown predictor kind {kind!r}")
-        base = self.values[i]
-        if kind == HYBRID:
-            return [cv[self.choice(a)] / base for a, cv in enumerate(self.child_values)]
-        return [cv[i] / base for cv in self.child_values]
+        i = self.choice()
+        scores, den = self.scores()
+        if scores[i] == 0:
+            raise ZeroHistoryError(f"nu^x = 0 at {self.prefix}")
+        if kind == STATIC:
+            return self._conditionals(i)
+        # nu_j(xa) / nu_i(x) = (child[j] / (child_den w_j)) / (scores[i] / (den w_i))
+        wi = self.cls.weights[i]
+        out = []
+        for a in symbols:
+            j = self.choice(a)
+            wj = self.cls.weights[j]
+            child, child_den = self.scores(a)
+            out.append(
+                Fraction(
+                    child[j] * den * wi.numerator * wj.denominator,
+                    child_den * scores[i] * wj.numerator * wi.denominator,
+                )
+            )
+        return out
+
+    def _conditionals(self, i: int) -> List[Fraction]:
+        """nu_i(xa) / nu_i(x) for each a: the step factors of model i, or
+        quotients of its cursor values where it reports none."""
+        children = [row[i] for row in self.child_cursors]
+        factors = [c.factor for c in children]
+        if any(f is None for f in factors):
+            base = self.cursors[i].value
+            return [c.value / base for c in children]
+        return factors
 
     def child_node(self, a: int) -> "PredictionNode":
         return PredictionNode(
@@ -207,6 +253,7 @@ class PredictionNode:
             self.prefix + (a,),
             self.child_cursors[a],
             self.weight * self.true_conditionals()[a],
+            self.scores(a),
         )
 
 
@@ -251,8 +298,10 @@ def bayes_mixture_bounds(cls: WeightedClass, x) -> FracInterval:
 
 
 def _search(node: PredictionNode, a: Optional[int], stats: Optional[EvalStats]) -> None:
-    """Account for one MAP search on ``node.row(a)``, refused on an open tail."""
-    check_tail(node.cls, max(node.row(a)))
+    """Account for one MAP search on ``node.scores(a)``, refused on an open tail."""
+    if node.cls.tail_bound is not None:
+        scores, den = node.scores(a)
+        check_tail(node.cls, Fraction(max(scores), den))
     if stats is not None:
         stats.map_searches += 1
 

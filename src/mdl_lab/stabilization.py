@@ -8,20 +8,23 @@ finite horizon, so the verdicts here use an explicit finite proxy: a
 trace "stabilized" when no change of choice occurs within the final
 observation window.  Window and horizon always travel with the verdict.
 
-A trace compares w_nu * nu(x_1:t) across the class at every prefix.  For
-every built-in family these values share one growing denominator, so the
-trace keeps one exact integer numerator per model: a factorizable model
-multiplies it by a small per-step numerator, a leaky wrapper adds its keep
-factor 1 - gamma to that, and the martingale measure's dyadic cursor holds
-nu as an integer over a power of two.  Only a class with a member that has
-no cursor of its own is traced on exact cursor Fractions.
+A trace compares w_nu * nu(x_1:t) across the class at every prefix, as
+integer scores over one growing denominator.  Each step multiplies the
+scores by the step's factors scaled to their small lcm, the stepping of
+prediction nodes (:func:`~mdl_lab.model_class.step_multipliers`): a
+factorizable model's factor is its step probability, a leaky wrapper
+multiplies that by its keep factor 1 - gamma, and the martingale
+measure's dyadic cursor holds nu as an integer over a power of two, which
+joins the scores as a shift.  While no member's step distribution
+changes (i.i.d. models, step tables run into their tails), each symbol's
+multipliers are computed once.  Only a class with a member that has no
+cursor of its own puts the cursor values over one lcm at every prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ZeroHistoryError
@@ -33,7 +36,15 @@ from .measures import (
     derived_rng,
     sample_path,
 )
-from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass, check_tail
+from .model_class import (
+    LARGEST_WEIGHT,
+    TieBreak,
+    WeightedClass,
+    check_tail,
+    common_denominator,
+    cursor_scores,
+    step_multipliers,
+)
 from .metrics import check_samples, ordered_parallel_map
 
 
@@ -99,34 +110,36 @@ def _integer_parts(model: Semimeasure):
 def _weighted_scores(cls: WeightedClass, word: Word) -> Iterator[Tuple[list, int]]:
     """Scores proportional to w_nu * nu(x_1:t) for t = 0..len(word).
 
-    Each item is (scores, denominator) with score_i / denominator ==
-    w_i * nu_i(x_1:t) exactly.  When every member is factorizable, dyadic
-    or a leaky wrapper of either, the scores are integers over one common
-    denominator: each member's per-step rational factors (step
-    probability times keep) are carried as an integer product over the
-    product of the steps' lcms, and a dyadic cursor's numerator joins it
-    with the largest cursor exponent as one more power of two in the
-    denominator.  Any other class gives cursor Fractions over 1.
+    Each item is (scores, denominator), integers with score_i /
+    denominator == w_i * nu_i(x_1:t) exactly.  When every member is
+    factorizable, dyadic or a leaky wrapper of either, each step
+    multiplies the scores by its factors (step probability times keep)
+    over their lcm, and a dyadic cursor's numerator joins with the largest
+    cursor exponent as one more power of two in the denominator.  Any
+    other class puts the cursor values over one lcm at every prefix.
     """
     models, weights = cls.models, cls.weights
     parts = [_integer_parts(m) for m in models]
     if any(p is None for p in parts):
         cursors = [m.cursor() for m in models]
-        yield [w * c.value for w, c in zip(weights, cursors)], 1
+        yield cursor_scores(weights, cursors)
         for a in word:
             cursors = [c.advance(a) for c in cursors]
-            yield [w * c.value for w, c in zip(weights, cursors)], 1
+            yield cursor_scores(weights, cursors)
         return
     rules = [rule for rule, _, _ in parts]
-    leaks = [(i, keep) for i, (_, keep, _) in enumerate(parts) if keep != 1]
+    keeps = [keep for _, keep, _ in parts]
     cursors = [c for _, _, c in parts]
     dyadic = [i for i, c in enumerate(cursors) if c is not None]
-    den = lcm(*(w.denominator for w in weights))
-    products = [w.numerator * (den // w.denominator) for w in weights]
+    products, den = common_denominator([(w.numerator, w.denominator) for w in weights])
     # A dyadic member's product is kept as products[i] << shifts[i], so the
     # powers of two that its step factors share with the cursor's
     # denominator stay shifts instead of growing the multiplicand.
     shifts = [0] * len(models)
+    # Each symbol's (multipliers, lcm), valid while every member's step
+    # distribution equals the one they were made for.
+    dists = None
+    by_symbol: dict = {}
 
     def scored():
         if not dyadic:
@@ -140,12 +153,17 @@ def _weighted_scores(cls: WeightedClass, word: Word) -> Iterator[Tuple[list, int
 
     yield scored()
     for t, a in enumerate(word, start=1):
-        probs = [rule(t)[a] if rule else 1 for rule in rules]
-        for i, keep in leaks:
-            probs[i] = probs[i] * keep
-        step = lcm(*(p.denominator for p in probs))
-        products = [s * (p.numerator * (step // p.denominator)) for s, p in zip(products, probs)]
-        den *= step
+        now = [rule(t) if rule else None for rule in rules]
+        if now != dists:  # identical objects compare without reading them
+            dists = now
+            by_symbol = {}
+        step = by_symbol.get(a)
+        if step is None:
+            factors = [keep if d is None else d[a] * keep for d, keep in zip(dists, keeps)]
+            step = by_symbol[a] = step_multipliers(factors)
+        multipliers, step_lcm = step
+        products = [s * m for s, m in zip(products, multipliers)]
+        den *= step_lcm
         for i in dyadic:
             low = (products[i] & -products[i]).bit_length() - 1
             products[i] >>= low
@@ -164,10 +182,9 @@ def map_trace(
     Agrees with :func:`map_estimator` at every prefix: the same index and
     tie flag, :class:`IndeterminateTailError` where the unmaterialized
     tail could overturn the choice, and :class:`ZeroHistoryError` once
-    every member gives the prefix probability zero.  Classes of
-    factorizable, dyadic and leaky members are compared on exact integers
-    over a common denominator, all other classes on incremental cursor
-    values.
+    every member gives the prefix probability zero.  Every prefix is
+    compared on exact integers over a common denominator; only a class
+    with a member that has no cursor of its own reads cursor values.
     """
     weights = cls.weights
     indices: List[int] = []

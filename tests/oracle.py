@@ -3,7 +3,9 @@
 Every value here is recomputed from scratch: each model is evaluated with
 ``evaluate_exact`` at each word, the MAP choice is the maximal entries of
 the weighted row with each tie rule and the tail refusal written out, and
-the prediction kinds are the Fraction quotients that define them.  No
+the prediction kinds are the Fraction quotients that define them, a
+sampled path draws each symbol from those quotients on their lcm, and the
+distances are their defining sums.  No
 engine entry point is imported (``test_predictors`` parses this file to
 hold that), so a fast path is checked against the formula rather than
 against another engine.
@@ -16,9 +18,11 @@ only ``evaluate_exact``, truncated tails and exact ties.
 
 import functools
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
+from mdl_lab import measures
 from mdl_lab.errors import AllZeroError, IndeterminateTailError, ZeroHistoryError
 from mdl_lab.measures import (
     BINARY,
@@ -44,6 +48,14 @@ from mdl_lab.predictors import HYBRID, RHO, RHO_NORM, STATIC, STATIC_NORM, TRUE,
 from mdl_lab.suites import random_measure_class, random_semimeasure_class
 
 TIE_BREAKS = (LARGEST_WEIGHT, LOWEST_INDEX, round_robin(1))
+
+# Every cursor class of the engine, for tests that count or refuse its reads.
+CURSOR_KINDS = (
+    measures._GenericCursor,
+    measures._FactorizableCursor,
+    measures._MartingaleCursor,
+    measures._LeakyCursor,
+)
 
 
 def all_words(max_len, k=2):
@@ -282,6 +294,28 @@ def differential_classes():
     ]
 
 
+def sampled_path_classes():
+    """The zoo with an evaluate-only member, under six proper-measure truths.
+
+    Every class holds leaky members, deterministic members that die, the
+    martingale and an evaluate-only member.  The truths are a fair coin, a
+    table-then-tail law, example 4's mu, an eventually periodic sequence,
+    the martingale and the evaluate-only member; the weights alternate
+    between uniform (ties) and distinct.
+    """
+    zoo = [model for model, _, _ in reference_zoo()]
+    zoo.append(EvaluateOnly(IidModel((Fraction(1, 3), Fraction(2, 3)))))
+    n = len(zoo)
+    classes = []
+    for k, truth in enumerate((0, 6, 7, 5, 9, n - 1)):
+        if k % 2:
+            weights = [Fraction(i + 1, 2 * n * n) for i in range(n)]
+        else:
+            weights = [Fraction(1, n)] * n
+        classes.append(WeightedClass(zoo, weights, true_index=truth))
+    return classes
+
+
 # ----------------------------------------------------------------------
 # The formulas
 # ----------------------------------------------------------------------
@@ -382,3 +416,46 @@ def prediction(kind, cls, x, tie_break):
         cls.models[map_index(cls, xa, tie_break)].evaluate_exact(xa) / base
         for xa in children
     ]
+
+
+def draw_path(model, n, rng):
+    """x_1:n drawn from nu(a|x) = nu(xa) / nu(x): each symbol is the first
+    whose cumulative numerator exceeds rng.randrange(lcm of the reduced
+    denominators)."""
+    x = ()
+    for _ in range(n):
+        base = model.evaluate_exact(x)
+        conditionals = [model.evaluate_exact(x + (a,)) / base for a in model.alphabet.symbols()]
+        den = math.lcm(*(p.denominator for p in conditionals))
+        r = rng.randrange(den)
+        total = 0
+        for a, p in enumerate(conditionals):
+            total += p * den
+            if r < total:
+                x += (a,)
+                break
+    return x
+
+
+# ----------------------------------------------------------------------
+# Per-step distances between true conditionals mu and a prediction phi
+# ----------------------------------------------------------------------
+
+
+def square(mu, phi):
+    return sum(((Fraction(p) - q) ** 2 for p, q in zip(mu, phi)), Fraction(0))
+
+
+def absolute(mu, phi):
+    return sum((abs(Fraction(p) - q) for p, q in zip(mu, phi)), Fraction(0))
+
+
+def hellinger_float(mu, phi):
+    return sum((math.sqrt(p) - math.sqrt(q)) ** 2 for p, q in zip(mu, phi))
+
+
+def kl_float(mu, phi):
+    """sum_a mu ln(mu / phi) over mu > 0; +inf once phi = 0 where mu > 0."""
+    if any(p > 0 and q == 0 for p, q in zip(mu, phi)):
+        return math.inf
+    return sum(float(p) * math.log(Fraction(p) / q) for p, q in zip(mu, phi) if p > 0)

@@ -505,5 +505,17 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(("error:", "malformed code:")) and "Traceback" not in err
 
+    def test_code_model_index_outside_the_class_exit_2(self, capsys):
+        # bernoulli3 holds models 0..2: 7 lies beyond it, and -1 would
+        # silently pick the last model.
+        for index in ("7", "-1"):
+            argv = ["code", "encode", "--string", "01", "--model", index]
+            assert main([*argv, "--preset", "bernoulli3"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "0..2" in err, err
+        argv = ["code", "encode", "--string", "01", "--model", "2", "--preset", "bernoulli3"]
+        assert main(argv) == 0
+        assert "model_index: 2" in capsys.readouterr().out
+
     def test_code_encode_needs_exactly_one_source(self):
         assert main(["code", "encode", "--preset", "bernoulli3"]) == 2

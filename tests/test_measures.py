@@ -164,21 +164,27 @@ class TestConditional:
 class TestCursors:
     def test_cursor_matches_evaluate(self):
         # Cursors, closed forms, conditionals and per-step laws against the
-        # oracle's formulas, on every word shorter than REFERENCE_DEPTH.
+        # oracle's formulas, on every word shorter than REFERENCE_DEPTH.  A
+        # factorizable cursor, leaky or not, reports each step's factor, 0
+        # below a dead prefix; root and dyadic cursors report none.
         for model, nu, step in reference_zoo():
             for i in range(1, REFERENCE_DEPTH + 1):
                 assert model.step_distribution(i) == (None if step is None else step(i))
+            base = model.base if isinstance(model, LeakySemimeasure) else model
             stack = [((), model.cursor())]
+            assert stack[0][1].factor is None
             while stack:
                 x, cur = stack.pop()
                 assert cur.value == model.evaluate_exact(x) == nu(x), (model, x)
                 for a in (0, 1):
                     xa = x + (a,)
-                    assert cur.advance(a).value == nu(xa), (model, xa)
+                    child = cur.advance(a)
+                    assert child.value == nu(xa), (model, xa)
                     cond = nu(xa) / nu(x) if nu(x) else 0
                     assert model.conditional_exact(a, x) == cond, (model, xa)
+                    assert child.factor == (cond if base.is_factorizable else None), (model, xa)
                     if len(xa) < REFERENCE_DEPTH:
-                        stack.append((xa, cur.advance(a)))
+                        stack.append((xa, child))
 
     def test_model_defining_neither_cursor_nor_evaluate_refuses(self):
         class Bare(Semimeasure):

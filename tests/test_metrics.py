@@ -27,6 +27,7 @@ from mdl_lab.model_class import (
     example3_class,
     example5_class,
 )
+from mdl_lab.predictors import ALL_KINDS, TRUE
 from mdl_lab.suites import (
     random_distribution,
     random_measure_class,
@@ -34,6 +35,8 @@ from mdl_lab.suites import (
     random_stationary_loss,
     suite_rng,
 )
+import oracle
+from oracle import outcome
 
 
 def exact_distribution_pair(rng):
@@ -89,6 +92,52 @@ class TestStepDistances:
         assert d.square <= d.kl + 1e-12
         assert d.hellinger <= d.kl + 1e-12
         assert d.hellinger <= d.absolute + 1e-12
+
+
+def _encloses(interval, value, tol=1e-12):
+    return float(interval.lo) - tol <= value <= float(interval.hi) + tol
+
+
+class TestStepDistancesOracle:
+    def test_both_modes_match_the_oracle_along_sampled_paths(self):
+        # Monte-Carlo rows feed step_distances predictions built from step
+        # factors: every kind's distances, in both modes, equal the oracle's
+        # sums over the oracle's own conditionals and predictions.
+        classes = oracle.sampled_path_classes()[:4]
+        classes += [random_measure_class(63, case) for case in range(3)]
+        infinite = []
+        for cls in classes:
+
+            def row(node, mu_cond):
+                x, tb = node.prefix, node.tie_break
+                mu = oracle.prediction(TRUE, cls, x, tb)
+                for kind in ALL_KINDS:
+                    phi = outcome(lambda: oracle.prediction(kind, cls, x, tb))
+                    if isinstance(phi, type):
+                        continue
+                    exact = step_distances(mu_cond, node.prediction(kind))
+                    floats = step_distances(mu_cond, node.prediction(kind), metrics.FLOAT)
+                    assert exact.square == oracle.square(mu, phi)
+                    assert exact.absolute == oracle.absolute(mu, phi)
+                    hellinger = oracle.hellinger_float(mu, phi)
+                    assert _encloses(exact.hellinger, hellinger), (x, kind)
+                    kl = oracle.kl_float(mu, phi)
+                    infinite.append(kl == math.inf)
+                    if kl == math.inf:
+                        assert exact.kl == floats.kl == math.inf
+                    else:
+                        assert _encloses(exact.kl, kl), (x, kind)
+                        assert math.isclose(floats.kl, kl, rel_tol=1e-12, abs_tol=1e-15)
+                    for got, want in (
+                        (floats.square, float(oracle.square(mu, phi))),
+                        (floats.absolute, float(oracle.absolute(mu, phi))),
+                        (floats.hellinger, hellinger),
+                    ):
+                        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (x, kind)
+
+            for tb in oracle.TIE_BREAKS:
+                monte_carlo_rows(cls, 8, 2, 64, row, tb)
+        assert any(infinite) and not all(infinite)
 
 
 class TestCumulativeDistances:

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdl_lab.errors import AllZeroError, IndeterminateTailError, ZeroHistoryError
-from mdl_lab.measures import Alphabet, IidModel
-from mdl_lab.metrics import walk_support
+from mdl_lab import measures
+from mdl_lab.measures import Alphabet, IidModel, derived_rng, sample_path
+from mdl_lab.metrics import monte_carlo_rows, walk_support
 from mdl_lab.model_class import (
     LARGEST_WEIGHT,
     EvalStats,
@@ -16,6 +18,7 @@ from mdl_lab.model_class import (
     bernoulli_class,
     example1_class,
     example3_class,
+    example4_class,
     example5_class,
     round_robin,
 )
@@ -26,6 +29,7 @@ from mdl_lab.predictors import (
     STATIC,
     TRUE,
     XI,
+    PredictionNode,
     PredictiveDistribution,
     _node_at,
     bayes_mixture,
@@ -41,9 +45,11 @@ from mdl_lab.predictors import (
 from mdl_lab.suites import random_measure_class, random_semimeasure_class, random_word, suite_rng
 import oracle
 from oracle import (
+    CURSOR_KINDS,
     TIE_BREAKS,
     EvaluateOnly,
     all_words,
+    leaky_semimeasure_classes,
     outcome,
     truncated_classes,
     zero_history_class,
@@ -304,6 +310,12 @@ FACADE = {
 }
 
 
+def _row(node, a=None):
+    """The node's score row at prefix (+ a) as the Fractions w_i * nu_i."""
+    scores, den = node.scores(a)
+    return tuple(F(s, den) for s in scores)
+
+
 def _assert_matches_oracle(cls, words):
     """Every node row, choice and prediction kind, and every predict_* reader
     with its search count, equal the oracle at each word and tie-break.
@@ -322,7 +334,7 @@ def _assert_matches_oracle(cls, words):
         for tb in TIE_BREAKS:
             node = _node_at(cls, x, tb)
             for a, xa in zip((None, *cls.alphabet.symbols()), around):
-                assert tuple(node.row(a)) == oracle.weighted_row(cls, xa), (cls.describe(), xa)
+                assert _row(node, a) == oracle.weighted_row(cls, xa), (cls.describe(), xa)
                 assert node.choice(a) == oracle.map_index(cls, xa, tb), (cls.describe(), xa, tb)
             refused = [
                 outcome(lambda: oracle.map_choice(cls, y, tb)) is IndeterminateTailError
@@ -384,11 +396,53 @@ class TestNodeOracle:
         for x in all_words(4):
             for tb in TIE_BREAKS:
                 node = _node_at(cls, x, tb)
-                assert tuple(node.row()) == oracle.weighted_row(cls, x)
+                assert _row(node) == oracle.weighted_row(cls, x)
                 assert node.choice() == oracle.map_index(cls, x, tb)
                 for a in (0, 1):
-                    assert tuple(node.row(a)) == oracle.weighted_row(cls, x + (a,))
+                    assert _row(node, a) == oracle.weighted_row(cls, x + (a,))
                     assert node.choice(a) == oracle.map_index(cls, x + (a,), tb)
+
+
+def _assert_node_matches_oracle(node):
+    """The node's rows, choices and every kind equal the oracle at its prefix."""
+    cls, x, tb = node.cls, node.prefix, node.tie_break
+    for a in (None, *cls.alphabet.symbols()):
+        xa = x if a is None else x + (a,)
+        assert _row(node, a) == oracle.weighted_row(cls, xa), (cls.describe(), xa)
+        assert node.choice(a) == oracle.map_index(cls, xa, tb), (cls.describe(), xa, tb)
+    for kind in ALL_KINDS:
+        want = outcome(lambda: oracle.prediction(kind, cls, x, tb))
+        assert outcome(lambda: node.prediction(kind)) == want, (cls.describe(), x, tb, kind)
+
+
+class TestSampledPathDifferential:
+    def test_stepped_nodes_match_the_oracle_and_fresh_nodes(self):
+        # Nodes stepped from their parents along seeded paths -- past
+        # leaky, dying, dyadic and evaluate-only members -- equal the
+        # oracle and a fresh node built from the same cursors, and the
+        # path is the oracle's draw from the true conditionals.
+        horizon, samples, seed = 9, 3, 61
+        classes = oracle.sampled_path_classes() + leaky_semimeasure_classes(62, 2)
+        for cls in classes:
+            for tb in TIE_BREAKS:
+
+                def row(node, mu_cond):
+                    _assert_node_matches_oracle(node)
+                    fresh = PredictionNode(cls, tb, node.prefix, node.cursors, node.weight)
+                    for a in (None, *cls.alphabet.symbols()):
+                        assert _row(fresh, a) == _row(node, a)
+                        assert fresh.choice(a) == node.choice(a)
+                    for kind in ALL_KINDS:
+                        want = outcome(lambda: fresh.prediction(kind))
+                        assert outcome(lambda: node.prediction(kind)) == want
+                    assert node.weight == cls.true_model.evaluate_exact(node.prefix)
+                    assert mu_cond == node.true_conditionals()
+                    return node.prefix
+
+                paths = monte_carlo_rows(cls, horizon, samples, seed, row, tb)
+                for i, prefixes in enumerate(paths):
+                    drawn = oracle.draw_path(cls.true_model, horizon - 1, derived_rng(seed, i))
+                    assert prefixes == [drawn[:t] for t in range(horizon)], (cls.describe(), i)
 
 
 class TestTailRefusal:
@@ -417,14 +471,9 @@ def test_oracle_reads_no_engine():
 
 
 class _Counted(F):
-    """A model value that counts the products and quotients formed with it."""
+    """A model value that counts the quotients formed with it."""
 
-    products = 0
     quotients = 0
-
-    def __rmul__(self, other):
-        _Counted.products += 1
-        return F(other) * F(self)
 
     def __truediv__(self, other):
         _Counted.quotients += 1
@@ -444,21 +493,72 @@ def _counted(cls):
     )
 
 
+def _read_everything(node, mu_cond):
+    """Every kind and every row of a node, twice."""
+    for _ in range(2):
+        for kind in ALL_KINDS:
+            outcome(lambda: node.prediction(kind))
+        for a in (None, *node.cls.alphabet.symbols()):
+            node.scores(a)
+
+
 class TestNodeWork:
-    def test_all_kinds_form_each_weighted_product_once(self):
-        for cls in (random_measure_class(47, 0), example3_class(), zero_history_class()):
-            counted = _counted(cls)
-            bound = len(cls) * (cls.alphabet.size + 1)
-            for x in all_words(3):
-                if cls.true_model.evaluate_exact(x) == 0:
-                    continue
-                node = _node_at(counted, x, LARGEST_WEIGHT)
-                _Counted.products = 0
-                for _ in range(2):
-                    for kind in ALL_KINDS:
-                        outcome(lambda: node.prediction(kind))
-                    node.true_conditionals()
-                assert 0 < _Counted.products <= bound, (cls.describe(), x)
+    def test_all_kinds_form_each_weighted_product_once(self, monkeypatch):
+        # Along a sampled path whose nodes read every kind and row twice,
+        # each prefix's score row -- its products w_i * nu_i -- is built
+        # once (a child node takes the row its parent stepped), and each
+        # cursor is advanced at most once per symbol.
+        builds, advances = Counter(), Counter()
+        build = PredictionNode._build_row
+
+        def counted_build(node, a):
+            builds[node.prefix if a is None else node.prefix + (a,)] += 1
+            return build(node, a)
+
+        def counting(advance):
+            def counted(cursor, a):
+                advances[cursor, a] += 1  # the key keeps the cursor, so no id is reused
+                return advance(cursor, a)
+
+            return counted
+
+        monkeypatch.setattr(PredictionNode, "_build_row", counted_build)
+        for kind in CURSOR_KINDS:
+            monkeypatch.setattr(kind, "advance", counting(kind.advance))
+        classes = [random_measure_class(47, 0), example3_class(), zero_history_class()]
+        classes += [example5_class(), oracle.sampled_path_classes()[0]]
+        classes += leaky_semimeasure_classes(47, 2)
+        for cls in classes:
+            for seed in range(3):
+                builds.clear()
+                advances.clear()
+                monte_carlo_rows(cls, 8, 1, seed, _read_everything)
+                assert len(builds) > 8 and max(builds.values()) == 1, (cls.describe(), builds)
+                assert max(advances.values()) == 1, cls.describe()
+
+    def test_sampled_paths_reduce_no_cursor_value(self, monkeypatch):
+        # On factorizable classes, leaky wrappers included, nodes and draws
+        # step on factors: only the root cursors' values are ever read.
+        depths = []
+        pairs = ((measures._FactorizableCursor, "_step"), (measures._LeakyCursor, "_depth"))
+        for kind, depth in pairs:
+            value = kind.value
+
+            def counted(cursor, value=value, depth=depth):
+                depths.append(getattr(cursor, depth))
+                return value.fget(cursor)
+
+            monkeypatch.setattr(kind, "value", property(counted))
+        classes = [random_measure_class(48, case) for case in range(4)]
+        classes += [example3_class(), example4_class()] + leaky_semimeasure_classes(48, 3)
+        for cls in classes:
+            assert all(
+                m.is_factorizable or m.base.is_factorizable for m in cls.models
+            ), cls.describe()
+            for tb in TIE_BREAKS:
+                monte_carlo_rows(cls, 12, 2, 5, _read_everything, tb)
+            sample_path(cls.true_model, 12, derived_rng(5, 0))
+        assert set(depths) == {0}
 
     def test_walk_divides_true_conditionals_once_per_node(self):
         cls = _counted(random_measure_class(47, 1))

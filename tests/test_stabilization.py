@@ -5,6 +5,8 @@ import pytest
 from mdl_lab import measures
 from mdl_lab.errors import IndeterminateTailError, ZeroHistoryError
 from mdl_lab.measures import (
+    BINARY,
+    Alphabet,
     DeterministicModel,
     FactorizableModel,
     IidModel,
@@ -35,6 +37,7 @@ from mdl_lab.stabilization import (
 from mdl_lab.suites import random_measure_class
 import oracle
 from oracle import (
+    CURSOR_KINDS,
     TIE_BREAKS,
     EvaluateOnly,
     all_words,
@@ -42,13 +45,6 @@ from oracle import (
     leaky_semimeasure_classes,
     truncated,
     truncated_classes,
-)
-
-CURSOR_KINDS = (
-    measures._GenericCursor,
-    measures._FactorizableCursor,
-    measures._MartingaleCursor,
-    measures._LeakyCursor,
 )
 
 
@@ -187,6 +183,28 @@ class TestMapTraceDifferential:
                 _assert_trace_matches(cls, all_words(6))
         assert reads
 
+    def test_step_tables_ending_in_tails(self):
+        # Members whose step tables end at different depths: the multipliers
+        # a trace keeps while every step law stays the same must be redone
+        # when a table runs into its tail.
+        def table(steps, tail):
+            return FactorizableModel.from_steps(BINARY, steps, tail)
+
+        half = (F(1, 2), F(1, 2))
+        models = [
+            table([(F(1, 4), F(3, 4)), (F(3, 4), F(1, 4)), half], (F(1, 3), F(2, 3))),
+            table([half], (F(3, 5), F(2, 5))),
+            IidModel(half),
+            LeakySemimeasure(table([(F(1, 3), F(2, 3))] * 2, (F(2, 3), F(1, 3))), F(1, 7)),
+        ]
+        classes = [
+            WeightedClass(models, [F(1, 4)] * 4, true_index=0),
+            WeightedClass(models, [F(1, 3), F(1, 6), F(1, 4), F(1, 4)], true_index=1),
+        ]
+        for cls in classes:
+            paths = [sample_path(cls.true_model, 40, derived_rng(81, i)) for i in range(4)]
+            _assert_trace_matches(cls, all_words(7) + paths)
+
     def test_truncated_class_refuses_where_map_estimator_refuses(self):
         cls = geometric_class()
         ones = (1,) * 6
@@ -267,6 +285,24 @@ class TestMonteCarlo:
             example5_class(), 300, samples=60, window=80, seed=11
         )
         assert 1 - summary.fraction_stabilized >= F(1, 2)
+
+
+class TestSamplePath:
+    def test_iid_draws_equal_the_generic_cursor_draw(self):
+        # The i.i.d. branch draws on a denominator computed once; the same
+        # law stepped on cursor factors, read through a generic cursor's
+        # values, and drawn by the oracle gives the same symbols.
+        seen = set()
+        for theta in ((F(1, 2), F(1, 2)), (F(3, 8), F(5, 8)), (F(1, 6), F(0), F(5, 6))):
+            iid = IidModel(theta)
+            stepped = FactorizableModel.from_steps(Alphabet(len(theta)), [], theta)
+            for seed in range(4):
+                want = oracle.draw_path(iid, 60, derived_rng(seed, 3))
+                for model in (iid, stepped, EvaluateOnly(iid)):
+                    assert sample_path(model, 60, derived_rng(seed, 3)) == want, (theta, model)
+                if len(theta) == 3:
+                    seen |= set(want)
+        assert seen == {0, 2}
 
 
 class TestProfile:
