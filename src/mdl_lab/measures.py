@@ -760,17 +760,14 @@ def _cumulative(probs) -> tuple:
     return den, cumulative
 
 
-def _draw_on(den: int, cumulative: list, rng: random.Random) -> int:
-    """The first symbol whose cumulative numerator exceeds one uniform draw."""
+def _draw_exact(probs, rng: random.Random) -> int:
+    """Inverse-CDF draw with one integer uniform on a common denominator:
+    the first symbol whose cumulative numerator exceeds the draw."""
+    den, cumulative = _cumulative(probs)
     a = bisect_right(cumulative, rng.randrange(den))
     if a == len(cumulative):
         raise SamplingError("conditional probabilities sum to less than 1")
     return a
-
-
-def _draw_exact(probs, rng: random.Random) -> int:
-    """Inverse-CDF draw with one integer uniform on a common denominator."""
-    return _draw_on(*_cumulative(probs), rng)
 
 
 def sample_path(model: Semimeasure, n: int, rng: random.Random) -> Word:
@@ -780,13 +777,18 @@ def sample_path(model: Semimeasure, n: int, rng: random.Random) -> Word:
     conditionals' denominators, read from the child cursors' factors (or
     quotients of their values where a cursor has no factor).  An i.i.d.
     model has the same conditionals at every step, so its denominator and
-    cumulative numerators are computed once and the draws are the same.
+    cumulative numerators are computed once and the draws are the same;
+    its last cumulative numerator is the denominator, so no draw overruns.
+    A negative ``n`` is refused.
     """
+    if n < 0:
+        raise ValueError(f"path length must be at least 0, got {n}")
     if not model.is_proper_measure:
         raise SamplingError("sampling requires a proper measure")
     if isinstance(model, IidModel):
         den, cumulative = _cumulative(model.theta)
-        return tuple(_draw_on(den, cumulative, rng) for _ in range(n))
+        draw, first_above = rng.randrange, bisect_right
+        return tuple([first_above(cumulative, draw(den)) for _ in range(n)])
     cur = model.cursor()
     out = []
     k = model.alphabet.size

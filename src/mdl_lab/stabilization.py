@@ -19,6 +19,27 @@ joins the scores as a shift.  While no member's step distribution
 changes (i.i.d. models, step tables run into their tails), each symbol's
 multipliers are computed once.  Only a class with a member that has no
 cursor of its own puts the cursor values over one lcm at every prefix.
+
+A class of i.i.d. members (exactly :class:`~mdl_lab.measures.IidModel`)
+with no tail skips the runs of steps whose choice its scores already
+decide.  With S_i = w_i * prod_a m_ia^{n_a} the integer scores and m_ia
+member i's multiplier for symbol a, a unique maximum b at a prefix stays
+the unique maximum for the next s steps when s * U_bj <= G_j for every
+live j != b with U_bj > 0, where
+
+    G_j = bl(S_b) - bl(S_j) - 1,
+    U_bj = max over a with m_ba > 0 of bl(m_ja) - bl(m_ba) + 1,
+
+and bl is the bit length.  G_j is a strict lower bound on
+log2(S_b / S_j), and a step on a symbol that b gives positive probability
+raises log2(S_j / S_b) by less than U_bj, so a j with U_bj <= 0 never
+gains.  The run also stops before the next symbol that b gives
+probability 0.  The trace then
+records s unforced choices of b and multiplies each score by m_ia^{c_a},
+with c_a the count of a in the skipped symbols.  Where there is a tie or
+no certified step, one exact step follows; after a failed certificate the
+next attempt waits 1, 2, 4, ... exact steps, so a class that stays near a
+tie pays little for the attempts.
 """
 
 from __future__ import annotations
@@ -30,6 +51,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .errors import ZeroHistoryError
 from .measures import (
     DyadicCursor,
+    IidModel,
     LeakySemimeasure,
     Semimeasure,
     Word,
@@ -172,6 +194,79 @@ def _weighted_scores(cls: WeightedClass, word: Word) -> Iterator[Tuple[list, int
         yield scored()
 
 
+def _skipping_trace(cls: WeightedClass, word: Word, tie_break: TieBreak) -> MapTrace:
+    """:func:`map_trace` of a class of i.i.d. members with no tail.
+
+    Takes one exact step (a multiply per member and a
+    :meth:`TieBreak.select`) only where the bit-length certificate of the
+    module docstring fixes no run of steps.
+    """
+    weights = cls.weights
+    scores, _ = common_denominator([(w.numerator, w.denominator) for w in weights])
+    columns = [
+        step_multipliers([m.theta[a] for m in cls.models])[0]
+        for a in cls.alphabet.symbols()
+    ]
+    # bits[i][a] = bl(m_ia); rates[b][j] = U_bj, made when b first leads.
+    bits = [[m.bit_length() for m in row] for row in zip(*columns)]
+    rates: dict = {}
+    end = len(word)
+    indices: List[int] = []
+    ties: List[bool] = []
+    t = 0
+    wait = 0  # exact steps left before the next certificate attempt
+    patience = 1  # the wait after the next failed attempt
+    while True:
+        index, tied = tie_break.select(scores, weights, t)
+        if not scores[index]:
+            raise ZeroHistoryError(f"rho = 0 after {t} symbols")
+        indices.append(index)
+        ties.append(len(tied) > 1)
+        if len(tied) == 1 and not wait and t < end:
+            lead = bits[index]
+            rate = rates.get(index)
+            if rate is None:
+                rate = rates[index] = [
+                    max(bj - bb for bj, bb in zip(row, lead) if bb) + 1 for row in bits
+                ]
+            while True:
+                top = scores[index].bit_length()
+                run = end - t
+                for j, u in enumerate(rate):
+                    s = scores[j]
+                    if u > 0 and s and j != index:
+                        run = min(run, (top - s.bit_length() - 1) // u)
+                if run <= 0:
+                    break
+                segment = word[t : t + run]
+                for a, bb in enumerate(lead):
+                    if not bb and a in segment:  # b gives a probability 0
+                        segment = segment[: segment.index(a)]
+                run = len(segment)
+                if not run:
+                    break
+                counts = [(col, segment.count(a)) for a, col in enumerate(columns)]
+                for i, s in enumerate(scores):
+                    if s:
+                        factor = 1
+                        for col, c in counts:
+                            factor *= col[i] ** c
+                        scores[i] = s * factor
+                indices += [index] * run
+                ties += [False] * run
+                t += run
+                patience = 1
+            wait = patience
+            patience *= 2
+        if t == end:
+            return MapTrace(indices, ties)
+        if wait:
+            wait -= 1
+        column = columns[word[t]]
+        scores = [s * m for s, m in zip(scores, column)]
+        t += 1
+
+
 def map_trace(
     cls: WeightedClass,
     x,
@@ -184,12 +279,20 @@ def map_trace(
     tail could overturn the choice, and :class:`ZeroHistoryError` once
     every member gives the prefix probability zero.  Every prefix is
     compared on exact integers over a common denominator; only a class
-    with a member that has no cursor of its own reads cursor values.
+    with a member that has no cursor of its own reads cursor values.  A
+    class whose members are all :class:`IidModel` and that has no tail
+    skips every run of steps whose choice a bit-length bound on its
+    scores already fixes (module docstring): it records the unique
+    maximum for the whole run, with no tie, and steps its scores by one
+    power per member and symbol.
     """
+    word = cls.word(x)
+    if cls.tail_bound is None and all(type(m) is IidModel for m in cls.models):
+        return _skipping_trace(cls, word, tie_break)
     weights = cls.weights
     indices: List[int] = []
     ties: List[bool] = []
-    for t, (scores, den) in enumerate(_weighted_scores(cls, cls.word(x))):
+    for t, (scores, den) in enumerate(_weighted_scores(cls, word)):
         index, tied = tie_break.select(scores, weights, t)
         best = scores[index]
         if cls.tail_bound is not None:
@@ -201,9 +304,13 @@ def map_trace(
     return MapTrace(indices, ties)
 
 
+def _check_window(window: int, horizon: int) -> None:
+    if not 0 <= window <= horizon:
+        raise ValueError(f"window {window} is outside 0..{horizon}, the horizon")
+
+
 def stabilization_verdict(trace: MapTrace, window: int) -> StabilizationVerdict:
-    if not 0 <= window <= trace.horizon:
-        raise ValueError(f"window {window} is outside 0..{trace.horizon}, the horizon")
+    _check_window(window, trace.horizon)
     changes = trace.change_times()
     last = changes[-1] if changes else 0
     stabilized_by = last if last <= trace.horizon - window else None
@@ -238,9 +345,13 @@ def monte_carlo_stabilization(
     """Fraction of true-model paths whose MAP trace stabilizes.
 
     Per-sample RNGs are derived from (seed, index), so results are
-    byte-identical for any worker count.
+    byte-identical for any worker count.  A negative horizon, or a window
+    outside 0..horizon, is refused before any path is drawn.
     """
     check_samples(samples)
+    if horizon < 0:
+        raise ValueError(f"horizon must be at least 0, got {horizon}")
+    _check_window(window, horizon)
     mu = cls.true_model
 
     def one(i: int) -> StabilizationVerdict:

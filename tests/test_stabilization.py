@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mdl_lab import measures
+from mdl_lab import measures, stabilization
 from mdl_lab.errors import IndeterminateTailError, ZeroHistoryError
 from mdl_lab.measures import (
     BINARY,
@@ -17,8 +17,10 @@ from mdl_lab.measures import (
 )
 from mdl_lab.model_class import (
     LARGEST_WEIGHT,
+    TieBreak,
     WeightedClass,
     bernoulli_class,
+    bernoulli_sharpness_class,
     example1_class,
     example3_class,
     example4_class,
@@ -215,6 +217,107 @@ class TestMapTraceDifferential:
             map_trace(cls, ones[:3])
 
 
+def _iid_classes():
+    """Classes of IidModel members with no tail: the skipping trace's input."""
+    return [
+        # Criterion 09's class: long certified runs.
+        bernoulli_class([F(1, 8), F(3, 8), F(5, 8), F(7, 8)], true_index=1),
+        # Example 2's crowded class: near ties, few certificates.
+        bernoulli_sharpness_class(6),
+        # Symmetric pairs tie exactly wherever k = t/2.
+        bernoulli_class([F(1, 3), F(2, 3)]),
+        bernoulli_class([F(3, 4), F(1, 4)]),
+        # Duplicated parameters under equal and under unequal weights.
+        bernoulli_class([F(1, 4), F(3, 4), F(1, 4)]),
+        bernoulli_class([F(1, 4), F(3, 4), F(1, 4)], [F(1, 6), F(1, 3), F(1, 2)]),
+        # Members that die: every word with both symbols kills the whole
+        # first class; in the second the fair coin outlives a leader that
+        # gives the next symbol probability 0.
+        bernoulli_class([F(0), F(1)]),
+        bernoulli_class([F(0), F(1, 2), F(1)], [F(3, 8), F(1, 4), F(3, 8)]),
+        # A ternary class with a zero entry.
+        WeightedClass(
+            [IidModel((F(1, 2), F(0), F(1, 2))), IidModel((F(1, 6), F(1, 3), F(1, 2))),
+             IidModel((F(1, 3),) * 3)],
+            [F(1, 3)] * 3,
+            true_index=1,
+        ),
+    ]
+
+
+def _stepped_twin(cls):
+    """The same laws as step tables with no steps: the stepping loop's input."""
+    models = [FactorizableModel.from_steps(m.alphabet, [], m.theta) for m in cls.models]
+    return WeightedClass(models, cls.weights, true_index=cls.true_index)
+
+
+def _trace_or_error(cls, word, tie_break):
+    try:
+        trace = map_trace(cls, word, tie_break)
+    except ZeroHistoryError as exc:
+        return str(exc)  # names the prefix length
+    return trace.indices, trace.tie_flags
+
+
+SKIP_TIE_BREAKS = TIE_BREAKS + (round_robin(),)
+
+
+class TestSkippingTrace:
+    """The i.i.d. trace that skips certified runs equals the stepping loop."""
+
+    def _assert_twins_agree(self, cls, words):
+        twin = _stepped_twin(cls)
+        for tb in SKIP_TIE_BREAKS:
+            for word in words:
+                want = _trace_or_error(twin, word, tb)
+                assert _trace_or_error(cls, word, tb) == want, (cls.describe(), word, tb)
+
+    def test_every_short_word(self):
+        for cls in _iid_classes():
+            k = cls.alphabet.size
+            self._assert_twins_agree(cls, all_words(10 if k == 2 else 6, k))
+
+    def test_seeded_long_paths(self):
+        for c, cls in enumerate(_iid_classes()):
+            paths = [
+                sample_path(m, 2000, derived_rng(61, 10 * c + i))
+                for i, m in enumerate(cls.models[:4])
+            ]
+            self._assert_twins_agree(cls, paths)
+
+    def test_paths_match_the_oracle(self):
+        errors = []
+        for c, cls in enumerate(_iid_classes()):
+            paths = [
+                sample_path(m, n, derived_rng(62, 10 * c + i))
+                for i, (m, n) in enumerate(zip(cls.models, (300, 120, 200)))
+            ]
+            paths.append((0,) * 100 + (1,) * 100)  # kills both members of [0, 1]
+            errors += _assert_trace_matches(cls, paths)
+        assert ZeroHistoryError in errors
+
+    def test_certified_runs_replace_exact_steps(self, monkeypatch):
+        # Each exact step makes one select; a certified run makes none.
+        calls = []
+        select = TieBreak.select
+
+        def counted(self, *args):
+            calls.append(1)
+            return select(self, *args)
+
+        monkeypatch.setattr(TieBreak, "select", counted)
+        cls = _iid_classes()[0]
+        twin = _stepped_twin(cls)
+        for i in range(4):
+            path = sample_path(cls.true_model, 2000, derived_rng(9, i))
+            calls.clear()
+            trace = map_trace(cls, path)
+            assert len(calls) <= 300, i
+            calls.clear()
+            assert map_trace(twin, path) == trace
+            assert len(calls) == 2001
+
+
 class TestMapTrace:
     def test_single_model_constant(self):
         cls = bernoulli_class([F(1, 2)], true_index=0)
@@ -274,6 +377,19 @@ class TestMonteCarlo:
         assert [v.stabilized_by for v in a.verdicts] == [
             v.stabilized_by for v in b.verdicts
         ]
+
+    def test_negative_horizon_and_stray_window_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a path was drawn")
+
+        cls = bernoulli_class([F(1, 2)], true_index=0)
+        monkeypatch.setattr(stabilization, "sample_path", no_draw)
+        for horizon, window in ((-3, 0), (4, 5), (4, -1)):
+            with pytest.raises(ValueError):
+                monte_carlo_stabilization(cls, horizon, 2, window, 1)
+        for model in (cls.true_model, example4_class().true_model):
+            with pytest.raises(ValueError):
+                sample_path(model, -1, derived_rng(0, 0))
 
     def test_zero_samples_refused(self):
         cls = bernoulli_class([F(1, 2)], true_index=0)
