@@ -697,7 +697,10 @@ def check_semimeasure(model: Semimeasure, depth: int) -> SemimeasureCheck:
     Proper measures must satisfy both with equality.  Runs in exact
     arithmetic and reports the first violating node.  Zero-valued nodes
     are verified to have all-zero children, then not descended further.
+    A depth below 1 checks no node and is refused.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     k = model.alphabet.size
     root = model.cursor()
     if root.value > 1:

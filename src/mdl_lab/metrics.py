@@ -411,8 +411,11 @@ def monte_carlo_distances(
 
 
 def ordered_parallel_map(fn, items, workers: int):
-    """Map preserving item order; results identical for any worker count."""
-    if workers <= 1:
+    """Map preserving item order, identical for any worker count; fewer
+    than one worker is refused before any item runs."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
         return [fn(i) for i in items]
     from concurrent.futures import ThreadPoolExecutor
 

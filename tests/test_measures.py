@@ -296,6 +296,13 @@ class TestStructure:
         cur = leaky.cursor()
         assert cur.advance(0).value + cur.advance(1).value == F(3, 4) * cur.value
 
+    def test_depth_below_one_refused(self):
+        model = IidModel((F(1, 3), F(2, 3)))
+        assert check_semimeasure(model, 1).nodes_checked == 1
+        for depth in (0, -2):
+            with pytest.raises(ValueError, match="depth"):
+                check_semimeasure(model, depth)
+
     def test_martingale_measure_to_depth_10(self):
         report = check_semimeasure(OscillatingMartingaleMeasure(), 10)
         assert report.passed and report.all_equalities

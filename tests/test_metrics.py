@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdl_lab import decisions, metrics
+from mdl_lab import decisions, metrics, stabilization
 from mdl_lab.errors import TooLargeError
 from mdl_lab.measures import IidModel
 from mdl_lab.metrics import (
@@ -199,6 +199,23 @@ class TestMonteCarlo:
         b = monte_carlo_distances(cls, "static", 6, samples=24, seed=9, workers=4)
         assert a.per_step("square") == b.per_step("square")
         assert a.stderr == b.stderr
+
+    def test_worker_counts_below_one_refused_before_any_path(self, monkeypatch):
+        def no_path(*args):
+            raise AssertionError("a path was started")
+
+        for module in (metrics, stabilization):
+            monkeypatch.setattr(module, "derived_rng", no_path)
+        cls = bernoulli_class([F(1, 4), F(3, 4)], true_index=0)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                stabilization.monte_carlo_stabilization(cls, 10, 2, 2, 0, workers=workers)
+            with pytest.raises(ValueError, match="workers"):
+                monte_carlo_distances(cls, "static", 4, 2, 0, workers=workers)
+            with pytest.raises(ValueError, match="workers"):
+                decisions.monte_carlo_decision_trace(
+                    cls, "static", decisions.zero_one_loss(), 4, 2, 0, workers=workers
+                )
 
     def test_three_stderr_agreement(self):
         # The estimate lands within 3 standard errors of the exact ledger

@@ -218,7 +218,7 @@ class TestMapTraceDifferential:
 
 
 def _iid_classes():
-    """Classes of IidModel members with no tail: the skipping trace's input."""
+    """Classes of IidModel members with no tail: traces that skip."""
     return [
         # Criterion 09's class: long certified runs.
         bernoulli_class([F(1, 8), F(3, 8), F(5, 8), F(7, 8)], true_index=1),
@@ -245,9 +245,54 @@ def _iid_classes():
     ]
 
 
+def _leaky_iid_classes():
+    """Classes of i.i.d. members, some under one or two leaks: these skip too."""
+    classes = _iid_classes()
+    c09, ternary = classes[0], classes[-1]
+    a, b, c, d = c09.models
+    u, v, w = ternary.models
+    return [
+        # Criterion 09's class with its truth left whole.
+        WeightedClass(
+            [
+                LeakySemimeasure(a, F(1, 64)),
+                b,
+                LeakySemimeasure(c, F(1, 1000)),
+                LeakySemimeasure(LeakySemimeasure(d, F(1, 8)), F(1, 3)),
+            ],
+            c09.weights,
+            true_index=1,
+        ),
+        # The ternary class: its leader under a leak still gives symbol 1
+        # probability 0.
+        WeightedClass(
+            [
+                LeakySemimeasure(u, F(1, 5)),
+                v,
+                LeakySemimeasure(LeakySemimeasure(w, F(1, 7)), F(1, 2)),
+            ],
+            ternary.weights,
+            true_index=1,
+        ),
+    ]
+
+
+def _base(model):
+    while isinstance(model, LeakySemimeasure):
+        model = model.base
+    return model
+
+
+def _stepped(model):
+    if isinstance(model, LeakySemimeasure):
+        return LeakySemimeasure(_stepped(model.base), model.leak)
+    return FactorizableModel.from_steps(model.alphabet, [], model.theta)
+
+
 def _stepped_twin(cls):
-    """The same laws as step tables with no steps: the stepping loop's input."""
-    models = [FactorizableModel.from_steps(m.alphabet, [], m.theta) for m in cls.models]
+    """The same laws as step tables with no steps, under the same leaks: a
+    class that takes only exact steps."""
+    models = [_stepped(m) for m in cls.models]
     return WeightedClass(models, cls.weights, true_index=cls.true_index)
 
 
@@ -263,7 +308,7 @@ SKIP_TIE_BREAKS = TIE_BREAKS + (round_robin(),)
 
 
 class TestSkippingTrace:
-    """The i.i.d. trace that skips certified runs equals the stepping loop."""
+    """A trace that skips certified runs equals its twin's exact steps."""
 
     def _assert_twins_agree(self, cls, words):
         twin = _stepped_twin(cls)
@@ -296,6 +341,27 @@ class TestSkippingTrace:
             errors += _assert_trace_matches(cls, paths)
         assert ZeroHistoryError in errors
 
+    def test_leaky_members_on_every_short_word(self):
+        for cls in _leaky_iid_classes():
+            k = cls.alphabet.size
+            self._assert_twins_agree(cls, all_words(10 if k == 2 else 6, k))
+
+    def test_leaky_members_on_seeded_long_paths(self):
+        for c, cls in enumerate(_leaky_iid_classes()):
+            paths = [
+                sample_path(_base(m), 2000, derived_rng(63, 10 * c + i))
+                for i, m in enumerate(cls.models)
+            ]
+            self._assert_twins_agree(cls, paths)
+
+    def test_leaky_members_match_the_oracle(self):
+        for c, cls in enumerate(_leaky_iid_classes()):
+            paths = [
+                sample_path(_base(m), n, derived_rng(64, 10 * c + i))
+                for i, (m, n) in enumerate(zip(cls.models, (300, 120, 200)))
+            ]
+            assert not _assert_trace_matches(cls, paths)
+
     def test_certified_runs_replace_exact_steps(self, monkeypatch):
         # Each exact step makes one select; a certified run makes none.
         calls = []
@@ -306,16 +372,26 @@ class TestSkippingTrace:
             return select(self, *args)
 
         monkeypatch.setattr(TieBreak, "select", counted)
-        cls = _iid_classes()[0]
-        twin = _stepped_twin(cls)
-        for i in range(4):
-            path = sample_path(cls.true_model, 2000, derived_rng(9, i))
-            calls.clear()
-            trace = map_trace(cls, path)
-            assert len(calls) <= 300, i
-            calls.clear()
-            assert map_trace(twin, path) == trace
-            assert len(calls) == 2001
+        # Criterion 09's class, and its variant with leaky members.
+        for cls in (_iid_classes()[0], _leaky_iid_classes()[0]):
+            twin = _stepped_twin(cls)
+            for i in range(4):
+                path = sample_path(cls.true_model, 2000, derived_rng(9, i))
+                calls.clear()
+                trace = map_trace(cls, path)
+                assert len(calls) <= 300, (cls.describe(), i)
+                calls.clear()
+                assert map_trace(twin, path) == trace
+                assert len(calls) == 2001
+        # A tail needs its refusal read at every prefix, and a dyadic member
+        # (example 5's martingale) has no certificate: neither skips.
+        c09, e5 = _iid_classes()[0], example5_class()
+        for cls, mu in ((truncated(c09, F(1, 2**3000)), c09.true_model), (e5, e5.true_model)):
+            for i in range(2):
+                path = sample_path(mu, 2000, derived_rng(9, i))
+                calls.clear()
+                map_trace(cls, path)
+                assert len(calls) == len(path) + 1
 
 
 class TestMapTrace:
@@ -429,6 +505,12 @@ class TestProfile:
         profile = profile_class(cls, depth=10)
         assert profile.all_factorizable and profile.all_measures
         assert profile.uniform_stochasticity_delta == F(1, 8)
+
+    def test_negative_depth_refused(self):
+        cls = bernoulli_class([F(1, 8), F(7, 8)], true_index=1)
+        assert profile_class(cls, depth=0).checked_depth == 0
+        with pytest.raises(ValueError, match="depth"):
+            profile_class(cls, depth=-1)
 
     def test_example4_has_no_delta(self):
         profile = profile_class(example4_class(), depth=10)
