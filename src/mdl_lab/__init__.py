@@ -11,9 +11,9 @@ The library provides:
                        predictors read from one cursor-built prediction
                        node, and normalization.
 * ``metrics``       -- instantaneous and cumulative square / Hellinger /
-                       KL / absolute distances, the exact tree walk and the
-                       Monte-Carlo path driver, and the bound-verification
-                       reports.
+                       KL / absolute distances, the exact tree walk, the
+                       Monte-Carlo path drivers (node-stepped, or read off
+                       MAP traces) and the bound-verification reports.
 * ``decisions``     -- Bayes-optimal actions under arbitrary bounded loss
                        functions and the regret-bound machinery.
 * ``stabilization`` -- MAP-choice traces, stabilization verdicts and class

@@ -31,8 +31,8 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .enclosure import ZERO_INTERVAL, FracInterval, hellinger_term, kl_term
 from .errors import DegenerateLikelihoodError
-from .measures import Alphabet, BINARY, FactorizableModel, derived_rng
-from .metrics import check_samples, mean_stderr
+from .measures import Alphabet, BINARY, FactorizableModel, check_samples, derived_rng
+from .metrics import mean_stderr
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
 from .predictors import PredictiveDistribution, predict_dynamic, predict_static
 

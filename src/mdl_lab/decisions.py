@@ -37,8 +37,8 @@ from .metrics import (
     DEFAULT_NODE_GUARD,
     BoundReport,
     mean_stderr,
-    monte_carlo_rows,
     prefix_key,
+    sampled_rows,
     walk_support,
 )
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
@@ -352,17 +352,22 @@ def monte_carlo_decision_trace(
     tie_break: TieBreak = LARGEST_WEIGHT,
     workers: int = 1,
 ) -> MonteCarloDecisionTrace:
-    """Unbiased estimate of the decision ledgers from sampled paths."""
+    """Unbiased estimate of the decision ledgers from sampled paths.
+
+    The paths come from :func:`~mdl_lab.metrics.sampled_rows`: the true,
+    static and static_norm kinds read them off one MAP trace per path,
+    every other kind steps a prediction node per step.
+    """
     if cls.alphabet.size != 2:
         raise ValueError("the decision layer is binary-alphabet only")
 
-    def row(node: PredictionNode, mu_cond: list) -> Tuple[float, float, int]:
-        table = loss.table(node.prefix)
-        action, step_phi = _acted_loss(node.prediction(predictor_kind)[1], mu_cond, table)
+    def row(x: Word, t: int, mu_cond, phi) -> Tuple[float, float, int]:
+        table = loss.table(x[:t])
+        action, step_phi = _acted_loss(phi[1], mu_cond, table)
         step_mu = _acted_loss(mu_cond[1], mu_cond, table)[1]
         return float(step_phi), float(step_mu), action
 
-    paths = monte_carlo_rows(cls, horizon, samples, seed, row, tie_break, workers)
+    paths = sampled_rows(cls, predictor_kind, horizon, samples, seed, row, tie_break, workers)
     steps = list(zip(*paths))
     phi = [mean_stderr([r[0] for r in step]) for step in steps]
     mu = [mean_stderr([r[1] for r in step]) for step in steps]

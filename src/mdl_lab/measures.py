@@ -747,6 +747,25 @@ def derived_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"mdl-lab:{seed}:{index}")
 
 
+def check_samples(samples: int) -> None:
+    """Refuse a Monte-Carlo run of fewer than one sampled path."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
+def ordered_parallel_map(fn, items, workers: int):
+    """Map preserving item order, identical for any worker count; fewer
+    than one worker is refused before any item runs."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
+        return [fn(i) for i in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def sample_sequence(model: Semimeasure, n: int, seed: int) -> Word:
     """Draw x_{1:n} with probability exactly nu(x_{1:n}); seed-reproducible."""
     return sample_path(model, n, derived_rng(seed, 0))

@@ -11,12 +11,15 @@ applied verbatim to raw prediction entries (no implicit normalization;
 the unnormalized variants are bounded as-is).  Cumulative ledgers take
 expectations over the true measure by exact enumeration of the sequence
 tree (:func:`walk_support`), pruning zero-probability subtrees, or by
-seeded Monte Carlo: :func:`monte_carlo_rows` drives the sampled paths of
-the distance and decision ledgers, and :func:`mean_stderr` reduces their
-columns.  (``monte_carlo_stabilization`` draws its own paths with
-``sample_path`` and ``map_trace``, and ``monte_carlo_regression_hellinger``
-its own samples.)  Both the walk and the sampled paths need a fully
-materialized class.
+seeded Monte Carlo, and :func:`mean_stderr` reduces the sampled columns.
+The distance and decision ledgers sample their paths with
+:func:`sampled_rows`.  The kinds that read only the MAP choice (true,
+static, static_norm) read each path off ``stabilization.sampled_trace``,
+the ``sample_path`` and ``map_trace`` pair that
+``monte_carlo_stabilization`` also draws with; every other kind steps a
+prediction node per step (:func:`monte_carlo_rows`).  Both draw the same
+paths.  (``monte_carlo_regression_hellinger`` draws its own samples.)
+Both the walk and the sampled paths need a fully materialized class.
 
 Exact ledgers hold square and absolute sums as exact rationals and
 Hellinger and KL sums as certified rational enclosures, so every bound
@@ -50,7 +53,13 @@ from .enclosure import (
     ln_interval,
 )
 from .errors import SamplingError, TooLargeError
-from .measures import Word, _draw_exact, derived_rng
+from .measures import (
+    Word,
+    _draw_exact,
+    check_samples,
+    derived_rng,
+    ordered_parallel_map,
+)
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
 from .predictors import (
     ALL_KINDS,
@@ -58,9 +67,12 @@ from .predictors import (
     RHO_NORM,
     STATIC,
     STATIC_NORM,
+    TRUE,
     XI,
     PredictionNode,
+    _normalize_list,
 )
+from .stabilization import sampled_trace, step_conditionals
 from .values import EXACT, FLOAT, check_mode
 
 DEFAULT_NODE_GUARD = 20_000_000
@@ -323,10 +335,7 @@ def monte_carlo_rows(
     is refused before any path.  The per-path row lists come back in
     index order, so the result is identical for any worker count.
     """
-    check_samples(samples)
-    _check_path_class(cls, horizon)
-    if not cls.true_model.is_proper_measure:
-        raise SamplingError("sampling requires a proper measure")
+    _check_sampled_paths(cls, horizon, samples)
 
     def one_path(i: int) -> list:
         rng = derived_rng(seed, i)
@@ -344,10 +353,70 @@ def monte_carlo_rows(
     return ordered_parallel_map(one_path, range(samples), workers)
 
 
-def check_samples(samples: int) -> None:
-    """Refuse a Monte-Carlo run of fewer than one sampled path."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+def _check_sampled_paths(cls: WeightedClass, horizon: int, samples: int) -> None:
+    """Refuse a sampled run before any path: fewer than one sample, an open
+    tail, a negative horizon, or a true model that is not a proper measure."""
+    check_samples(samples)
+    _check_path_class(cls, horizon)
+    if not cls.true_model.is_proper_measure:
+        raise SamplingError("sampling requires a proper measure")
+
+
+# Kinds whose prediction depends on the history only through its MAP choice.
+CHOICE_KINDS = (TRUE, STATIC, STATIC_NORM)
+
+
+def sampled_rows(
+    cls: WeightedClass,
+    kind: str,
+    horizon: int,
+    samples: int,
+    seed: int,
+    row: Callable[[Word, int, Sequence, Sequence], object],
+    tie_break: TieBreak = LARGEST_WEIGHT,
+    workers: int = 1,
+) -> List[list]:
+    """Per-step rows ``row(x, t, mu_cond, phi)`` along sampled paths.
+
+    At step t of path i, ``x[:t]`` is the history, ``mu_cond`` the true
+    conditionals there and ``phi`` the prediction of ``kind``.  The kinds
+    of :data:`CHOICE_KINDS` read path i off
+    ``sampled_trace(cls, horizon - 1, seed, i, tie_break)``: the word
+    :func:`monte_carlo_rows` draws for path i, since both draw from the
+    true conditionals with ``derived_rng(seed, i)``, and the MAP index a
+    node's tie-break selects at every prefix.  The prediction is the chosen
+    member's conditionals (:func:`~mdl_lab.stabilization.step_conditionals`,
+    one reader per member read), normalized for ``static_norm``, or the
+    true ones for ``true``: the Fractions a node gives, read without
+    building one.  Every other kind steps a prediction node per step
+    (:func:`monte_carlo_rows`).  So both give equal rows, refusals and
+    error types, and the result is identical for any worker count.
+    """
+    if kind not in CHOICE_KINDS:
+
+        def node_row(node: PredictionNode, mu_cond: list):
+            return row(node.prefix, node.t, mu_cond, node.prediction(kind))
+
+        return monte_carlo_rows(cls, horizon, samples, seed, node_row, tie_break, workers)
+    _check_sampled_paths(cls, horizon, samples)
+    true = cls.true_index
+
+    def one_path(i: int) -> list:
+        word, trace = sampled_trace(cls, max(horizon - 1, 0), seed, i, tie_break)
+        indices = trace.indices
+        readers = {j: step_conditionals(cls.models[j], word) for j in {true, *indices}}
+        read_true = readers[true]
+        rows = []
+        for t in range(horizon):
+            mu = read_true(t)
+            j = indices[t]
+            phi = mu if j == true or kind == TRUE else readers[j](t)
+            if kind == STATIC_NORM:
+                phi = _normalize_list(phi)
+            rows.append(row(word, t, mu, phi))
+        return rows
+
+    return ordered_parallel_map(one_path, range(samples), workers)
 
 
 def mean_stderr(column: Sequence[float]) -> Tuple[float, float]:
@@ -390,14 +459,21 @@ def monte_carlo_distances(
 ) -> CumulativeLedger:
     """Unbiased float estimates of the distance ledgers from sampled paths.
 
-    The paths come from :func:`monte_carlo_rows`, so the result is
-    identical for any worker count.
+    The paths come from :func:`sampled_rows`: the kinds of
+    :data:`CHOICE_KINDS` (true, static, static_norm) read them off one MAP
+    trace per path, every other kind steps a prediction node per step.
+    The result is identical for any worker count.
     """
+    last = None  # (mu, phi, their distances): runs of steps repeat a pair
 
-    def row(node: PredictionNode, mu_cond: list) -> StepDistances:
-        return step_distances(mu_cond, node.prediction(predictor_kind), FLOAT)
+    def row(x: Word, t: int, mu_cond: Sequence, phi: Sequence) -> StepDistances:
+        nonlocal last
+        hit = last
+        if hit is None or hit[0] is not mu_cond or hit[1] is not phi:
+            hit = last = (mu_cond, phi, step_distances(mu_cond, phi, FLOAT))
+        return hit[2]
 
-    paths = monte_carlo_rows(cls, horizon, samples, seed, row, tie_break, workers)
+    paths = sampled_rows(cls, predictor_kind, horizon, samples, seed, row, tie_break, workers)
     steps = list(zip(*paths))
     stats = {
         name: [mean_stderr([getattr(d, name) for d in step]) for step in steps]
@@ -408,19 +484,6 @@ def monte_carlo_distances(
         *([mean for mean, _ in stats[name]] for name in METRICS),
         stderr={name: [se for _, se in stats[name]] for name in METRICS},
     )
-
-
-def ordered_parallel_map(fn, items, workers: int):
-    """Map preserving item order, identical for any worker count; fewer
-    than one worker is refused before any item runs."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers == 1:
-        return [fn(i) for i in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,13 @@ skipped symbols.  Where there is a tie or no certified step, one exact
 step follows; after a failed certificate the next attempt waits 1, 2, 4,
 ... exact steps, so a class that stays near a tie pays little for the
 attempts.
+
+Sampled runs that read nothing but the MAP choice draw each path and its
+trace with :func:`sampled_trace`: the stabilization verdicts here, and
+the true, static and static_norm Monte-Carlo ledgers of ``metrics`` and
+``decisions``.  Those ledgers read each member's conditionals along the
+path with :func:`step_conditionals` instead of building a prediction node
+per step.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import ZeroHistoryError
 from .measures import (
@@ -59,7 +66,10 @@ from .measures import (
     IidModel,
     LeakySemimeasure,
     Semimeasure,
+    Word,
+    check_samples,
     derived_rng,
+    ordered_parallel_map,
     sample_path,
 )
 from .model_class import (
@@ -71,7 +81,6 @@ from .model_class import (
     cursor_scores,
     step_multipliers,
 )
-from .metrics import check_samples, ordered_parallel_map
 
 
 @dataclass
@@ -135,6 +144,42 @@ def _integer_parts(model: Semimeasure):
     if isinstance(cursor, DyadicCursor):
         return (1,) * model.alphabet.size, keep, cursor
     return None
+
+
+def step_conditionals(model: Semimeasure, word: Word) -> Callable[[int], Sequence]:
+    """``read(t)``: nu(a | word[:t]) for every symbol a, for t = 0, 1, ... in order.
+
+    The values a prediction node's conditionals of the member take at that
+    prefix, read where nu(word[:t]) > 0 without building a node.  A
+    factorizable member (:func:`_integer_parts`) reads its step law at
+    t + 1, times its keep under leaky wrappers; a law that does not move
+    gives the same object at every t.  Any other member steps one cursor of
+    its own along the word and divides its children's values by its own.
+    """
+    parts = _integer_parts(model)
+    if parts is not None and parts[2] is None:
+        law, keep, _ = parts
+        if not callable(law):
+            row = law if keep is None else tuple([p * keep for p in law])
+            return lambda t: row
+        if keep is None:
+            return lambda t: law(t + 1)
+        return lambda t: tuple([p * keep for p in law(t + 1)])
+    symbols = model.alphabet.symbols()
+    cursor, at, children = model.cursor(), 0, None
+
+    def read_cursor(t: int) -> Sequence:
+        nonlocal cursor, at, children
+        while at < t:
+            cursor = children[word[at]] if children else cursor.advance(word[at])
+            children = None
+            at += 1
+        if children is None:
+            children = [cursor.advance(a) for a in symbols]
+        base = cursor.value
+        return [c.value / base for c in children]
+
+    return read_cursor
 
 
 def map_trace(
@@ -313,6 +358,24 @@ class StabilizationSummary:
     seed: int
 
 
+def sampled_trace(
+    cls: WeightedClass,
+    length: int,
+    seed: int,
+    index: int,
+    tie_break: TieBreak = LARGEST_WEIGHT,
+) -> Tuple[Word, MapTrace]:
+    """Path ``index`` of a seeded run and its MAP trace.
+
+    ``length`` symbols drawn from the true model with
+    ``derived_rng(seed, index)`` (:func:`~mdl_lab.measures.sample_path`),
+    and :func:`map_trace` along them.  Every sampled run that reads only
+    the MAP choice draws its paths here.
+    """
+    word = sample_path(cls.true_model, length, derived_rng(seed, index))
+    return word, map_trace(cls, word, tie_break)
+
+
 def monte_carlo_stabilization(
     cls: WeightedClass,
     horizon: int,
@@ -333,11 +396,9 @@ def monte_carlo_stabilization(
     if horizon < 0:
         raise ValueError(f"horizon must be at least 0, got {horizon}")
     _check_window(window, horizon)
-    mu = cls.true_model
 
     def one(i: int) -> StabilizationVerdict:
-        path = sample_path(mu, horizon, derived_rng(seed, i))
-        return stabilization_verdict(map_trace(cls, path, tie_break), window)
+        return stabilization_verdict(sampled_trace(cls, horizon, seed, i, tie_break)[1], window)
 
     verdicts = ordered_parallel_map(one, range(samples), workers)
     stabilized = sum(1 for v in verdicts if v.stabilized)

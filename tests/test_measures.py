@@ -145,6 +145,40 @@ class TestAlphabetWord:
         with pytest.raises(AlphabetMismatchError, match="symbol 2 outside alphabet of size 2"):
             BINARY.word((0, 1, 2))
 
+    def test_accepted_and_refused_symbols_pinned(self):
+        # Tuples of ints, bools and int subclasses come back as given;
+        # integral floats, digit strings and numpy integers become ints; and
+        # the first symbol outside the alphabet names the error.
+        np = pytest.importorskip("numpy")
+
+        class Symbol(int):
+            pass
+
+        for x in ((), (0, 1, 1), (True, False), (Symbol(1), 0), (0, True, Symbol(0))):
+            assert BINARY.word(x) is x
+        ternary = Alphabet(3)
+        for spec, want in (
+            ((1.0, 0), (1, 0)),
+            ("0110", (0, 1, 1, 0)),
+            ((0, "1"), (0, 1)),
+            ((np.int64(1), np.int8(0)), (1, 0)),
+            ([2, 0], (2, 0)),
+        ):
+            got = ternary.word(spec)
+            assert got == want and [type(s) for s in got] == [int] * len(want), spec
+        for spec, message in (
+            ((-1,), "symbol -1 outside alphabet of size 3"),
+            ((0, 3), "symbol 3 outside alphabet of size 3"),
+            ((0, -3, 5), "symbol -3 outside alphabet of size 3"),
+            ((2, np.int64(4)), "symbol 4 outside alphabet of size 3"),
+            ((True, 3), "symbol 3 outside alphabet of size 3"),
+            ((0, 1.5), "symbol 1.5 is not an integer"),
+            ((0, "a"), "symbol 'a' is not an integer"),
+        ):
+            with pytest.raises(AlphabetMismatchError) as raised:
+                ternary.word(spec)
+            assert str(raised.value) == message, spec
+
 
 class TestConditional:
     def test_iid(self):

@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdl_lab import decisions, metrics, stabilization
-from mdl_lab.errors import TooLargeError
-from mdl_lab.measures import IidModel
+from mdl_lab import decisions, measures, metrics, stabilization
+from mdl_lab.errors import AllZeroError, MdlLabError, SamplingError, TooLargeError
+from mdl_lab.measures import (
+    Alphabet,
+    BINARY,
+    DeterministicModel,
+    FactorizableModel,
+    IidModel,
+    LeakySemimeasure,
+    derived_rng,
+)
 from mdl_lab.metrics import (
     check_bounds,
     cumulative_distances,
@@ -27,7 +35,8 @@ from mdl_lab.model_class import (
     example3_class,
     example5_class,
 )
-from mdl_lab.predictors import ALL_KINDS, TRUE
+from mdl_lab.predictors import ALL_KINDS, TRUE, PredictionNode
+from mdl_lab.stabilization import sampled_trace
 from mdl_lab.suites import (
     random_distribution,
     random_measure_class,
@@ -231,6 +240,227 @@ class TestMonteCarlo:
             if abs(total - exact) <= 3 * se:
                 hits += 1
         assert hits >= int(0.9 * seeds)
+
+
+def _result(fn):
+    """``fn()``, or the type of the error it raised."""
+    try:
+        return fn()
+    except (MdlLabError, ValueError) as exc:
+        return type(exc)
+
+
+def _bits(values):
+    """Floats as hex strings, so that equal lists agree to the last bit."""
+    return [v.hex() for v in values]
+
+
+def _node_distances(cls, kind, horizon, samples, seed, tie_break):
+    """Per-metric means and stderrs of the ledger, from prediction nodes."""
+
+    def row(node, mu_cond):
+        return step_distances(mu_cond, node.prediction(kind), metrics.FLOAT)
+
+    paths = monte_carlo_rows(cls, horizon, samples, seed, row, tie_break)
+    steps = list(zip(*paths))
+    out = {}
+    for name in metrics.METRICS:
+        stats = [mean_stderr([getattr(d, name) for d in step]) for step in steps]
+        out[name] = [_bits([m for m, _ in stats]), _bits([se for _, se in stats])]
+    return out
+
+
+def _traced_distances(cls, kind, horizon, samples, seed, tie_break, workers):
+    ledger = monte_carlo_distances(cls, kind, horizon, samples, seed, tie_break, workers)
+    return {
+        name: [_bits(ledger.per_step(name)), _bits(ledger.stderr[name])]
+        for name in metrics.METRICS
+    }
+
+
+def _node_decisions(cls, kind, loss, horizon, samples, seed, tie_break):
+    """Means, stderrs and first-path actions of the decision trace, from nodes."""
+
+    def row(node, mu_cond):
+        phi = node.prediction(kind)
+        table = loss.table(node.prefix)
+        action, step_phi = decisions._acted_loss(phi[1], mu_cond, table)
+        step_mu = decisions._acted_loss(mu_cond[1], mu_cond, table)[1]
+        return float(step_phi), float(step_mu), action
+
+    paths = monte_carlo_rows(cls, horizon, samples, seed, row, tie_break)
+    steps = list(zip(*paths))
+    columns = []
+    for k in (0, 1):
+        stats = [mean_stderr([r[k] for r in step]) for step in steps]
+        columns += [_bits([m for m, _ in stats]), _bits([se for _, se in stats])]
+    return columns, [r[2] for r in paths[0]]
+
+
+def _traced_decisions(cls, kind, loss, horizon, samples, seed, tie_break, workers):
+    trace = decisions.monte_carlo_decision_trace(
+        cls, kind, loss, horizon, samples, seed, tie_break, workers
+    )
+    columns = [trace.l_phi, trace.stderr_phi, trace.l_mu, trace.stderr_mu]
+    return [_bits(column) for column in columns], trace.sample_actions
+
+
+def _traced_row_classes():
+    """Classes for the traced-row tests: the sampled-path zoo, leaky members,
+    examples 3 and 5, i.i.d. members with zero entries, step tables that end
+    in tails, a chosen member whose mass runs out, a leaky truth (refused)
+    and a ternary class."""
+    half, zero, one = (F(1, 2), F(1, 2)), (F(1), F(0)), (F(0), F(1))
+    ternary = Alphabet(3)
+    tables = [
+        FactorizableModel.from_steps(BINARY, [(F(1, 4), F(3, 4)), zero], half),
+        FactorizableModel.from_steps(BINARY, [one, half, (F(1, 3), F(2, 3))], (F(3, 5), F(2, 5))),
+        FactorizableModel.from_steps(BINARY, [], (F(1, 4), F(3, 4))),
+    ]
+    iid = [IidModel(zero), IidModel(half), IidModel(one), IidModel((F(1, 3), F(2, 3)))]
+    return oracle.sampled_path_classes() + oracle.leaky_semimeasure_classes(72, 2) + [
+        example3_class(),
+        example5_class(),
+        WeightedClass(iid, [F(1, 4)] * 4, true_index=1),
+        WeightedClass(
+            iid + [LeakySemimeasure(IidModel(half), F(1, 8)), LeakySemimeasure(iid[0], F(1, 3))],
+            [F(1, 8), F(1, 4), F(1, 16), F(1, 8), F(1, 4), F(1, 8)],
+            true_index=3,
+        ),
+        WeightedClass(tables + [IidModel(half)], [F(1, 4)] * 4, true_index=0),
+        WeightedClass(
+            tables + [LeakySemimeasure(tables[1], F(1, 5))],
+            [F(1, 8), F(3, 8), F(1, 8), F(3, 8)],
+            true_index=1,
+        ),
+        WeightedClass([oracle.StopsAfter(2), DeterministicModel((), (1,))], [F(3, 4), F(1, 8)], 1),
+        WeightedClass([LeakySemimeasure(iid[1], F(1, 8)), iid[3]], [F(1, 2), F(1, 2)], 0),
+        random_measure_class(73, 2),
+        WeightedClass(
+            [
+                IidModel((F(1, 3), F(1, 3), F(1, 3))),
+                IidModel((F(1, 2), F(0), F(1, 2))),
+                FactorizableModel.from_steps(ternary, [(F(0), F(1), F(0))], (F(1, 4), F(1, 4), F(1, 2))),
+                LeakySemimeasure(IidModel((F(0), F(1, 2), F(1, 2))), F(1, 6)),
+            ],
+            [F(1, 4), F(1, 4), F(1, 8), F(1, 4)],
+            true_index=0,
+        ),
+    ]
+
+
+class TestTracedRows:
+    """Static-kind ledgers read the MAP trace; they must equal the node driver."""
+
+    def test_distances_match_the_node_driver_to_the_last_bit(self):
+        horizon, samples, seed = 9, 3, 71
+        seen = set()
+        for cls in _traced_row_classes():
+            for tb in oracle.TIE_BREAKS:
+                for kind in metrics.CHOICE_KINDS:
+                    want = _result(lambda: _node_distances(cls, kind, horizon, samples, seed, tb))
+                    if isinstance(want, type):
+                        seen.add(want)
+                    for workers in (1, 3):
+                        got = _result(
+                            lambda: _traced_distances(cls, kind, horizon, samples, seed, tb, workers)
+                        )
+                        assert got == want, (cls.describe(), tb, kind, workers)
+        assert seen == {AllZeroError, SamplingError}
+
+    def test_decision_traces_match_the_node_driver_to_the_last_bit(self):
+        horizon, samples, seed = 9, 3, 74
+        losses = [
+            decisions.zero_one_loss(),
+            random_stationary_loss(suite_rng(74, 0)),
+            decisions.history_parity_loss(
+                {(0, 0): 0, (0, 1): 1, (1, 0): F(1, 2), (1, 1): 0},
+                {(0, 0): F(1, 4), (0, 1): 1, (1, 0): 1, (1, 1): 0},
+            ),
+        ]
+        classes = [c for c in _traced_row_classes() if c.alphabet.size == 2]
+        for k, cls in enumerate(classes):
+            loss = losses[k % len(losses)]
+            for tb in oracle.TIE_BREAKS:
+                for kind in metrics.CHOICE_KINDS:
+                    want = _result(
+                        lambda: _node_decisions(cls, kind, loss, horizon, samples, seed, tb)
+                    )
+                    for workers in (1, 3):
+                        got = _result(
+                            lambda: _traced_decisions(
+                                cls, kind, loss, horizon, samples, seed, tb, workers
+                            )
+                        )
+                        assert got == want, (cls.describe(), tb, kind, workers)
+
+    def test_horizons_zero_and_one(self):
+        cls = oracle.sampled_path_classes()[1]
+        for horizon in (0, 1):
+            for kind in metrics.CHOICE_KINDS:
+                want = _node_distances(cls, kind, horizon, 2, 3, oracle.TIE_BREAKS[2])
+                assert _traced_distances(cls, kind, horizon, 2, 3, oracle.TIE_BREAKS[2], 1) == want
+
+    def test_static_ledgers_build_no_node_and_advance_no_factor_cursor(self, monkeypatch):
+        # Along static ledgers and decision traces on classes of factorizable
+        # and leaky members under an i.i.d. truth, no prediction node is built
+        # and no factorizable or leaky cursor is advanced; every path is the
+        # oracle's draw, and every row the oracle's distances at its prefix.
+        built, advanced, drawn = [], [], []
+        init = PredictionNode.__init__
+
+        def counted_init(node, *args, **kwargs):
+            built.append(args[1])
+            init(node, *args, **kwargs)
+
+        def counting(advance):
+            def counted(cursor, a):
+                advanced.append(type(cursor))
+                return advance(cursor, a)
+
+            return counted
+
+        def recorded(cls, length, seed, index, tie_break):
+            word, trace = sampled_trace(cls, length, seed, index, tie_break)
+            drawn.append((cls, length, seed, index, word))
+            return word, trace
+
+        monkeypatch.setattr(PredictionNode, "__init__", counted_init)
+        for kind in (measures._FactorizableCursor, measures._LeakyCursor):
+            monkeypatch.setattr(kind, "advance", counting(kind.advance))
+        monkeypatch.setattr(metrics, "sampled_trace", recorded)
+        half = (F(1, 2), F(1, 2))
+        table = FactorizableModel.from_steps(BINARY, [(F(1, 4), F(3, 4)), (F(1), F(0))], half)
+        mixed = WeightedClass(
+            [IidModel((F(3, 8), F(5, 8))), table, LeakySemimeasure(IidModel(half), F(1, 9)),
+             LeakySemimeasure(LeakySemimeasure(table, F(1, 7)), F(1, 3)), IidModel(half)],
+            [F(1, 5)] * 5,
+            true_index=0,
+        )
+        crit09 = bernoulli_class([F(1, 8), F(3, 8), F(5, 8), F(7, 8)], true_index=1)
+        horizon, samples, seed = 120, 2, 75
+        ledgers = []
+        for cls in (bernoulli_sharpness_class(6), crit09, mixed):
+            for tb in oracle.TIE_BREAKS:
+                for kind in metrics.CHOICE_KINDS:
+                    ledger = monte_carlo_distances(cls, kind, horizon, 1, seed, tb)
+                    ledgers.append((cls, tb, kind, ledger))
+                    decisions.monte_carlo_decision_trace(
+                        cls, kind, decisions.zero_one_loss(), horizon, samples, seed, tb
+                    )
+        assert built == [] and advanced == []
+        assert len(drawn) == 3 * 3 * 3 * (1 + samples)
+        for cls, length, s, index, word in drawn:
+            assert length == horizon - 1
+            assert word == oracle.draw_path(cls.true_model, length, derived_rng(s, index))
+        for cls, tb, kind, ledger in ledgers:
+            word = next(w for c, _, _, i, w in drawn if c is cls and i == 0)
+            for t in range(horizon):
+                x = word[:t]
+                mu = oracle.prediction(TRUE, cls, x, tb)
+                d = step_distances(mu, oracle.prediction(kind, cls, x, tb), metrics.FLOAT)
+                for name in metrics.METRICS:
+                    assert ledger.per_step(name)[t] == getattr(d, name), (cls.describe(), t)
 
 
 class TestMeanStderr:
