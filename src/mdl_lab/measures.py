@@ -14,19 +14,25 @@ gives its values.  The leaky wrapper scales any base by a keep factor per
 step.
 
 A value at one string is computed on integers: ``exact_ratio(x)`` returns
-(num, den), not necessarily in lowest terms, with num/den = nu(x).
-Factorizable models multiply the numerators and denominators of their
-steps, i.i.d. models raise theta's to the symbol counts, deterministic
-models compare x with their target, and the leaky wrapper multiplies its
-base's pair by keep^len(x); each of these reads ``evaluate_exact`` as
-``Fraction(*exact_ratio(x))``.  Any other semimeasure gets the pair from
-``evaluate_exact``, which by default reads the cursor.  Every built-in
-family's ``exact_ratio``, ``evaluate_exact`` and cursor ``advance`` raise
-AlphabetMismatchError for a symbol outside the alphabet: cursors and
-factorizable products compare each symbol they already read, i.i.d.
-models compare the sum of their symbol counts with len(x), and
-deterministic models scan x for its least and greatest symbol only on
-a miss.
+(num, den), not necessarily in lowest terms, with num/den = nu(x).  An
+i.i.d. model and a step table keep each law, beside the Fractions that
+``step_distribution`` returns, as an integer law (nums, den): den is the
+lcm of the reduced denominators, as in the draws, and nums[a] / den is the
+probability of symbol a.  The constructors build these once and check the
+law on them: one entry per symbol, none negative, sum(nums) == den.
+Step tables multiply the nums and dens of their steps, i.i.d. models
+raise each nums[a] to the count of a over den^len(x), formula models
+(example 4) multiply their steps' Fractions, deterministic models compare
+x with their target, and the leaky wrapper multiplies its base's pair by
+keep^len(x), with keep kept as an integer pair; each of these reads
+``evaluate_exact`` as ``Fraction(*exact_ratio(x))``.  Any other
+semimeasure gets the pair from ``evaluate_exact``, which by default reads
+the cursor.  Every built-in family's ``exact_ratio``, ``evaluate_exact``
+and cursor ``advance`` raise AlphabetMismatchError for a symbol outside
+the alphabet: cursors and factorizable products compare each symbol they
+already read, i.i.d. models compare the sum of their symbol counts with
+len(x), and deterministic models scan x for its least and greatest symbol
+only on a miss.
 
 A cursor is an O(1)-per-step incremental evaluator used by tree walks,
 samplers and Monte-Carlo traces; it only steps forward, so callers read
@@ -245,8 +251,9 @@ class FactorizableModel(Semimeasure):
 
     The model is plain data: a finite table of per-step distributions
     (steps 1..len(steps)) followed by an i.i.d. ``tail``, validated once
-    and stored as tuples of Fractions, so every step is a lookup and the
-    model pickles.  ``step_prob_infimum`` is the least nonzero probability
+    and stored as tuples of Fractions and as integer laws (nums, den) that
+    ``exact_ratio`` reads, so every step is a lookup and the model
+    pickles.  ``step_prob_infimum`` is the least nonzero probability
     of the table and tail.  Subclasses whose law is a formula in the step
     (i.i.d., deterministic, the example-4 pair) keep that formula's
     parameters as fields and override :meth:`step_distribution` and the
@@ -264,12 +271,17 @@ class FactorizableModel(Semimeasure):
     ):
         table = tuple(tuple(Fraction(p) for p in dist) for dist in steps)
         tail = tuple(Fraction(p) for p in tail)
+        laws = []
         for dist in table + (tail,):
-            if len(dist) != alphabet.size or sum(dist) != 1 or any(p < 0 for p in dist):
+            nums, den = law = _integer_law(dist)
+            if len(dist) != alphabet.size or sum(nums) != den or min(nums) < 0:
                 raise ValueError(f"invalid per-step distribution {dist}")
+            laws.append(law)
         self.alphabet = alphabet
         self._steps = table
         self._tail = tail
+        self._tail_law = laws.pop()
+        self._step_laws = tuple(laws)
         self._infimum = min(p for dist in table + (tail,) for p in dist if p > 0)
         self._name = name
 
@@ -291,8 +303,22 @@ class FactorizableModel(Semimeasure):
         return Fraction(*self.exact_ratio(x))
 
     def exact_ratio(self, x: Word) -> tuple:
-        steps = map(self.step_distribution, range(1, len(x) + 1))
-        return _product_ratio(steps, x, self.alphabet.size)
+        """prod_i nums_i[x_i] over prod_i den_i, read off the integer laws."""
+        size = self.alphabet.size
+        table = self._step_laws
+        num = den = 1
+        for (nums, d), s in zip(table, x):
+            if not 0 <= s < size:
+                raise _outside_alphabet(s, size)
+            num *= nums[s]
+            den *= d
+        nums, d = self._tail_law
+        rest = x[len(table):]
+        for s in rest:
+            if not 0 <= s < size:
+                raise _outside_alphabet(s, size)
+            num *= nums[s]
+        return (num, den * d ** len(rest)) if num else (0, 1)
 
     def cursor(self) -> SemimeasureCursor:
         return _FactorizableCursor(self.step_distribution, self.alphabet.size, 0, 1, 1, None)
@@ -303,6 +329,13 @@ class FactorizableModel(Semimeasure):
 
     def __repr__(self) -> str:
         return self._name
+
+
+def _integer_law(dist: Sequence[Fraction]) -> tuple:
+    """(nums, den) with nums[a] / den = dist[a]: den is the lcm of the
+    reduced denominators, as in the draws' cumulative numerators."""
+    den = lcm(*[p.denominator for p in dist])
+    return tuple([p.numerator * (den // p.denominator) for p in dist]), den
 
 
 def _product_ratio(dists, x: Word, size: int) -> tuple:
@@ -371,31 +404,33 @@ class IidModel(FactorizableModel):
             alphabet = Alphabet(len(theta))
         if len(theta) != alphabet.size:
             raise ValueError("theta length must match alphabet size")
-        if any(t < 0 for t in theta):
+        nums, den = law = _integer_law(theta)
+        if min(nums) < 0:
             raise ValueError("theta components must be nonnegative")
-        if sum(theta) != 1:
+        if sum(nums) != den:
             raise ValueError("theta must sum to exactly 1")
         self.alphabet = alphabet
         self.theta = theta
+        self._law = law
 
     def step_distribution(self, i: int) -> Sequence[Fraction]:
         return self.theta
 
     def exact_ratio(self, x: Word) -> tuple:
-        """prod_i theta[x_i], as one integer power per symbol count."""
-        num = den = 1
+        """prod_a nums[a]^count_a over den^len(x), one power per symbol count."""
+        nums, den = self._law
+        num = 1
         counted = 0
-        for a, p in enumerate(self.theta):
+        for a, p in enumerate(nums):
             count = x.count(a)
             if count:
                 counted += count
-                num *= p.numerator**count
-                den *= p.denominator**count
+                num *= p**count
         if counted != len(x):  # a symbol no count saw would drop out of the product
             raise AlphabetMismatchError(
-                f"{x} has a symbol outside alphabet of size {len(self.theta)}"
+                f"{x} has a symbol outside alphabet of size {len(nums)}"
             )
-        return (num, den) if num else (0, 1)
+        return (num, den ** len(x)) if num else (0, 1)
 
     @property
     def step_prob_infimum(self) -> Optional[Fraction]:
@@ -626,7 +661,8 @@ class LeakySemimeasure(Semimeasure):
         self.alphabet = base.alphabet
         self.base = base
         self.leak = leak
-        self.keep = 1 - leak
+        self.keep = keep = 1 - leak
+        self._keep_ratio = keep.numerator, keep.denominator
 
     def evaluate_exact(self, x: Word) -> Fraction:
         return Fraction(*self.exact_ratio(x))
@@ -635,8 +671,9 @@ class LeakySemimeasure(Semimeasure):
         num, den = self.base.exact_ratio(x)
         if not num:
             return 0, 1
-        n, keep = len(x), self.keep
-        return num * keep.numerator**n, den * keep.denominator**n
+        n = len(x)
+        keep_num, keep_den = self._keep_ratio
+        return num * keep_num**n, den * keep_den**n
 
     def cursor(self) -> SemimeasureCursor:
         return _LeakyCursor(self.keep, self.base.cursor(), 0, None)
@@ -852,6 +889,10 @@ class OscillatingStepModel(FactorizableModel):
     def step_distribution(self, i: int) -> Sequence[Fraction]:
         zero = Fraction(1, 1 << (2 * ((i + 1 + self.shift) // 2) - self.shift))
         return (zero, 1 - zero)
+
+    def exact_ratio(self, x: Word) -> tuple:
+        steps = map(self.step_distribution, range(1, len(x) + 1))
+        return _product_ratio(steps, x, self.alphabet.size)
 
 
 def make_example4_pair() -> tuple:

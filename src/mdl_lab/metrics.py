@@ -14,10 +14,11 @@ tree (:func:`walk_support`), pruning zero-probability subtrees, or by
 seeded Monte Carlo, and :func:`mean_stderr` reduces the sampled columns.
 The distance and decision ledgers sample their paths with
 :func:`sampled_rows`.  The kinds that read only the MAP choice (true,
-static, static_norm) read each path off ``stabilization.sampled_trace``,
-the ``sample_path`` and ``map_trace`` pair that
-``monte_carlo_stabilization`` also draws with; every other kind steps a
-prediction node per step (:func:`monte_carlo_rows`).  Both draw the same
+static, static_norm) draw each path with ``sample_path``; static and
+static_norm read it off ``stabilization.sampled_trace``, the
+``sample_path`` and ``map_trace`` pair that ``monte_carlo_stabilization``
+also draws with, and true reads no choice.  Every other kind steps a
+prediction node per step (:func:`monte_carlo_rows`).  All draw the same
 paths.  (``monte_carlo_regression_hellinger`` draws its own samples.)
 Both the walk and the sampled paths need a fully materialized class.
 
@@ -59,6 +60,7 @@ from .measures import (
     check_samples,
     derived_rng,
     ordered_parallel_map,
+    sample_path,
 )
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
 from .predictors import (
@@ -380,15 +382,17 @@ def sampled_rows(
 
     At step t of path i, ``x[:t]`` is the history, ``mu_cond`` the true
     conditionals there and ``phi`` the prediction of ``kind``.  The kinds
-    of :data:`CHOICE_KINDS` read path i off
-    ``sampled_trace(cls, horizon - 1, seed, i, tie_break)``: the word
-    :func:`monte_carlo_rows` draws for path i, since both draw from the
-    true conditionals with ``derived_rng(seed, i)``, and the MAP index a
-    node's tie-break selects at every prefix.  The prediction is the chosen
-    member's conditionals (:func:`~mdl_lab.stabilization.step_conditionals`,
-    one reader per member read), normalized for ``static_norm``, or the
-    true ones for ``true``: the Fractions a node gives, read without
-    building one.  Every other kind steps a prediction node per step
+    of :data:`CHOICE_KINDS` draw path i with ``sample_path`` from
+    ``derived_rng(seed, i)``: the word :func:`monte_carlo_rows` draws for
+    path i, since both draw from the true conditionals with that stream.
+    ``static`` and ``static_norm`` read it off
+    ``sampled_trace(cls, horizon - 1, seed, i, tie_break)``, which adds the
+    MAP index a node's tie-break selects at every prefix; ``true`` reads no
+    choice and runs no trace.  The prediction is the chosen member's
+    conditionals (:func:`~mdl_lab.stabilization.step_conditionals`, one
+    reader per member read), normalized for ``static_norm``, or the true
+    ones for ``true``: the Fractions a node gives, read without building
+    one.  Every other kind steps a prediction node per step
     (:func:`monte_carlo_rows`).  So both give equal rows, refusals and
     error types, and the result is identical for any worker count.
     """
@@ -400,17 +404,22 @@ def sampled_rows(
         return monte_carlo_rows(cls, horizon, samples, seed, node_row, tie_break, workers)
     _check_sampled_paths(cls, horizon, samples)
     true = cls.true_index
+    length = max(horizon - 1, 0)
 
     def one_path(i: int) -> list:
-        word, trace = sampled_trace(cls, max(horizon - 1, 0), seed, i, tie_break)
-        indices = trace.indices
+        if kind == TRUE:  # the prediction is the truth's at every step
+            word = sample_path(cls.true_model, length, derived_rng(seed, i))
+            indices = [true] * horizon
+        else:
+            word, trace = sampled_trace(cls, length, seed, i, tie_break)
+            indices = trace.indices
         readers = {j: step_conditionals(cls.models[j], word) for j in {true, *indices}}
         read_true = readers[true]
         rows = []
         for t in range(horizon):
             mu = read_true(t)
             j = indices[t]
-            phi = mu if j == true or kind == TRUE else readers[j](t)
+            phi = mu if j == true else readers[j](t)
             if kind == STATIC_NORM:
                 phi = _normalize_list(phi)
             rows.append(row(word, t, mu, phi))
@@ -460,9 +469,11 @@ def monte_carlo_distances(
     """Unbiased float estimates of the distance ledgers from sampled paths.
 
     The paths come from :func:`sampled_rows`: the kinds of
-    :data:`CHOICE_KINDS` (true, static, static_norm) read them off one MAP
-    trace per path, every other kind steps a prediction node per step.
-    The result is identical for any worker count.
+    :data:`CHOICE_KINDS` (true, static, static_norm) read them off one
+    sampled path (and MAP trace) each, every other kind steps a prediction
+    node per step.  A step at which every path's row is the object of the
+    step before reuses that step's means and stderrs.  The result is
+    identical for any worker count.
     """
     last = None  # (mu, phi, their distances): runs of steps repeat a pair
 
@@ -474,11 +485,14 @@ def monte_carlo_distances(
         return hit[2]
 
     paths = sampled_rows(cls, predictor_kind, horizon, samples, seed, row, tie_break, workers)
-    steps = list(zip(*paths))
-    stats = {
-        name: [mean_stderr([getattr(d, name) for d in step]) for step in steps]
-        for name in METRICS
-    }
+    stats = {name: [] for name in METRICS}
+    previous = None
+    for step in zip(*paths):
+        fresh = previous is None or any(d is not e for d, e in zip(step, previous))
+        for name in METRICS:
+            column = stats[name]
+            column.append(mean_stderr([getattr(d, name) for d in step]) if fresh else column[-1])
+        previous = step
     return CumulativeLedger(
         horizon,
         *([mean for mean, _ in stats[name]] for name in METRICS),

@@ -11,12 +11,15 @@ the tail could still contain the winner.
 
 Point queries at one string -- the MAP choice, rho(x) = max w_nu nu(x) and
 xi(x) = sum w_nu nu(x) -- read :func:`class_scores`: every member's
-``exact_ratio`` put over one common integer denominator, so the argmax,
-the tie set, the max and the sum run on integers, and each query builds a
-Fraction only for the value it returns.  Nothing is kept between calls.
-Prediction nodes and MAP traces keep such a row along a sequence and step
-it with :func:`step_multipliers`, so its denominator grows only by the
-small denominators of each step's factors.
+``exact_ratio`` times its weight, kept by the class as an integer pair,
+put over one common integer denominator, so the argmax, the tie set, the
+max and the sum run on integers, and each query builds a Fraction only for
+the value it returns.  A class keeps the row of the last word it was asked
+for, and only that one: the queries that follow one another at a word
+(xi, rho and the MAP choice at x) build its row once, and a query at any
+other word builds a fresh row.  Prediction nodes and MAP traces keep such
+a row along a sequence and step it with :func:`step_multipliers`, so its
+denominator grows only by the small denominators of each step's factors.
 """
 
 from __future__ import annotations
@@ -113,7 +116,9 @@ class WeightedClass:
         self.weights: Tuple[Fraction, ...] = tuple(Fraction(w) for w in weights)
         if len(self.models) != len(self.weights):
             raise ValueError("models and weights must have equal length")
-        if any(w <= 0 for w in self.weights):
+        # Each weight as (num, den) for class_scores.
+        self._weight_ratios = tuple([(w.numerator, w.denominator) for w in self.weights])
+        if min(num for num, _ in self._weight_ratios) <= 0:
             raise ValueError("weights must be strictly positive")
         self.tail_bound = Fraction(tail_bound) if tail_bound is not None else None
         total = sum(self.weights) + (self.tail_bound or 0)
@@ -131,6 +136,9 @@ class WeightedClass:
         ):
             raise ValueError("weights are not in descending order")
         self.descending_weights = descending_weights
+        # (word, row) of the last class_scores call: one tuple, so a reader
+        # never pairs one word with another word's row.
+        self._last_row = (None, None)
 
     def __len__(self) -> int:
         return len(self.models)
@@ -211,13 +219,20 @@ def class_scores(cls: WeightedClass, word: Word) -> Tuple[list, int]:
 
     ``den`` is the lcm of the members' w_den * nu_den over their
     ``exact_ratio`` pairs, so scores compare, add and tie exactly as the
-    rational values do.  ``word`` must already be a Word.
+    rational values do.  ``word`` must already be a Word.  The class keeps
+    the row of the last word it was asked for, so the next query at that
+    word reuses it: callers must not mutate the row.
     """
+    last_word, row = cls._last_row
+    if last_word == word:
+        return row
     terms = []
-    for m, w in zip(cls.models, cls.weights):
+    for m, (w_num, w_den) in zip(cls.models, cls._weight_ratios):
         num, den = m.exact_ratio(word)
-        terms.append((w.numerator * num, w.denominator * den))
-    return common_denominator(terms)
+        terms.append((w_num * num, w_den * den))
+    row = common_denominator(terms)
+    cls._last_row = (word, row)
+    return row
 
 
 def cursor_scores(weights: Sequence[Fraction], cursors) -> Tuple[list, int]:
@@ -283,8 +298,8 @@ def two_part_value_at(
     """rho^y(x) = w_{nu^y} * nu^y(x): select at y, evaluate at x."""
     chosen = _map_choice(cls, cls.word(chooser), tie_break)[0]
     num, den = cls.models[chosen].exact_ratio(cls.word(x))
-    w = cls.weights[chosen]
-    return Fraction(w.numerator * num, w.denominator * den)
+    w_num, w_den = cls._weight_ratios[chosen]
+    return Fraction(w_num * num, w_den * den)
 
 
 def complexity(cls: WeightedClass, index: int) -> float:

@@ -1,12 +1,15 @@
 import functools
 import itertools
 import pickle
+import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from mdl_lab import coding, measures
+from mdl_lab import coding, measures, model_class, predictors
 from mdl_lab.errors import AlphabetMismatchError, IndeterminateTailError, SamplingError
 from mdl_lab.measures import (
     BINARY,
@@ -16,6 +19,7 @@ from mdl_lab.measures import (
     IidModel,
     LeakySemimeasure,
     OscillatingMartingaleMeasure,
+    OscillatingStepModel,
     Semimeasure,
     check_semimeasure,
     derived_rng,
@@ -29,6 +33,7 @@ from mdl_lab.metrics import monte_carlo_distances, monte_carlo_rows, walk_suppor
 from mdl_lab.model_class import (
     LARGEST_WEIGHT,
     WeightedClass,
+    class_scores,
     example5_class,
     map_estimator,
     two_part_value,
@@ -43,6 +48,7 @@ from mdl_lab.predictors import (
     predict_true,
 )
 from mdl_lab.stabilization import hybrid_value_series, map_trace, monte_carlo_stabilization
+from mdl_lab.suites import random_semimeasure_class
 import oracle
 from oracle import (
     REFERENCE_DEPTH,
@@ -685,18 +691,18 @@ class TestIntegerPointQueries:
                         assert got == (want if refused else oracle.weighted_row(cls, y)[want[0]])
         assert refusals and zero_members and zero_mixtures
 
-    def test_no_value_memo_survives_a_call(self, monkeypatch):
-        # A repeated query evaluates every member again: nothing is kept on
-        # models or classes between calls.
+    @staticmethod
+    def _count_exact_ratio_calls(monkeypatch) -> Counter:
+        """Count every family's ``exact_ratio`` calls, per family."""
         calls = Counter()
-        families = (
+        for family in (
             Semimeasure,
             FactorizableModel,
             IidModel,
             DeterministicModel,
             LeakySemimeasure,
-        )
-        for family in families:
+            OscillatingStepModel,
+        ):
             original = family.__dict__["exact_ratio"]
 
             def counted(self, x, original=original, family=family):
@@ -704,16 +710,194 @@ class TestIntegerPointQueries:
                 return original(self, x)
 
             monkeypatch.setattr(family, "exact_ratio", counted)
+        return calls
+
+    def test_one_row_memo_per_class(self, monkeypatch):
+        # The class keeps only the row of its last word: after a query at
+        # another word, a query at the first word makes the same calls as
+        # the first time, while an immediate repeat reuses the row.
+        calls = self._count_exact_ratio_calls(monkeypatch)
         cls = oracle.differential_classes()[0]
-        word = (1, 0, 1, 1)
-        for query in (
-            lambda: map_estimator(cls, word),
-            lambda: two_part_value_at(cls, word, word[:2]),
-            lambda: bayes_mixture(cls, word),
-        ):
+        word, other = (1, 0, 1, 1), (0, 1)
+        queries = {
+            "map_estimator": lambda x: map_estimator(cls, x),
+            "two_part_value": lambda x: two_part_value(cls, x),
+            "bayes_mixture": lambda x: bayes_mixture(cls, x),
+            "two_part_value_at": lambda x: two_part_value_at(cls, x, x[:2]),
+        }
+        for name, query in queries.items():
             counts = []
-            for _ in range(2):
+            for x in ((), word, other, word, word):
                 calls.clear()
-                query()
+                query(x)
                 counts.append(dict(calls))
-            assert counts[0] == counts[1] and sum(counts[0].values()) >= len(cls)
+            _, first, _, again, repeated = counts
+            assert again == first and sum(first.values()) >= len(cls), name
+            # rho^y reads the row at its chooser, then evaluates its choice.
+            assert sum(repeated.values()) == (name == "two_part_value_at"), name
+
+    def test_lemma_rounds_hit_the_memo_equally(self, monkeypatch):
+        # Criterion 03's call order at every word shorter than 8, two rounds
+        # on one class.  Per word, the rows at x (three requests), at x0 and
+        # x1 (two each) and at the chooser y (one) are built once each, so
+        # half the requests reuse the last row; the second round hits no
+        # more often than the first, so no row survives into a later round.
+        calls = self._count_exact_ratio_calls(monkeypatch)
+        hits = Counter()
+        original = model_class.class_scores
+
+        def counted(cls, word):
+            before = sum(calls.values())
+            row = original(cls, word)
+            hits[sum(calls.values()) == before] += 1  # a built row evaluates
+            return row
+
+        monkeypatch.setattr(model_class, "class_scores", counted)
+        monkeypatch.setattr(predictors, "class_scores", counted)
+        cls = random_semimeasure_class(1, 1)
+        y = (1, 0, 0, 1, 1, 0, 1, 0, 1)  # longer than every word the round asks for
+        words = all_words(7)
+        rounds = []
+        for _ in range(2):
+            hits.clear()
+            calls.clear()
+            for x in words:
+                bayes_mixture(cls, x)
+                two_part_value(cls, x)
+                chosen = map_estimator(cls, x).index
+                two_part_value_at(cls, y, x)
+                for a in (0, 1):
+                    bayes_mixture(cls, x + (a,))
+                    two_part_value(cls, x + (a,))
+                    cls.models[chosen].evaluate_exact(x + (a,))
+            rounds.append((hits[True], hits[False], dict(calls)))
+        assert rounds[0] == rounds[1]
+        assert rounds[0][0] == rounds[0][1] == 4 * len(words)
+
+    def test_threads_see_only_their_own_row(self):
+        # Three threads query one class, each at its own word, so the memo's
+        # word alternates between them.  Each word compares slowly, so
+        # threads switch between the memo's word check and its row; every
+        # reader must still get its own word's row.
+        class SlowWord(tuple):
+            __hash__ = tuple.__hash__
+
+            def __eq__(self, other):
+                time.sleep(0.0002)
+                return tuple.__eq__(self, other)
+
+        cls = oracle.differential_classes()[1]
+        words = [SlowWord(w) for w in ((0, 1, 1), (1, 1, 0, 1), (1,))]
+        want = {w: list(oracle.weighted_row(cls, tuple(w))) for w in words}
+        assert len({tuple(row) for row in want.values()}) == len(words)
+        start = threading.Barrier(3)
+        wrong, done = [], []
+
+        def reader(k):
+            start.wait(timeout=30)
+            word = words[k]
+            for n in range(60):
+                scores, den = class_scores(cls, word)
+                if [F(s, den) for s in scores] != want[word]:
+                    wrong.append((k, n, tuple(word)))
+            done.append(k)
+
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2] and wrong == []
+
+    def test_warm_point_queries_read_no_fraction_parts(self, monkeypatch):
+        # On a class of table, i.i.d., deterministic and leaky members with
+        # no tail, at words with no tie, a warmed query reads laws, keeps and
+        # weights as integers: no Fraction numerator or denominator is read.
+        half = (F(1, 2), F(1, 2))
+        table = FactorizableModel.from_steps(BINARY, [(F(1, 4), F(3, 4)), (F(1), F(0))], half)
+        third = IidModel((F(1, 3), F(2, 3)))
+        det = DeterministicModel((1,), (0, 1))
+        cls = WeightedClass(
+            [third, table, det, LeakySemimeasure(third, F(1, 5)),
+             LeakySemimeasure(table, F(1, 7)), LeakySemimeasure(det, F(1, 3))],
+            [F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13), F(1, 17)],
+        )
+        warm, x, mixed, chooser = (0, 1), (1, 0, 1, 1), (0, 1, 1, 0, 1), (1, 1, 0)
+        for word in (warm, x, mixed, chooser):
+            assert len(oracle.map_choice(cls, word, LARGEST_WEIGHT)[2]) == 1, word
+        index, value, _ = oracle.map_choice(cls, x, LARGEST_WEIGHT)
+        want = [(index, value), sum(oracle.weighted_row(cls, mixed))]
+        want.append(oracle.weighted_row(cls, x)[oracle.map_choice(cls, chooser, LARGEST_WEIGHT)[0]])
+        queries = (
+            lambda: map_estimator(cls, x),
+            lambda: bayes_mixture(cls, mixed),
+            lambda: two_part_value_at(cls, chooser, x),
+        )
+        map_estimator(cls, warm), bayes_mixture(cls, warm), two_part_value_at(cls, warm, warm)
+        calls = self._count_exact_ratio_calls(monkeypatch)
+        reads = Counter()
+        for name in ("numerator", "denominator"):
+            read = F.__dict__[name].fget
+            monkeypatch.setattr(
+                F, name, property(lambda f, read=read, name=name: reads.update((name,)) or read(f))
+            )
+        got = [query() for query in queries]
+        monkeypatch.undo()
+        assert reads == Counter()
+        assert sum(calls.values()) >= 3 * len(cls)  # every row was built afresh
+        assert [(got[0].index, got[0].value), *got[1:]] == want
+
+    def test_integer_laws_equal_the_fraction_laws(self):
+        # Each integer law a zoo member keeps is its Fraction law exactly,
+        # over the denominator the draws use; likewise keeps and weights.
+        checked = 0
+        for model, _, step in reference_zoo():
+            base = model
+            if isinstance(model, LeakySemimeasure):
+                keep_num, keep_den = model._keep_ratio
+                assert type(keep_num) is int and type(keep_den) is int
+                assert F(keep_num, keep_den) == model.keep
+                base = model.base
+                checked += 1
+            if type(base) is IidModel:
+                laws = [base._law] * REFERENCE_DEPTH
+            elif type(base) is FactorizableModel:
+                laws = [*base._step_laws, *[base._tail_law] * REFERENCE_DEPTH]
+            else:
+                continue
+            checked += 1
+            for i, (nums, den) in enumerate(laws[: REFERENCE_DEPTH - 1], start=1):
+                dist = base.step_distribution(i)
+                assert all(type(n) is int for n in (*nums, den)), (model, i)
+                assert tuple(F(n, den) for n in nums) == dist, (model, i)
+                if step is not None:
+                    assert dist == step(i), (model, i)
+                assert den == measures._cumulative(dist)[0], (model, i)
+        assert checked == 7  # five laws (one under a leaky wrapper) and two keeps
+        for cls in oracle.differential_classes():
+            assert tuple(F(n, d) for n, d in cls._weight_ratios) == cls.weights
+
+    def test_laws_and_weights_are_checked_on_integers(self):
+        # A law must have one entry per symbol, none negative, summing to 1;
+        # a weight must be positive.
+        half = (F(1, 2), F(1, 2))
+        for bad, message in (
+            ((F(1, 3), F(1, 3)), "sum to exactly 1"),
+            ((F(3, 2), F(-1, 2)), "nonnegative"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                IidModel(bad)
+        for law in ((F(1, 2), F(1, 3)), (F(3, 2), F(-1, 2)), (F(1),), (F(1, 2), F(1, 4), F(1, 4))):
+            with pytest.raises(ValueError, match="invalid per-step distribution"):
+                FactorizableModel.from_steps(BINARY, [half, law], half)
+            with pytest.raises(ValueError, match="invalid per-step distribution"):
+                FactorizableModel.from_steps(BINARY, [half], law)
+        for weights in ((F(1, 2), F(0)), (F(-1, 4), F(1, 2))):
+            with pytest.raises(ValueError, match="strictly positive"):
+                WeightedClass([IidModel(half)] * 2, weights)

@@ -28,6 +28,7 @@ from mdl_lab.metrics import (
     walk_support,
 )
 from mdl_lab.model_class import (
+    LARGEST_WEIGHT,
     WeightedClass,
     bernoulli_class,
     bernoulli_sharpness_class,
@@ -35,7 +36,7 @@ from mdl_lab.model_class import (
     example3_class,
     example5_class,
 )
-from mdl_lab.predictors import ALL_KINDS, TRUE, PredictionNode
+from mdl_lab.predictors import ALL_KINDS, STATIC, TRUE, XI, PredictionNode
 from mdl_lab.stabilization import sampled_trace
 from mdl_lab.suites import (
     random_distribution,
@@ -449,7 +450,8 @@ class TestTracedRows:
                         cls, kind, decisions.zero_one_loss(), horizon, samples, seed, tb
                     )
         assert built == [] and advanced == []
-        assert len(drawn) == 3 * 3 * 3 * (1 + samples)
+        # The true kind runs no trace (test_true_ledgers_run_no_map_trace).
+        assert len(drawn) == 3 * 3 * 2 * (1 + samples)
         for cls, length, s, index, word in drawn:
             assert length == horizon - 1
             assert word == oracle.draw_path(cls.true_model, length, derived_rng(s, index))
@@ -461,6 +463,56 @@ class TestTracedRows:
                 d = step_distances(mu, oracle.prediction(kind, cls, x, tb), metrics.FLOAT)
                 for name in metrics.METRICS:
                     assert ledger.per_step(name)[t] == getattr(d, name), (cls.describe(), t)
+
+    def test_true_ledgers_run_no_map_trace(self, monkeypatch):
+        # The true kind's prediction reads no MAP choice: its ledgers and
+        # decision traces draw their paths and run no trace.
+        traced = []
+        trace = stabilization.map_trace
+
+        def counted(cls, *args, **kwargs):
+            traced.append(cls)
+            return trace(cls, *args, **kwargs)
+
+        monkeypatch.setattr(stabilization, "map_trace", counted)
+        cls = oracle.sampled_path_classes()[1]
+        for workers in (1, 2):
+            monte_carlo_distances(cls, TRUE, 12, 3, 5, workers=workers)
+            decisions.monte_carlo_decision_trace(
+                cls, TRUE, decisions.zero_one_loss(), 12, 3, 5, workers=workers
+            )
+        assert traced == []
+        monte_carlo_distances(cls, STATIC, 12, 3, 5)
+        assert traced == [cls] * 3
+
+    def test_repeated_steps_reuse_their_reduction(self, monkeypatch):
+        # A step whose rows are the objects of the step before reuses that
+        # step's means and stderrs; every one equals a per-step mean_stderr
+        # of the sampled rows to the last bit, for any worker count.
+        reductions = []
+
+        def counted(column):
+            reductions.append(len(column))
+            return mean_stderr(column)
+
+        monkeypatch.setattr(metrics, "mean_stderr", counted)
+        horizon, samples, seed = 150, 3, 17
+        ledgers = ((bernoulli_sharpness_class(6), STATIC), (oracle.sampled_path_classes()[0], XI))
+        for cls, kind in ledgers:
+            rows = metrics.sampled_rows(
+                cls, kind, horizon, samples, seed,
+                lambda x, t, mu, phi: step_distances(mu, phi, metrics.FLOAT),
+            )
+            want = {}
+            for name in metrics.METRICS:
+                stats = [mean_stderr([getattr(d, name) for d in step]) for step in zip(*rows)]
+                want[name] = [_bits([m for m, _ in stats]), _bits([se for _, se in stats])]
+            for workers in (1, 2):
+                reductions.clear()
+                got = _traced_distances(cls, kind, horizon, samples, seed, LARGEST_WEIGHT, workers)
+                assert got == want, (cls.describe(), kind, workers)
+                if kind == STATIC and workers == 1:  # the static choice repeats
+                    assert len(reductions) < len(metrics.METRICS) * horizon
 
 
 class TestMeanStderr:
