@@ -16,10 +16,11 @@ step.
 A value at one string is computed on integers: ``exact_ratio(x)`` returns
 (num, den), not necessarily in lowest terms, with num/den = nu(x).  An
 i.i.d. model and a step table keep each law, beside the Fractions that
-``step_distribution`` returns, as an integer law (nums, den): den is the
-lcm of the reduced denominators, as in the draws, and nums[a] / den is the
-probability of symbol a.  The constructors build these once and check the
-law on them: one entry per symbol, none negative, sum(nums) == den.
+``step_distribution`` returns, as an integer law (nums, den) =
+``step_multipliers(law)``: den is the lcm of the reduced denominators and
+nums[a] / den is the probability of symbol a.  The constructors build
+these once and check the law on them: one entry per symbol, none
+negative, sum(nums) == den.
 Step tables multiply the nums and dens of their steps, i.i.d. models
 raise each nums[a] to the count of a over den^len(x), formula models
 (example 4) multiply their steps' Fractions, deterministic models compare
@@ -34,24 +35,32 @@ already read, i.i.d. models compare the sum of their symbol counts with
 len(x), and deterministic models scan x for its least and greatest symbol
 only on a miss.
 
-A cursor is an O(1)-per-step incremental evaluator used by tree walks,
-samplers and Monte-Carlo traces; it only steps forward, so callers read
-nu(xa) from the child they step to and evaluate each prefix once.  A
-factorizable or leaky cursor also reports the exact factor of its last
-step, so prediction nodes and samplers step on small step probabilities
-and never divide two values; its own value is an unreduced integer pair
-made a Fraction only when read.  ``evaluate_exact`` and
-``conditional_exact`` read the same definition.
+A cursor is an O(1)-per-step incremental evaluator used by tree walks and
+prediction nodes; it only steps forward, so callers read nu(xa) from the
+child they step to and evaluate each prefix once.  A factorizable or
+leaky cursor also reports the exact factor of its last step, so
+prediction nodes step on small step probabilities and never divide two
+values; its own value is an unreduced integer pair made a Fraction only
+when read.  ``evaluate_exact`` and ``conditional_exact`` read the same
+definition.
+
+How a member takes its next step is decided here alone: MAP traces step
+on :func:`_integer_parts`, and :func:`step_conditionals` reads from it
+the conditionals that sampled ledgers and :func:`sample_path` read, so a
+factorizable truth draws from its step laws and advances no cursor.
+:func:`step_multipliers` is the one integer form of a law, which the
+constructors, the draws, prediction nodes and MAP traces read.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import AlphabetMismatchError, SamplingError
 
@@ -273,7 +282,7 @@ class FactorizableModel(Semimeasure):
         tail = tuple(Fraction(p) for p in tail)
         laws = []
         for dist in table + (tail,):
-            nums, den = law = _integer_law(dist)
+            nums, den = law = step_multipliers(dist)
             if len(dist) != alphabet.size or sum(nums) != den or min(nums) < 0:
                 raise ValueError(f"invalid per-step distribution {dist}")
             laws.append(law)
@@ -331,11 +340,22 @@ class FactorizableModel(Semimeasure):
         return self._name
 
 
-def _integer_law(dist: Sequence[Fraction]) -> tuple:
-    """(nums, den) with nums[a] / den = dist[a]: den is the lcm of the
-    reduced denominators, as in the draws' cumulative numerators."""
-    den = lcm(*[p.denominator for p in dist])
-    return tuple([p.numerator * (den // p.denominator) for p in dist]), den
+def step_multipliers(factors: Sequence[Fraction]) -> Tuple[list, int]:
+    """(multipliers, step): the exact factors as integers over one denominator.
+
+    ``step`` is the lcm of the factors' reduced denominators and
+    multipliers[i] = factors[i] * step.  A law's integer form (nums, den),
+    the draws' cumulative numerators, and one step of a score row all read
+    it: scores[i] * multipliers[i] over den * step equal scores[i] / den *
+    factors[i], so a row's denominator grows only by the step's small lcm
+    and no big number is divided.
+    """
+    # A list, not a generator: ``lcm(*generator)`` resizes a fresh argument
+    # tuple each call, and every such tuple stays on the interpreter's tuple
+    # free list, which then grows by one tuple per step of a long path (up
+    # to its cap of 2000 tuples per size).
+    step = lcm(*[f.denominator for f in factors])
+    return [f.numerator * (step // f.denominator) for f in factors], step
 
 
 def _product_ratio(dists, x: Word, size: int) -> tuple:
@@ -404,7 +424,7 @@ class IidModel(FactorizableModel):
             alphabet = Alphabet(len(theta))
         if len(theta) != alphabet.size:
             raise ValueError("theta length must match alphabet size")
-        nums, den = law = _integer_law(theta)
+        nums, den = law = step_multipliers(theta)
         if min(nums) < 0:
             raise ValueError("theta components must be nonnegative")
         if sum(nums) != den:
@@ -808,23 +828,80 @@ def sample_sequence(model: Semimeasure, n: int, seed: int) -> Word:
     return sample_path(model, n, derived_rng(seed, 0))
 
 
-def _cumulative(probs) -> tuple:
-    """(den, cumulative numerators) of probs over the lcm of their denominators."""
-    den = lcm(*[p.denominator for p in probs])
-    acc = 0
-    cumulative = []
-    for p in probs:
-        acc += p.numerator * (den // p.denominator)
-        cumulative.append(acc)
-    return den, cumulative
+def _integer_parts(model: Semimeasure):
+    """(law, keep, dyadic cursor) of one member, or None.
+
+    The member's value factors as nu(x_1:t) = prod_{s<=t} law_s[x_s] *
+    keep^t * N_t / 2^e_t.  ``law`` is the distribution itself for an
+    :class:`IidModel` base, the per-step rule (a callable of s) of any
+    other factorizable base, and all ones for a dyadic base; ``keep`` is
+    the product of the leaky wrappers' 1 - gamma (None: no wrapper);
+    N_t / 2^e_t is the value of a dyadic cursor (None: 1).  Members with
+    neither form give None, and a member without a cursor of its own gives
+    None without building one, which would evaluate its empty word.
+    """
+    keep = None
+    while isinstance(model, LeakySemimeasure):
+        keep = model.keep if keep is None else keep * model.keep
+        model = model.base
+    if type(model) is IidModel:
+        return model.theta, keep, None
+    if model.is_factorizable:
+        return model.step_distribution, keep, None
+    if type(model).cursor is Semimeasure.cursor:
+        return None
+    cursor = model.cursor()
+    if isinstance(cursor, DyadicCursor):
+        return (1,) * model.alphabet.size, keep, cursor
+    return None
+
+
+def step_conditionals(model: Semimeasure, word: Word) -> Callable[[int], Sequence]:
+    """``read(t)``: nu(a | word[:t]) for every symbol a, for t = 0, 1, ... in order.
+
+    The values a prediction node's conditionals of the member take at that
+    prefix, read where nu(word[:t]) > 0 without building a node; ``word``
+    may grow between reads, as a draw appends to it.  A factorizable member
+    (:func:`_integer_parts`) reads its step law at t + 1, times its keep
+    under leaky wrappers; a law that does not move gives the same object at
+    every t.  Any other member steps one cursor of its own along the word
+    and divides its children's values by its own, and a prefix of value 0
+    raises SamplingError.
+    """
+    parts = _integer_parts(model)
+    if parts is not None and parts[2] is None:
+        law, keep, _ = parts
+        if not callable(law):
+            row = law if keep is None else tuple([p * keep for p in law])
+            return lambda t: row
+        if keep is None:
+            return lambda t: law(t + 1)
+        return lambda t: tuple([p * keep for p in law(t + 1)])
+    symbols = model.alphabet.symbols()
+    cursor, at, children = model.cursor(), 0, None
+
+    def read_cursor(t: int) -> Sequence:
+        nonlocal cursor, at, children
+        while at < t:
+            cursor = children[word[at]] if children else cursor.advance(word[at])
+            children = None
+            at += 1
+        if children is None:
+            children = [cursor.advance(a) for a in symbols]
+        base = cursor.value
+        if not base:
+            raise SamplingError("cannot sample beyond a zero-probability prefix")
+        return [c.value / base for c in children]
+
+    return read_cursor
 
 
 def _draw_exact(probs, rng: random.Random) -> int:
     """Inverse-CDF draw with one integer uniform on a common denominator:
     the first symbol whose cumulative numerator exceeds the draw."""
-    den, cumulative = _cumulative(probs)
-    a = bisect_right(cumulative, rng.randrange(den))
-    if a == len(cumulative):
+    nums, den = step_multipliers(probs)
+    a = bisect_right(list(accumulate(nums)), rng.randrange(den))
+    if a == len(nums):
         raise SamplingError("conditional probabilities sum to less than 1")
     return a
 
@@ -833,35 +910,27 @@ def sample_path(model: Semimeasure, n: int, rng: random.Random) -> Word:
     """Draw x_{1:n} exactly; a strict semimeasure is refused at every n.
 
     Each symbol is one integer uniform on the lcm of the reduced
-    conditionals' denominators, read from the child cursors' factors (or
-    quotients of their values where a cursor has no factor).  An i.i.d.
-    model has the same conditionals at every step, so its denominator and
-    cumulative numerators are computed once and the draws are the same;
-    its last cumulative numerator is the denominator, so no draw overruns.
-    A negative ``n`` is refused.
+    conditionals' denominators (:func:`_draw_exact`), which
+    :func:`step_conditionals` reads along the symbols drawn so far.  A law
+    that never moves (an i.i.d. model) makes its denominator and
+    cumulative numerators once, for the same draws; its last cumulative
+    numerator is the denominator, so no draw overruns.  A negative ``n``
+    is refused.
     """
     if n < 0:
         raise ValueError(f"path length must be at least 0, got {n}")
     if not model.is_proper_measure:
         raise SamplingError("sampling requires a proper measure")
-    if isinstance(model, IidModel):
-        den, cumulative = _cumulative(model.theta)
+    parts = _integer_parts(model)
+    if parts is not None and parts[2] is None and not callable(parts[0]):
+        nums, den = step_multipliers(parts[0])
+        cumulative = list(accumulate(nums))
         draw, first_above = rng.randrange, bisect_right
         return tuple([first_above(cumulative, draw(den)) for _ in range(n)])
-    cur = model.cursor()
-    out = []
-    k = model.alphabet.size
-    for _ in range(n):
-        children = [cur.advance(a) for a in range(k)]
-        probs = [child.factor for child in children]
-        if any(p is None for p in probs):
-            v = cur.value
-            if v == 0:
-                raise SamplingError("cannot sample beyond a zero-probability prefix")
-            probs = [child.value / v for child in children]
-        symbol = _draw_exact(probs, rng)
-        out.append(symbol)
-        cur = children[symbol]
+    out: list = []
+    read = step_conditionals(model, out)
+    for t in range(n):
+        out.append(_draw_exact(read(t), rng))
     return tuple(out)
 
 

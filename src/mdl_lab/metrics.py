@@ -17,7 +17,9 @@ The distance and decision ledgers sample their paths with
 static, static_norm) draw each path with ``sample_path``; static and
 static_norm read it off ``stabilization.sampled_trace``, the
 ``sample_path`` and ``map_trace`` pair that ``monte_carlo_stabilization``
-also draws with, and true reads no choice.  Every other kind steps a
+also draws with, and true reads no choice.  Their rows read each member's
+conditionals with ``measures.step_conditionals``, the reader the draws
+use too.  Every other kind steps a
 prediction node per step (:func:`monte_carlo_rows`).  All draw the same
 paths.  (``monte_carlo_regression_hellinger`` draws its own samples.)
 Both the walk and the sampled paths need a fully materialized class.
@@ -61,6 +63,7 @@ from .measures import (
     derived_rng,
     ordered_parallel_map,
     sample_path,
+    step_conditionals,
 )
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass
 from .predictors import (
@@ -74,7 +77,7 @@ from .predictors import (
     PredictionNode,
     _normalize_list,
 )
-from .stabilization import sampled_trace, step_conditionals
+from .stabilization import sampled_trace
 from .values import EXACT, FLOAT, check_mode
 
 DEFAULT_NODE_GUARD = 20_000_000
@@ -389,7 +392,7 @@ def sampled_rows(
     ``sampled_trace(cls, horizon - 1, seed, i, tie_break)``, which adds the
     MAP index a node's tie-break selects at every prefix; ``true`` reads no
     choice and runs no trace.  The prediction is the chosen member's
-    conditionals (:func:`~mdl_lab.stabilization.step_conditionals`, one
+    conditionals (:func:`~mdl_lab.measures.step_conditionals`, one
     reader per member read), normalized for ``static_norm``, or the true
     ones for ``true``: the Fractions a node gives, read without building
     one.  Every other kind steps a prediction node per step

@@ -18,8 +18,10 @@ the value it returns.  A class keeps the row of the last word it was asked
 for, and only that one: the queries that follow one another at a word
 (xi, rho and the MAP choice at x) build its row once, and a query at any
 other word builds a fresh row.  Prediction nodes and MAP traces keep such
-a row along a sequence and step it with :func:`step_multipliers`, so its
-denominator grows only by the small denominators of each step's factors.
+a row along a sequence and step it with
+:func:`~mdl_lab.measures.step_multipliers`, the one integer form of a step
+law, so its denominator grows only by the small denominators of each
+step's factors.
 """
 
 from __future__ import annotations
@@ -242,22 +244,6 @@ def cursor_scores(weights: Sequence[Fraction], cursors) -> Tuple[list, int]:
         v = c.value
         terms.append((w.numerator * v.numerator, w.denominator * v.denominator))
     return common_denominator(terms)
-
-
-def step_multipliers(factors: Sequence[Fraction]) -> Tuple[list, int]:
-    """(multipliers, step) of one step of a score row by exact factors.
-
-    ``step`` is the lcm of the factors' denominators and multipliers[i] =
-    factors[i] * step, so scores[i] * multipliers[i] over den * step equal
-    scores[i] / den * factors[i]: the row's denominator grows only by the
-    step's small lcm and no big number is divided.
-    """
-    # A list, not a generator: ``lcm(*generator)`` resizes a fresh argument
-    # tuple each call, and every such tuple stays on the interpreter's tuple
-    # free list, which then grows by one tuple per step of a long path (up
-    # to its cap of 2000 tuples per size).
-    step = lcm(*[f.denominator for f in factors])
-    return [f.numerator * (step // f.denominator) for f in factors], step
 
 
 def _map_choice(cls: WeightedClass, word: Word, tie_break: TieBreak):

@@ -47,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .enclosure import FracInterval
 from .errors import AllZeroError, ZeroHistoryError
-from .measures import Word
+from .measures import Word, step_multipliers
 from .model_class import (  # noqa: F401  map_estimator stays a name of this module
     LARGEST_WEIGHT,
     EvalStats,
@@ -57,7 +57,6 @@ from .model_class import (  # noqa: F401  map_estimator stays a name of this mod
     class_scores,
     cursor_scores,
     map_estimator,
-    step_multipliers,
 )
 
 # Predictor kinds.

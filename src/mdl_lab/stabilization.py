@@ -14,7 +14,9 @@ maximum, refuses an open tail, raises on a zero history and records the
 choice; then it makes one exact step or takes a certified run.  An exact
 step multiplies the scores by the step's factors scaled to their small
 lcm, the stepping of prediction nodes
-(:func:`~mdl_lab.model_class.step_multipliers`): a factorizable model's
+(:func:`~mdl_lab.measures.step_multipliers`).  Each member's step comes
+from its split in ``measures`` (``_integer_parts``), and this module tests
+no model or cursor type: a factorizable model's
 factor is its step probability, a leaky wrapper multiplies that by its
 keep factor 1 - gamma, and the martingale measure's dyadic cursor holds
 nu as an integer over a power of two, which joins the scores as a shift.
@@ -49,8 +51,8 @@ Sampled runs that read nothing but the MAP choice draw each path and its
 trace with :func:`sampled_trace`: the stabilization verdicts here, and
 the true, static and static_norm Monte-Carlo ledgers of ``metrics`` and
 ``decisions``.  Those ledgers read each member's conditionals along the
-path with :func:`step_conditionals` instead of building a prediction node
-per step.
+path with :func:`~mdl_lab.measures.step_conditionals` instead of building
+a prediction node per step.
 """
 
 from __future__ import annotations
@@ -58,19 +60,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ZeroHistoryError
 from .measures import (
-    DyadicCursor,
-    IidModel,
-    LeakySemimeasure,
-    Semimeasure,
     Word,
+    _integer_parts,
     check_samples,
     derived_rng,
     ordered_parallel_map,
     sample_path,
+    step_multipliers,
 )
 from .model_class import (
     LARGEST_WEIGHT,
@@ -79,7 +79,6 @@ from .model_class import (
     check_tail,
     common_denominator,
     cursor_scores,
-    step_multipliers,
 )
 
 
@@ -121,67 +120,6 @@ class StabilizationVerdict:
         return self.stabilized_by is not None
 
 
-def _integer_parts(model: Semimeasure):
-    """(law, keep, dyadic cursor) of one member, or None.
-
-    The member's value factors as nu(x_1:t) = prod_{s<=t} law_s[x_s] *
-    keep^t * N_t / 2^e_t.  ``law`` is the distribution itself for an
-    :class:`IidModel` base, the per-step rule (a callable of s) of any
-    other factorizable base, and all ones for a dyadic base; ``keep`` is
-    the product of the leaky wrappers' 1 - gamma (None: no wrapper);
-    N_t / 2^e_t is the value of a dyadic cursor (None: 1).  Members with
-    neither form give None.
-    """
-    keep = None
-    while isinstance(model, LeakySemimeasure):
-        keep = model.keep if keep is None else keep * model.keep
-        model = model.base
-    if type(model) is IidModel:
-        return model.theta, keep, None
-    if model.is_factorizable:
-        return model.step_distribution, keep, None
-    cursor = model.cursor()
-    if isinstance(cursor, DyadicCursor):
-        return (1,) * model.alphabet.size, keep, cursor
-    return None
-
-
-def step_conditionals(model: Semimeasure, word: Word) -> Callable[[int], Sequence]:
-    """``read(t)``: nu(a | word[:t]) for every symbol a, for t = 0, 1, ... in order.
-
-    The values a prediction node's conditionals of the member take at that
-    prefix, read where nu(word[:t]) > 0 without building a node.  A
-    factorizable member (:func:`_integer_parts`) reads its step law at
-    t + 1, times its keep under leaky wrappers; a law that does not move
-    gives the same object at every t.  Any other member steps one cursor of
-    its own along the word and divides its children's values by its own.
-    """
-    parts = _integer_parts(model)
-    if parts is not None and parts[2] is None:
-        law, keep, _ = parts
-        if not callable(law):
-            row = law if keep is None else tuple([p * keep for p in law])
-            return lambda t: row
-        if keep is None:
-            return lambda t: law(t + 1)
-        return lambda t: tuple([p * keep for p in law(t + 1)])
-    symbols = model.alphabet.symbols()
-    cursor, at, children = model.cursor(), 0, None
-
-    def read_cursor(t: int) -> Sequence:
-        nonlocal cursor, at, children
-        while at < t:
-            cursor = children[word[at]] if children else cursor.advance(word[at])
-            children = None
-            at += 1
-        if children is None:
-            children = [cursor.advance(a) for a in symbols]
-        base = cursor.value
-        return [c.value / base for c in children]
-
-    return read_cursor
-
-
 def map_trace(
     cls: WeightedClass,
     x,
@@ -196,7 +134,7 @@ def map_trace(
     checks the tail and the zero history, and records at each prefix it
     reaches, then steps the integer scores (module docstring) by one
     symbol or by a certified run.  Runs are certified only where
-    :func:`_integer_parts` finds every member's base an
+    :func:`~mdl_lab.measures._integer_parts` finds every member's base an
     :class:`IidModel` (leaky wrappers allowed) and the class has no tail:
     there a run whose choice a bit-length bound on the scores already
     fixes records the unique maximum, with no tie, and multiplies each

@@ -1,3 +1,4 @@
+import ast
 import functools
 import itertools
 import pickle
@@ -6,6 +7,7 @@ import threading
 import time
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,7 @@ from mdl_lab.measures import (
     make_example4_pair,
     sample_path,
     sample_sequence,
+    step_conditionals,
 )
 from mdl_lab.metrics import monte_carlo_distances, monte_carlo_rows, walk_support
 from mdl_lab.model_class import (
@@ -260,6 +263,16 @@ class TestCursorProtocol:
             cls, members = counted_class()
             monte_carlo_rows(cls, 12, 1, seed, lambda node, mu_cond: None)
             assert most_calls(*members) == 1
+        word = (0, 1, 1, 0, 1, 0, 0, 1)
+        cls, members = counted_class()
+        map_trace(cls, word)
+        assert most_calls(*members) == 1
+        for member in counted_class()[1]:
+            read = step_conditionals(member, word)
+            for t in range(len(word) + 1):
+                read(t)
+            assert len(member.calls) == 1 + 2 * (len(word) + 1)  # the root, then two children per read
+            assert most_calls(member) == 1
         for model in (IidModel((F(1, 3), F(2, 3))), OscillatingMartingaleMeasure()):
             for seed in range(4):
                 counted = EvaluateOnly(model)
@@ -541,6 +554,22 @@ class TestSampling:
         with pytest.raises(SamplingError):
             monte_carlo_stabilization(cls, horizon, samples=4, window=0, seed=0)
 
+    def test_massless_and_short_measures_refused(self):
+        class Massless(Semimeasure):  # declared a measure, yet nu(empty) = 0
+            alphabet = BINARY
+            is_proper_measure = True
+
+            def evaluate_exact(self, x):
+                return F(0)
+
+        assert sample_path(Massless(), 0, derived_rng(0, 0)) == ()
+        with pytest.raises(SamplingError, match="zero-probability prefix"):
+            sample_path(Massless(), 1, derived_rng(0, 0))
+        short = EvaluateOnly(LeakySemimeasure(IidModel((F(1, 2), F(1, 2))), F(1, 4)))
+        short.is_proper_measure = True  # its conditionals sum to 3/4
+        with pytest.raises(SamplingError, match="sum to less than 1"):
+            sample_path(short, 40, derived_rng(0, 0))
+
     def test_fair_coin_frequency_30_seeds(self):
         # Binomial concentration: 6+ sigma event per seed at n = 1e5.
         model = IidModel((F(1, 2), F(1, 2)))
@@ -549,6 +578,86 @@ class TestSampling:
             path = sample_path(model, n, derived_rng(seed, 0))
             freq = sum(path) / n
             assert abs(freq - 0.5) < 0.01, (seed, freq)
+
+
+class TestDrawsReadLaws:
+    """``sample_path`` draws through ``step_conditionals``: a factorizable
+    truth reads its step laws, and every word is the oracle's draw."""
+
+    @staticmethod
+    def truths():
+        mu, nu = make_example4_pair()
+        table = FactorizableModel.from_steps(
+            BINARY, [(F(1, 4), F(3, 4)), (F(1), F(0)), (F(2, 3), F(1, 3))], (F(1, 3), F(2, 3))
+        )
+        ternary = FactorizableModel.from_steps(
+            Alphabet(3), [(F(0), F(1, 2), F(1, 2))], (F(1, 6), F(1, 3), F(1, 2))
+        )
+        return [table, ternary, DeterministicModel((0, 1), (1, 1, 0)), DeterministicModel((), (1,)), mu, nu]
+
+    def test_factorizable_truths_advance_no_cursor(self, monkeypatch):
+        advances = Counter()
+        advance = measures._FactorizableCursor.advance
+
+        def counted(cursor, a):
+            advances.update(("advance",))
+            return advance(cursor, a)
+
+        monkeypatch.setattr(measures._FactorizableCursor, "advance", counted)
+        for model in self.truths():
+            for seed in range(3):
+                assert len(sample_path(model, 40, derived_rng(seed, 0))) == 40
+        assert advances == Counter()
+        self.truths()[0].cursor().advance(1)
+        assert advances == Counter(advance=1)  # the counter sees a cursor step
+
+    def test_words_equal_the_oracle_draws(self):
+        truths = self.truths() + [
+            IidModel((F(1), F(0))),
+            IidModel((F(1, 6), F(0), F(5, 6))),
+            OscillatingMartingaleMeasure(),
+            EvaluateOnly(self.truths()[0]),
+            EvaluateOnly(OscillatingMartingaleMeasure()),
+        ]
+        for model in truths:
+            for seed in range(10):
+                for n in (0, 1, 2, 7, 40):
+                    want = oracle.draw_path(model, n, derived_rng(seed, n))
+                    assert sample_path(model, n, derived_rng(seed, n)) == want, (model, seed, n)
+
+
+def test_only_measures_tests_model_types():
+    # How a member takes its next step is decided in measures alone: no other
+    # module tests an object against a semimeasure or cursor class, with
+    # isinstance, issubclass or type(...) is.
+    guarded = {
+        name
+        for name, obj in vars(measures).items()
+        if isinstance(obj, type) and issubclass(obj, (Semimeasure, measures.SemimeasureCursor))
+    }
+    assert {"IidModel", "FactorizableModel", "LeakySemimeasure", "DyadicCursor"} <= guarded
+    found = []
+    for path in sorted(Path(measures.__file__).parent.glob("*.py")):
+        if path.name == "measures.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            tested = []
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "isinstance",
+                "issubclass",
+            ):
+                tested = node.args[1:]
+            elif (
+                isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Call)
+                and getattr(node.left.func, "id", None) == "type"
+            ):
+                tested = node.comparators
+            for sub in (sub for target in tested for sub in ast.walk(target)):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if name in guarded:
+                    found.append((path.name, node.lineno, name))
+    assert not found, found
 
 
 class TestNamedConstructions:
@@ -878,7 +987,7 @@ class TestIntegerPointQueries:
                 assert tuple(F(n, den) for n in nums) == dist, (model, i)
                 if step is not None:
                     assert dist == step(i), (model, i)
-                assert den == measures._cumulative(dist)[0], (model, i)
+                assert (list(nums), den) == measures.step_multipliers(dist), (model, i)
         assert checked == 7  # five laws (one under a leaky wrapper) and two keeps
         for cls in oracle.differential_classes():
             assert tuple(F(n, d) for n, d in cls._weight_ratios) == cls.weights
