@@ -72,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--workers",
         type=int,
-        help="threads for sampled paths (default 1); results are identical for "
-        "any count, and 2 threads ran at 0.86-0.87x the speed of 1 on a "
-        "2-vCPU host, so more do not speed runs up",
+        help="worker count, at least 1 (default 1); sampled paths run in order "
+        "in one thread for any count, so results are identical",
     )
     run.add_argument("--out", help="output directory (default: runs/<experiment>)")
     run.add_argument(

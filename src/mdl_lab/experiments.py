@@ -5,8 +5,8 @@ Each experiment maps a validated :class:`ExperimentConfig` to an
 and plot-ready series.  Reports serialize to ``report.json``,
 ``ledgers.csv``, ``bounds.csv`` and ``plotdata/*.tsv``; all rationals
 are written as "p/q" strings next to float renderings, and re-running a
-config reproduces the numeric payload byte for byte regardless of the
-worker count.
+config reproduces the numeric payload byte for byte; every worker count
+runs the sampled paths serially.
 """
 
 from __future__ import annotations

@@ -799,7 +799,7 @@ def derived_rng(seed: int, index: int) -> random.Random:
     """Stream-stable RNG for sample `index` of a seeded run.
 
     String seeding hashes with SHA-512 internally, so the stream does not
-    depend on PYTHONHASHSEED, the process, or the thread executing it.
+    depend on PYTHONHASHSEED or the process drawing it.
     """
     return random.Random(f"mdl-lab:{seed}:{index}")
 
@@ -811,16 +811,11 @@ def check_samples(samples: int) -> None:
 
 
 def ordered_parallel_map(fn, items, workers: int):
-    """Map preserving item order, identical for any worker count; fewer
-    than one worker is refused before any item runs."""
+    """``[fn(i) for i in items]`` in the calling thread, for any worker
+    count; fewer than one worker is refused before any item runs."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers == 1:
-        return [fn(i) for i in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(i) for i in items]
 
 
 def sample_sequence(model: Semimeasure, n: int, seed: int) -> Word:

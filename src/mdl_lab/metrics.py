@@ -337,8 +337,9 @@ def monte_carlo_rows(
     each of ``horizon`` steps; between rows it draws the next symbol from
     the true conditionals ``mu_cond`` with ``derived_rng(seed, i)`` and
     steps to that child node.  A true model that is not a proper measure
-    is refused before any path.  The per-path row lists come back in
-    index order, so the result is identical for any worker count.
+    is refused before any path, and one of mass 0 at the first step.  The
+    per-path row lists come back in index order, so the result is
+    identical for any worker count.
     """
     _check_sampled_paths(cls, horizon, samples)
 
@@ -351,6 +352,8 @@ def monte_carlo_rows(
         for t in range(horizon):
             if t:
                 node = node.child_node(_draw_exact(mu_cond, rng))
+            elif not node.cursors[cls.true_index].value:
+                raise SamplingError("cannot sample beyond a zero-probability prefix")
             mu_cond = node.true_conditionals()
             rows.append(row(node, mu_cond))
         return rows

@@ -142,6 +142,10 @@ class WeightedClass:
         # never pairs one word with another word's row.
         self._last_row = (None, None)
 
+    def __getstate__(self) -> dict:
+        """Pickle without the last-row memo, which only saves a rebuild."""
+        return {**self.__dict__, "_last_row": (None, None)}
+
     def __len__(self) -> int:
         return len(self.models)
 

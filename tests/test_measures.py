@@ -660,6 +660,24 @@ def test_only_measures_tests_model_types():
     assert not found, found
 
 
+def test_library_imports_no_threads():
+    # Sampled paths run in the calling thread; no module of the package
+    # imports an executor or a thread API.
+    found = []
+    for path in sorted(Path(measures.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in ("concurrent", "threading", "_thread"):
+                    found.append((path.name, node.lineno, name))
+    assert not found, found
+
+
 class TestNamedConstructions:
     def test_example3_tie(self):
         lam, nu, w_lam, w_nu = example3_pair()

@@ -1,5 +1,7 @@
 import math
 import statistics
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +17,7 @@ from mdl_lab.measures import (
     FactorizableModel,
     IidModel,
     LeakySemimeasure,
+    Semimeasure,
     derived_rng,
 )
 from mdl_lab.metrics import (
@@ -226,6 +229,61 @@ class TestMonteCarlo:
                 decisions.monte_carlo_decision_trace(
                     cls, "static", decisions.zero_one_loss(), 4, 2, 0, workers=workers
                 )
+
+    def test_every_path_runs_in_the_calling_thread(self, monkeypatch):
+        # Any worker count maps the paths in order in the caller's thread,
+        # and no run imports the standard library's executors.
+        ran = []
+
+        def recorded(seed, index):
+            ran.append((index, threading.get_ident()))
+            return derived_rng(seed, index)
+
+        for module in (metrics, stabilization):
+            monkeypatch.setattr(module, "derived_rng", recorded)
+        monkeypatch.delitem(sys.modules, "concurrent.futures", raising=False)
+        cls = bernoulli_class([F(1, 4), F(1, 2), F(3, 4)], true_index=1)
+        samples = 5
+        runs = [
+            lambda w: stabilization.monte_carlo_stabilization(cls, 12, samples, 4, 3, workers=w),
+            lambda w: monte_carlo_distances(cls, STATIC, 6, samples, 3, workers=w),
+            lambda w: monte_carlo_distances(cls, XI, 6, samples, 3, workers=w),
+            lambda w: decisions.monte_carlo_decision_trace(
+                cls, STATIC, decisions.zero_one_loss(), 6, samples, 3, workers=w
+            ),
+        ]
+        for run in runs:
+            for workers in (1, 2, 3):
+                ran.clear()
+                run(workers)
+                assert ran == [(i, threading.get_ident()) for i in range(samples)], workers
+        assert "concurrent.futures" not in sys.modules
+
+    @pytest.mark.parametrize("horizon", [0, 1, 2])
+    def test_massless_truth_refused_alike_by_every_kind(self, horizon):
+        # A truth declared a measure with nu(empty) = 0 is refused with the
+        # same error by every kind and both drivers; horizon 0 draws nothing.
+        class Massless(Semimeasure):
+            alphabet = BINARY
+            is_proper_measure = True
+
+            def evaluate_exact(self, x):
+                return F(0)
+
+        half = IidModel((F(1, 2), F(1, 2)))
+        cls = WeightedClass([Massless(), half], [F(1, 2), F(1, 2)], true_index=0)
+        loss = decisions.zero_one_loss()
+        for kind in ALL_KINDS:
+            runs = (
+                lambda: monte_carlo_distances(cls, kind, horizon, 2, 0),
+                lambda: decisions.monte_carlo_decision_trace(cls, kind, loss, horizon, 2, 0),
+            )
+            for run in runs:
+                if horizon == 0:
+                    run()
+                    continue
+                with pytest.raises(SamplingError, match="zero-probability prefix"):
+                    run()
 
     def test_three_stderr_agreement(self):
         # The estimate lands within 3 standard errors of the exact ledger

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from mdl_lab.model_class import (
     two_part_value,
     two_part_value_at,
 )
+from mdl_lab.predictors import bayes_mixture
 from mdl_lab.suites import random_measure_class, random_word, suite_rng
 from oracle import geometric_class
 
@@ -45,6 +47,17 @@ class TestWeightedClass:
         cls = bernoulli_class([F(1, 2)], true_index=None)
         with pytest.raises(ValueError):
             cls.true_model
+
+    def test_pickles_without_its_last_row(self):
+        # The row memo of the last query stays behind: a pickle is the same
+        # bytes before and after a query, and its copy answers alike.
+        cls = bernoulli_sharpness_class(6)
+        before = pickle.dumps(cls)
+        word = cls.word((0, 1, 1, 0) * 250)
+        want = (map_estimator(cls, word), bayes_mixture(cls, word))
+        assert pickle.dumps(cls) == before
+        copy = pickle.loads(before)
+        assert (map_estimator(copy, word), bayes_mixture(copy, word)) == want
 
 
 class TestMapEstimator:
@@ -119,8 +132,6 @@ class TestTwoPartValue:
 
     def test_chain_on_random_triples(self):
         # xi >= rho >= rho^y, 200 seeded random (class, x, y) triples.
-        from mdl_lab.predictors import bayes_mixture
-
         for case in range(200):
             rng = suite_rng(77, case)
             cls = random_measure_class(77, case)
