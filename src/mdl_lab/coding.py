@@ -9,14 +9,17 @@ A string x is coded in three self-delimiting pieces:
               cumulative interval [S_{j-1}, S_j) of x among the length-n
               strings in lexicographic order.
 
-Everything is exact rational interval arithmetic, so the payload length
-equals ceil(-lb nu(x)) bit for bit and distinct strings get disjoint
-intervals (injectivity).  The cumulative interval is built by sequential
-per-symbol refinement; enumerating all of X^n in lexicographic order
-yields the identical interval, which :func:`block_interval` exposes for
-cross-checking.  Total length is within an explicit additive constant of
-ceil(-lb w) + ceil(-lb nu(x)): the gamma field costs
-2*floor(lb(n+1)) + 1 bits and the header rounding at most 2 bits.
+Everything is exact interval arithmetic on integers, so the payload
+length equals ceil(-lb nu(x)) bit for bit and distinct strings get
+disjoint intervals (injectivity).  Encoding and decoding share one
+descent that keeps the cumulative interval as [lo, lo + num) / den and
+refines it per symbol by the step law in integer form, with no
+finite-precision renormalisation.  Enumerating all of X^n in
+lexicographic order yields the identical interval, which
+:func:`block_interval` exposes for cross-checking.  Total length is
+within an explicit additive constant of ceil(-lb w) + ceil(-lb nu(x)):
+the gamma field costs 2*floor(lb(n+1)) + 1 bits and the header rounding
+at most 2 bits.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from itertools import product
 from typing import List, Optional, Tuple
 
 from .errors import MalformedCodeError, NonMeasureError, ZeroProbabilityError
-from .measures import Word
+from .measures import Semimeasure, Word, step_conditionals, step_multipliers
 from .model_class import LARGEST_WEIGHT, TieBreak, WeightedClass, map_estimator
 from .values import neg_log2_ceil
 
@@ -114,16 +117,46 @@ def gamma_decode(bits: Bits, pos: int) -> Tuple[int, int]:
 # -- arithmetic payload ----------------------------------------------------
 
 
+def _member(cls: WeightedClass, index: int) -> Semimeasure:
+    if not 0 <= index < len(cls.models):
+        raise IndexError(f"model index {index} outside 0..{len(cls.models) - 1}")
+    return cls.models[index]
+
+
+def _descend(model: Semimeasure, n: int, choose) -> Tuple[list, int, int, int]:
+    """(word, lo, num, den): n steps down the model's cumulative-interval tree.
+
+    [lo, lo + num) / den is the interval of the word so far.  Each step puts
+    it over den * step for the law nums / step at the word so far, and the
+    child ``choose(t, lo, num, den, nums)`` names starts num * sum(nums[:a])
+    above lo and is num * nums[a] wide.  Below a prefix of value 0 every
+    child is [lo, lo), so the word stops there without reading a law.
+    """
+    word: list = []
+    read = step_conditionals(model, word)
+    num, den = model.exact_ratio(())
+    lo, law = 0, None
+    for t in range(n):
+        if not num:
+            break
+        probs = read(t)
+        if probs is not law:  # a law that does not move is converted once
+            law = probs
+            nums, step = step_multipliers(probs)
+        lo *= step
+        den *= step
+        a = choose(t, lo, num, den, nums)
+        lo += num * sum(nums[:a])
+        num *= nums[a]
+        word.append(a)
+    return word, lo, num, den
+
+
 def sequential_interval(cls: WeightedClass, index: int, x: Word) -> Tuple[Fraction, Fraction]:
     """[S_{j-1}, S_j) for x under model ``index`` by per-symbol refinement."""
-    model = cls.models[index]
-    cur = model.cursor()
-    lo = Fraction(0)
-    for symbol in x:
-        for b in range(symbol):
-            lo += cur.advance(b).value
-        cur = cur.advance(symbol)
-    return lo, lo + cur.value
+    word = cls.word(x)
+    _, lo, num, den = _descend(_member(cls, index), len(word), lambda t, *_: word[t])
+    return Fraction(lo, den), Fraction(lo + num, den)
 
 
 def block_interval(cls: WeightedClass, index: int, x: Word) -> Tuple[Fraction, Fraction]:
@@ -142,41 +175,46 @@ def block_interval(cls: WeightedClass, index: int, x: Word) -> Tuple[Fraction, F
     raise AssertionError("x not found in its own alphabet block")
 
 
-def payload_bits(p: Fraction, lo: Fraction) -> Bits:
-    """The canonical ceil(-lb p)-bit number inside [lo, lo + p)."""
-    length = neg_log2_ceil(p)
+def payload_bits(lo: int, num: int, den: int) -> Bits:
+    """The canonical ceil(-lb p)-bit number inside [lo, lo + num) / den,
+    p = num / den in (0, 1]."""
+    length = (-(-den // num) - 1).bit_length()  # least L with 2^L >= den / num
     if length == 0:
         return ""
-    scaled = lo * 2**length
-    z = -(-scaled.numerator // scaled.denominator)  # ceil
+    z = -(-(lo << length) // den)  # ceil
     return format(z, f"0{length}b")
+
+
+def _code(cls: WeightedClass, index: int, word: Word, lo: int, num: int, den: int) -> TwoPartCode:
+    """The code of ``word`` under member ``index`` from its interval."""
+    if not num:
+        raise ZeroProbabilityError(f"{cls.models[index]!r} assigns zero probability to {word}")
+    return TwoPartCode(
+        model_index=index,
+        header=header_codeword(cls, index),
+        length_field=gamma_encode(len(word) + 1),
+        payload=payload_bits(lo, num, den),
+        string_length=len(word),
+    )
 
 
 def encode(cls: WeightedClass, model_index: int, x) -> TwoPartCode:
     """Two-part code of x under the chosen class member."""
-    model = cls.models[model_index]
+    model = _member(cls, model_index)
     if not model.is_proper_measure:
         raise NonMeasureError("arithmetic coding needs a proper measure")
     word = cls.word(x)
-    lo, hi = sequential_interval(cls, model_index, word)
-    p = hi - lo
-    if p == 0:
-        raise ZeroProbabilityError(f"{model!r} assigns zero probability to {word}")
-    return TwoPartCode(
-        model_index=model_index,
-        header=header_codeword(cls, model_index),
-        length_field=gamma_encode(len(word) + 1),
-        payload=payload_bits(p, lo),
-        string_length=len(word),
-    )
+    _, lo, num, den = _descend(model, len(word), lambda t, *_: word[t])
+    return _code(cls, model_index, word, lo, num, den)
 
 
 def decode(cls: WeightedClass, bits: Bits) -> Word:
     """Recover x exactly from a two-part code; reject anything else.
 
     Descends the alphabet tree keeping the payload point inside the
-    running interval, then re-encodes and insists on bit identity, so
-    corrupted inputs either raise or are caught by the mismatch.
+    running interval, then re-encodes from the interval it reached and
+    insists on bit identity, so corrupted inputs either raise or are
+    caught by the mismatch.
     """
     if not set(bits) <= {"0", "1"}:
         raise MalformedCodeError("a code holds only the characters 0 and 1")
@@ -184,31 +222,28 @@ def decode(cls: WeightedClass, bits: Bits) -> Word:
     n_plus_1, pos = gamma_decode(bits, pos)
     n = n_plus_1 - 1
     payload = bits[pos:]
-    length = len(payload)
-    point = Fraction(int(payload, 2), 2**length) if length else Fraction(0)
+    # The payload point is point / 2^shift.
+    point, shift = (int(payload, 2), len(payload)) if payload else (0, 0)
 
     model = cls.models[index]
     if not model.is_proper_measure:
         raise NonMeasureError("arithmetic coding needs a proper measure")
-    cur = model.cursor()
-    lo = Fraction(0)
-    word: List[int] = []
-    for _ in range(n):
-        placed = False
-        for a in range(cls.alphabet.size):
-            child = cur.advance(a)
-            width = child.value
-            if width > 0 and lo <= point < lo + width:
-                word.append(a)
-                cur = child
-                placed = True
-                break
+
+    def place(t, lo, num, den, nums):
+        # The first child with lo_a <= point / 2^shift < lo_a + width, over den.
+        target = point * den
+        for a, m in enumerate(nums):
+            width = num * m
+            if width and lo << shift <= target < (lo + width) << shift:
+                return a
             lo += width
-        if not placed:
-            raise MalformedCodeError("payload point left the coding interval")
+        raise MalformedCodeError("payload point left the coding interval")
+
+    word, lo, num, den = _descend(model, n, place)
+    if len(word) < n:  # the interval was empty from the start
+        raise MalformedCodeError("payload point left the coding interval")
     result = tuple(word)
-    expected = encode(cls, index, result)
-    if expected.bits != bits:
+    if _code(cls, index, result, lo, num, den).bits != bits:
         raise MalformedCodeError("bitstring is not a canonical code")
     return result
 

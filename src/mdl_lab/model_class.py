@@ -14,14 +14,17 @@ xi(x) = sum w_nu nu(x) -- read :func:`class_scores`: every member's
 ``exact_ratio`` times its weight, kept by the class as an integer pair,
 put over one common integer denominator, so the argmax, the tie set, the
 max and the sum run on integers, and each query builds a Fraction only for
-the value it returns.  A class keeps the row of the last word it was asked
-for, and only that one: the queries that follow one another at a word
-(xi, rho and the MAP choice at x) build its row once, and a query at any
-other word builds a fresh row.  Prediction nodes and MAP traces keep such
-a row along a sequence and step it with
-:func:`~mdl_lab.measures.step_multipliers`, the one integer form of a step
-law, so its denominator grows only by the small denominators of each
-step's factors.
+the value it returns.  A class keeps the row of the last word it was
+asked for, and only that one: the queries that follow one another at a
+word (xi, rho and the MAP choice at x) build its row once, a query whose
+argument is the kept word object itself skips validating it again, and a
+query at any other word builds a fresh row.  rho^y(x) keeps its own memo,
+the MAP choice at the last chooser y and tie-break, and builds the row at
+y without evicting the row at x, so a sweep over x at one y selects at y
+once.  Prediction nodes and MAP traces keep such a row along a sequence
+and step it with :func:`~mdl_lab.measures.step_multipliers`, the one
+integer form of a step law, so its denominator grows only by the small
+denominators of each step's factors.
 """
 
 from __future__ import annotations
@@ -87,6 +90,10 @@ def round_robin(phase: int = 0) -> TieBreak:
     return TieBreak("round_robin", phase)
 
 
+# The kept word of an empty memo: no caller holds it, so no query hits it.
+_NO_WORD = object()
+
+
 @dataclass(frozen=True)
 class MapResult:
     """Outcome of one MAP search.
@@ -103,6 +110,15 @@ class MapResult:
 
 class WeightedClass:
     """Ordered countable class of semimeasures with prior weights."""
+
+    # The last-query memos, each one tuple or object so that a reader never
+    # pairs one word with another word's row: (word, row) of the last
+    # class_scores call, (word, tie-break, index) of the last rho^y chooser,
+    # and the last node predictors._node_at built.  An instance shadows
+    # these empty ones on its first query.
+    _last_row = (_NO_WORD, None)
+    _last_chooser = (_NO_WORD, None, None)
+    _last_node = None
 
     def __init__(
         self,
@@ -138,13 +154,10 @@ class WeightedClass:
         ):
             raise ValueError("weights are not in descending order")
         self.descending_weights = descending_weights
-        # (word, row) of the last class_scores call: one tuple, so a reader
-        # never pairs one word with another word's row.
-        self._last_row = (None, None)
 
     def __getstate__(self) -> dict:
-        """Pickle without the last-row memo, which only saves a rebuild."""
-        return {**self.__dict__, "_last_row": (None, None)}
+        """Pickle without the last-query memos, which only save a rebuild."""
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_last_")}
 
     def __len__(self) -> int:
         return len(self.models)
@@ -232,13 +245,27 @@ def class_scores(cls: WeightedClass, word: Word) -> Tuple[list, int]:
     last_word, row = cls._last_row
     if last_word == word:
         return row
+    row = _build_scores(cls, word)
+    cls._last_row = (word, row)
+    return row
+
+
+def _build_scores(cls: WeightedClass, word: Word) -> Tuple[list, int]:
     terms = []
     for m, (w_num, w_den) in zip(cls.models, cls._weight_ratios):
         num, den = m.exact_ratio(word)
         terms.append((w_num * num, w_den * den))
-    row = common_denominator(terms)
-    cls._last_row = (word, row)
-    return row
+    return common_denominator(terms)
+
+
+def row_at(cls: WeightedClass, x) -> Tuple[Word, Tuple[list, int]]:
+    """(word, class_scores row) at x, validating x only on a miss: an x
+    that *is* the kept word was validated when it was kept."""
+    kept = cls._last_row
+    if x is kept[0]:
+        return kept
+    word = cls.word(x)
+    return word, class_scores(cls, word)
 
 
 def cursor_scores(weights: Sequence[Fraction], cursors) -> Tuple[list, int]:
@@ -250,13 +277,13 @@ def cursor_scores(weights: Sequence[Fraction], cursors) -> Tuple[list, int]:
     return common_denominator(terms)
 
 
-def _map_choice(cls: WeightedClass, word: Word, tie_break: TieBreak):
-    """(index, tie set, scores, den) of one MAP search, refused on an open tail."""
-    scores, den = class_scores(cls, word)
-    index, tie_set = tie_break.select(scores, cls.weights, len(word))
+def _map_choice(cls: WeightedClass, x_len: int, scores: list, den: int, tie_break: TieBreak):
+    """(index, tie set) of one MAP search on a row at a word of length
+    ``x_len``, refused on an open tail."""
+    index, tie_set = tie_break.select(scores, cls.weights, x_len)
     if cls.tail_bound is not None:
         check_tail(cls, Fraction(scores[index], den))
-    return index, tie_set, scores, den
+    return index, tie_set
 
 
 def map_estimator(
@@ -265,7 +292,8 @@ def map_estimator(
     tie_break: TieBreak = LARGEST_WEIGHT,
 ) -> MapResult:
     """argmax over the class of w_nu * nu(x) under the tie-break policy."""
-    index, tie_set, scores, den = _map_choice(cls, cls.word(x), tie_break)
+    word, (scores, den) = row_at(cls, x)
+    index, tie_set = _map_choice(cls, len(word), scores, den, tie_break)
     return MapResult(
         index=index,
         value=Fraction(scores[index], den),
@@ -285,9 +313,19 @@ def two_part_value_at(
     x,
     tie_break: TieBreak = LARGEST_WEIGHT,
 ) -> Fraction:
-    """rho^y(x) = w_{nu^y} * nu^y(x): select at y, evaluate at x."""
-    chosen = _map_choice(cls, cls.word(chooser), tie_break)[0]
-    num, den = cls.models[chosen].exact_ratio(cls.word(x))
+    """rho^y(x) = w_{nu^y} * nu^y(x): select at y, evaluate at x.
+
+    The class keeps the choice at its last chooser and tie-break, and a
+    chooser whose tail check refuses is not kept.
+    """
+    kept, kept_tie_break, chosen = cls._last_chooser
+    word = chooser if chooser is kept else cls.word(chooser)
+    if word != kept or tie_break != kept_tie_break:
+        scores, den = _build_scores(cls, word)
+        chosen = _map_choice(cls, len(word), scores, den, tie_break)[0]
+        cls._last_chooser = (word, tie_break, chosen)
+    word = x if x is cls._last_row[0] else cls.word(x)
+    num, den = cls.models[chosen].exact_ratio(word)
     w_num, w_den = cls._weight_ratios[chosen]
     return Fraction(w_num * num, w_den * den)
 

@@ -22,8 +22,12 @@ with a member that reports no factor, puts the cursor values over one
 lcm instead.  The argmax and tie set are taken on the integers, static
 and true read the factors, and xi, rho and hybrid build one Fraction per
 entry.  A node advances each cursor once per symbol and keeps the
-children, which tree walks and sampled paths step to; ``predict_*``
-advance every cursor along x and read one node.
+children, which tree walks and sampled paths step to.  ``predict_*`` read
+one node, and the class keeps the last node they built: a query at its
+history and tie-break reads it again, one at its history plus one symbol
+steps from it as a tree walk does, and any other query advances every
+cursor along x, so an online walk along a sequence costs one step per
+symbol.
 Exact rationals and certified enclosures; float only for ledgers: every
 value here is an exact rational, and the float ledgers of
 :mod:`mdl_lab.metrics` convert at the edges.
@@ -54,9 +58,9 @@ from .model_class import (  # noqa: F401  map_estimator stays a name of this mod
     TieBreak,
     WeightedClass,
     check_tail,
-    class_scores,
     cursor_scores,
     map_estimator,
+    row_at,
 )
 
 # Predictor kinds.
@@ -266,12 +270,26 @@ def _normalize_list(values: Sequence[Fraction]) -> List[Fraction]:
 def _node_at(
     cls: WeightedClass, x, tie_break: TieBreak = LARGEST_WEIGHT
 ) -> PredictionNode:
-    """The node at history x: every model's cursor advanced along x."""
+    """The node at history x, kept by the class for the next query: the
+    kept node itself, its child, or every model's cursor advanced along x."""
     word = cls.word(x)
+    last = cls._last_node
+    if last is not None and last.tie_break == tie_break:
+        prefix = last.prefix
+        if word == prefix:
+            return last
+        t = len(prefix)
+        if len(word) == t + 1 and word[:t] == prefix:
+            a = word[t]
+            node = PredictionNode(cls, tie_break, word, last.child_cursors[a], row=last.scores(a))
+            cls._last_node = node
+            return node
     cursors = [m.cursor() for m in cls.models]
     for a in word:
         cursors = [c.advance(a) for c in cursors]
-    return PredictionNode(cls, tie_break, word, cursors)
+    node = PredictionNode(cls, tie_break, word, cursors)
+    cls._last_node = node
+    return node
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +303,7 @@ def bayes_mixture(cls: WeightedClass, x) -> Fraction:
     For truncated infinite classes this is the lower end of the interval
     returned by :func:`bayes_mixture_bounds`.
     """
-    scores, den = class_scores(cls, cls.word(x))
+    scores, den = row_at(cls, x)[1]
     return Fraction(sum(scores), den)
 
 

@@ -15,11 +15,17 @@ from mdl_lab.coding import (
     kraft_sum,
     sequential_interval,
 )
-from mdl_lab.errors import MalformedCodeError, NonMeasureError, ZeroProbabilityError
-from mdl_lab.measures import DeterministicModel, IidModel, LeakySemimeasure, sample_path
+from mdl_lab.errors import (
+    AlphabetMismatchError,
+    MalformedCodeError,
+    NonMeasureError,
+    ZeroProbabilityError,
+)
+from mdl_lab.measures import Alphabet, DeterministicModel, IidModel, LeakySemimeasure, sample_path
 from mdl_lab.model_class import WeightedClass, bernoulli_class, example1_class
 from mdl_lab.suites import suite_rng
 from mdl_lab.values import neg_log2_ceil
+from oracle import EvaluateOnly, all_words, reference_zoo
 
 
 class TestGamma:
@@ -126,6 +132,134 @@ class TestDecode:
         code = encode(cls, 0, "1011")
         with pytest.raises(MalformedCodeError):
             decode(cls, code.bits[:-1])
+
+
+class TestIndexAndAlphabet:
+    def test_model_index_outside_the_class_refused(self):
+        cls = bernoulli_class([F(1, 4), F(3, 4)])
+        for index in (-1, -2, 2):
+            with pytest.raises(IndexError):
+                encode(cls, index, "01")
+            with pytest.raises(IndexError):
+                sequential_interval(cls, index, "01")
+
+    def test_symbol_outside_the_alphabet_refused(self):
+        cls = bernoulli_class([F(1, 4), F(3, 4)])
+        for x in ((0, -1), (2,), (1, 0, 3)):
+            with pytest.raises(AlphabetMismatchError):
+                sequential_interval(cls, 0, x)
+            with pytest.raises(AlphabetMismatchError):
+                encode(cls, 0, x)
+
+
+def zoo_classes():
+    """(class, longest word): the reference zoo's proper measures -- i.i.d.
+    with a zero entry, deterministic, a step table with a zero step, example
+    4's pair, the martingale -- and two evaluate-only members; then a
+    ternary class with zero entries, one of them evaluate-only.  The
+    evaluate-only members step generic cursors, which refuse to read a law
+    below a prefix of value zero."""
+    binary = [m for m, _, _ in reference_zoo() if m.is_proper_measure]
+    binary.append(EvaluateOnly(IidModel((F(1, 3), F(2, 3)))))
+    binary.append(EvaluateOnly(DeterministicModel((0,), (1, 0))))
+    ternary = [
+        IidModel((F(1, 2), F(1, 3), F(1, 6))),
+        IidModel((F(0), F(1, 4), F(3, 4))),
+        EvaluateOnly(IidModel((F(1, 5), F(0), F(4, 5)))),
+    ]
+    return [
+        (WeightedClass(binary, [F(1, len(binary))] * len(binary)), 5),
+        (WeightedClass(ternary, [F(1, 2), F(1, 4), F(1, 4)]), 3),
+    ]
+
+
+def reference_decode(cls, bits):
+    """decode written out on Fractions: each child's width is nu(xa) from
+    ``evaluate_exact``, and the canonical payload is the least multiple of
+    2^-ceil(-lb nu(x)) at or above the interval's lower end."""
+    index = next((i for i in range(len(cls)) if bits.startswith(header_codeword(cls, i))), None)
+    if index is None:
+        raise MalformedCodeError("header")
+    n_plus_1, pos = gamma_decode(bits, len(header_codeword(cls, index)))
+    payload = bits[pos:]
+    point = F(int(payload, 2), 2 ** len(payload)) if payload else F(0)
+    model, lo, word = cls.models[index], F(0), ()
+    for _ in range(n_plus_1 - 1):
+        for a in cls.alphabet.symbols():
+            width = model.evaluate_exact(word + (a,))
+            if width > 0 and lo <= point < lo + width:
+                word += (a,)
+                break
+            lo += width
+        else:
+            raise MalformedCodeError("left the interval")
+    length = neg_log2_ceil(model.evaluate_exact(word))
+    canonical = format(math.ceil(lo * 2**length), f"0{length}b") if length else ""
+    if bits != header_codeword(cls, index) + gamma_encode(n_plus_1) + canonical:
+        raise MalformedCodeError("not canonical")
+    return word
+
+
+def decoded(decoder, cls, bits):
+    try:
+        return decoder(cls, bits)
+    except MalformedCodeError:
+        return MalformedCodeError
+
+
+class TestZooDifferential:
+    def test_intervals_and_round_trips(self):
+        # Every member, every short word: the sequential interval is the
+        # block interval, a word of positive value round-trips with
+        # ceil(-lb nu(x)) payload bits, and one of value zero is refused.
+        zero = 0
+        for cls, depth in zoo_classes():
+            for index, model in enumerate(cls.models):
+                for word in all_words(depth, cls.alphabet.size):
+                    assert sequential_interval(cls, index, word) == block_interval(
+                        cls, index, word
+                    ), (model, word)
+                    p = model.evaluate_exact(word)
+                    if p == 0:
+                        zero += 1
+                        with pytest.raises(ZeroProbabilityError):
+                            encode(cls, index, word)
+                        continue
+                    code = encode(cls, index, word)
+                    assert len(code.payload) == neg_log2_ceil(p)
+                    assert decode(cls, code.bits) == word == reference_decode(cls, code.bits)
+        assert zero
+
+    def test_semimeasure_intervals(self):
+        # On semimeasures the block enumeration no longer matches, but the
+        # per-symbol refinement does: S = sum over t and b < x_t of
+        # nu(x_<t b), and the interval is [S, S + nu(x)).
+        cls = WeightedClass([m for m, _, _ in reference_zoo()], [F(1, 16)] * 12)
+        assert not all(m.is_proper_measure for m in cls.models)
+        for index, model in enumerate(cls.models):
+            for word in all_words(4):
+                branches = [word[:t] + (b,) for t in range(len(word)) for b in range(word[t])]
+                lo = sum(map(model.evaluate_exact, branches), F(0))
+                want = (lo, lo + model.evaluate_exact(word))
+                assert sequential_interval(cls, index, word) == want, (model, word)
+
+    def test_one_bit_corruptions_match_a_fraction_descent(self):
+        # Every one-bit corruption of every code of a short word decodes to
+        # the same word, or is refused alike, as the Fraction descent.
+        outcomes = set()
+        for cls, depth in zoo_classes():
+            for index, model in enumerate(cls.models):
+                for word in all_words(depth - 1, cls.alphabet.size):
+                    if model.evaluate_exact(word) == 0:
+                        continue
+                    bits = encode(cls, index, word).bits
+                    for pos in range(len(bits)):
+                        flip = "1" if bits[pos] == "0" else "0"
+                        corrupted = bits[:pos] + flip + bits[pos + 1 :]
+                        want = decoded(reference_decode, cls, corrupted)
+                        assert decoded(decode, cls, corrupted) == want, (model, word, pos)
+                        outcomes.add(want is MalformedCodeError)
+        assert outcomes == {True, False}
 
 
 class TestIntervals:

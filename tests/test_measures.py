@@ -863,49 +863,140 @@ class TestIntegerPointQueries:
             # rho^y reads the row at its chooser, then evaluates its choice.
             assert sum(repeated.values()) == (name == "two_part_value_at"), name
 
-    def test_lemma_rounds_hit_the_memo_equally(self, monkeypatch):
-        # Criterion 03's call order at every word shorter than 8, two rounds
-        # on one class.  Per word, the rows at x (three requests), at x0 and
-        # x1 (two each) and at the chooser y (one) are built once each, so
-        # half the requests reuse the last row; the second round hits no
-        # more often than the first, so no row survives into a later round.
-        calls = self._count_exact_ratio_calls(monkeypatch)
-        hits = Counter()
-        original = model_class.class_scores
+    @staticmethod
+    def _count_row_builds(monkeypatch) -> Counter:
+        """Count the rows model_class builds, per word."""
+        builds = Counter()
+        original = model_class._build_scores
 
         def counted(cls, word):
-            before = sum(calls.values())
-            row = original(cls, word)
-            hits[sum(calls.values()) == before] += 1  # a built row evaluates
-            return row
+            builds[word] += 1
+            return original(cls, word)
 
-        monkeypatch.setattr(model_class, "class_scores", counted)
-        monkeypatch.setattr(predictors, "class_scores", counted)
+        monkeypatch.setattr(model_class, "_build_scores", counted)
+        return builds
+
+    def test_lemma_rounds_build_three_rows_per_word(self, monkeypatch):
+        # Criterion 03's call order at every word shorter than 8, two rounds
+        # on one class.  Per word, the rows at x (three requests), x0 and x1
+        # (two each) are built once each, and rho^y keeps its choice at the
+        # chooser y: the row at y is built once in the first round and never
+        # in the second, and it never evicts the row at x.
         cls = random_semimeasure_class(1, 1)
         y = (1, 0, 0, 1, 1, 0, 1, 0, 1)  # longer than every word the round asks for
         words = all_words(7)
+        chosen_at_y = oracle.map_index(cls, y, LARGEST_WEIGHT)
+        want = [oracle.weighted_row(cls, x)[chosen_at_y] for x in words]
+        calls = self._count_exact_ratio_calls(monkeypatch)
+        builds = self._count_row_builds(monkeypatch)
         rounds = []
         for _ in range(2):
-            hits.clear()
+            builds.clear()
             calls.clear()
+            got = []
             for x in words:
                 bayes_mixture(cls, x)
                 two_part_value(cls, x)
                 chosen = map_estimator(cls, x).index
-                two_part_value_at(cls, y, x)
+                got.append(two_part_value_at(cls, y, x))
                 for a in (0, 1):
                     bayes_mixture(cls, x + (a,))
                     two_part_value(cls, x + (a,))
                     cls.models[chosen].evaluate_exact(x + (a,))
-            rounds.append((hits[True], hits[False], dict(calls)))
-        assert rounds[0] == rounds[1]
-        assert rounds[0][0] == rounds[0][1] == 4 * len(words)
+            assert got == want
+            rounds.append((builds.pop(y, 0), sum(builds.values()), sum(calls.values())))
+        assert [chooser for chooser, _, _ in rounds] == [1, 0]
+        assert rounds[0][1] == rounds[1][1] == 3 * len(words)
+        calls.clear()
+        model_class._build_scores(cls, y)
+        assert rounds[0][2] - rounds[1][2] == sum(calls.values())  # the row at y, once
+
+    def test_chooser_memo_keys_on_word_and_tie_break(self, monkeypatch):
+        # rho^y keeps one choice: a repeat at an equal chooser under the same
+        # tie-break builds no row, while another chooser or another
+        # tie-break builds the chooser's row afresh, and every value is the
+        # oracle's.  Example 3 ties at 111, where the tie-breaks choose
+        # lambda or nu, and only lambda gives 01 a positive value.
+        cls = model_class.example3_class()
+        builds = self._count_row_builds(monkeypatch)
+        x, y, other = (0, 1), (1, 1, 1), (0,)
+        rr0, rr1 = model_class.round_robin(0), model_class.round_robin(1)
+        calls = [
+            (y, LARGEST_WEIGHT, 1),
+            (y, LARGEST_WEIGHT, 0),
+            (tuple(list(y)), LARGEST_WEIGHT, 0),  # equal, not the same object
+            (y, rr0, 1),
+            (y, rr0, 0),
+            (y, rr1, 1),
+            (other, rr1, 1),
+            (y, rr1, 1),
+        ]
+        values = set()
+        for chooser, tb, built in calls:
+            builds.clear()
+            want = oracle.weighted_row(cls, x)[oracle.map_index(cls, chooser, tb)]
+            assert two_part_value_at(cls, chooser, x, tb) == want, (chooser, tb)
+            assert sum(builds.values()) == built, (chooser, tb)
+            values.add(want)
+        assert len(values) == 2
+
+    def test_open_tail_chooser_refuses_on_every_call(self, monkeypatch):
+        # A chooser whose choice the unmaterialized tail could overturn is
+        # refused on every call and never kept: the kept choice stays that
+        # of the last chooser answered.
+        cls = oracle.geometric_class()
+        builds = self._count_row_builds(monkeypatch)
+        x, y, open_tail = (1, 0), (1,), (1, 1, 1, 1)
+        want = oracle.weighted_row(cls, x)[oracle.map_index(cls, y, LARGEST_WEIGHT)]
+        assert want and two_part_value_at(cls, y, x) == want
+        for _ in range(3):
+            builds.clear()
+            with pytest.raises(IndeterminateTailError):
+                two_part_value_at(cls, open_tail, x)
+            assert sum(builds.values()) == 1
+        builds.clear()
+        assert two_part_value_at(cls, y, x) == want
+        assert sum(builds.values()) == 0
+
+    def test_invalid_words_are_never_kept(self):
+        # A word that fails validation is refused on every call, also right
+        # after a query at a valid word that it compares equal to: only a
+        # validated word is kept, and only the kept object itself skips
+        # validation.
+        class EqualToAll:
+            def __eq__(self, other):
+                return True
+
+        cls = oracle.differential_classes()[0]
+        kept = (0, 1)
+        equal = (0, EqualToAll())
+        assert equal == kept
+        queries = (
+            map_estimator,
+            two_part_value,
+            bayes_mixture,
+            lambda c, x: two_part_value_at(c, x, kept),
+            lambda c, x: two_part_value_at(c, kept, x),
+            predict_bayes,
+            predict_dynamic,
+            predict_static,
+            predict_hybrid,
+        )
+        for query in queries:
+            for bad in ((0, 2), (0, -1), equal):
+                map_estimator(cls, kept)
+                query(cls, kept)
+                for _ in range(2):
+                    with pytest.raises(AlphabetMismatchError):
+                        query(cls, bad)
 
     def test_threads_see_only_their_own_row(self):
-        # Three threads query one class, each at its own word, so the memo's
-        # word alternates between them.  Each word compares slowly, so
-        # threads switch between the memo's word check and its row; every
-        # reader must still get its own word's row.
+        # Four threads query one class, three words and rho^y choosers
+        # between them (the fourth thread shares the first one's objects),
+        # so the memos' words alternate.  Each word compares slowly, so
+        # threads switch between a memo's word check and what it keeps;
+        # every reader must still get its own word's row and its own
+        # chooser's choice.
         class SlowWord(tuple):
             __hash__ = tuple.__hash__
 
@@ -913,23 +1004,32 @@ class TestIntegerPointQueries:
                 time.sleep(0.0002)
                 return tuple.__eq__(self, other)
 
+            def __ne__(self, other):
+                return not self == other
+
         cls = oracle.differential_classes()[1]
         words = [SlowWord(w) for w in ((0, 1, 1), (1, 1, 0, 1), (1,))]
+        choosers = [SlowWord(y) for y in ((), (1,), (1, 0, 1, 1))]
+        chosen = [oracle.map_index(cls, y, LARGEST_WEIGHT) for y in choosers]
         want = {w: list(oracle.weighted_row(cls, tuple(w))) for w in words}
         assert len({tuple(row) for row in want.values()}) == len(words)
-        start = threading.Barrier(3)
+        for row in want.values():  # each chooser gives each word its own value
+            assert len({row[i] for i in chosen}) == len(chosen)
+        start = threading.Barrier(4)
         wrong, done = [], []
 
         def reader(k):
             start.wait(timeout=30)
-            word = words[k]
+            word, chooser, index = words[k % 3], choosers[k % 3], chosen[k % 3]
             for n in range(60):
                 scores, den = class_scores(cls, word)
                 if [F(s, den) for s in scores] != want[word]:
                     wrong.append((k, n, tuple(word)))
+                if two_part_value_at(cls, chooser, word) != want[word][index]:
+                    wrong.append((k, n, tuple(chooser)))
             done.append(k)
 
-        threads = [threading.Thread(target=reader, args=(k,)) for k in range(3)]
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -940,7 +1040,7 @@ class TestIntegerPointQueries:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert sorted(done) == [0, 1, 2] and wrong == []
+        assert sorted(done) == [0, 1, 2, 3] and wrong == []
 
     def test_warm_point_queries_read_no_fraction_parts(self, monkeypatch):
         # On a class of table, i.i.d., deterministic and leaky members with

@@ -21,7 +21,7 @@ from mdl_lab.model_class import (
     two_part_value,
     two_part_value_at,
 )
-from mdl_lab.predictors import bayes_mixture
+from mdl_lab.predictors import bayes_mixture, predict_dynamic
 from mdl_lab.suites import random_measure_class, random_word, suite_rng
 from oracle import geometric_class
 
@@ -49,15 +49,29 @@ class TestWeightedClass:
             cls.true_model
 
     def test_pickles_without_its_last_row(self):
-        # The row memo of the last query stays behind: a pickle is the same
-        # bytes before and after a query, and its copy answers alike.
+        # The memos of the last queries stay behind -- the row, the rho^y
+        # chooser and the prediction node: a pickle is the same bytes before
+        # and after the queries, and its copy answers alike.
         cls = bernoulli_sharpness_class(6)
         before = pickle.dumps(cls)
         word = cls.word((0, 1, 1, 0) * 250)
-        want = (map_estimator(cls, word), bayes_mixture(cls, word))
+
+        def queries(c):
+            return (
+                map_estimator(c, word),
+                bayes_mixture(c, word),
+                two_part_value_at(c, word[:10], word),
+                predict_dynamic(c, word),
+            )
+
+        want = queries(cls)
         assert pickle.dumps(cls) == before
         copy = pickle.loads(before)
-        assert (map_estimator(copy, word), bayes_mixture(copy, word)) == want
+        assert queries(copy) == want
+        assert pickle.dumps(copy) == pickle.dumps(pickle.loads(before))
+        fresh, new = pickle.loads(pickle.dumps(copy)), bernoulli_sharpness_class(6)
+        for memo in ("_last_row", "_last_chooser", "_last_node"):
+            assert getattr(fresh, memo) == getattr(new, memo), memo
 
 
 class TestMapEstimator:

@@ -1,4 +1,5 @@
 import ast
+import itertools
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -401,6 +402,106 @@ class TestNodeOracle:
                 for a in (0, 1):
                     assert _row(node, a) == oracle.weighted_row(cls, x + (a,))
                     assert node.choice(a) == oracle.map_index(cls, x + (a,), tb)
+
+
+class TestOnlineQueries:
+    """``predict_*`` along a growing prefix step from the node the class kept."""
+
+    @staticmethod
+    def _count_advances(monkeypatch) -> Counter:
+        advances = Counter()
+
+        def counting(advance):
+            def counted(cursor, a):
+                advances["advance"] += 1
+                return advance(cursor, a)
+
+            return counted
+
+        for kind in CURSOR_KINDS:
+            monkeypatch.setattr(kind, "advance", counting(kind.advance))
+        return advances
+
+    def test_walks_match_the_oracle(self):
+        # Each reader walks along 1^n, along seeded random words and through
+        # every short word, kind by kind and interleaved, under every
+        # tie-break, round robin with either phase: every answer and refusal
+        # is the oracle's, and every call makes as many MAP searches as a
+        # query from scratch.
+        classes = [example3_class(), example1_class(4), example5_class()]
+        classes += [random_measure_class(49, 0), random_semimeasure_class(49, 1)]
+        classes += [random_measure_class(49, 2, alphabet=Alphabet(3))]
+        for case, cls in enumerate(classes):
+            k = cls.alphabet.size
+            searches = {XI: 0, RHO: 1 + k, STATIC: 1, HYBRID: 1 + k}
+            rng = suite_rng(49, case)
+            paths = [(1,) * 10] + [random_word(rng, cls.alphabet, 10) for _ in range(3)]
+            walks = [[path[:t] for t in range(len(path) + 1)] for path in paths]
+            walks.append(all_words(3, k))  # siblings, and longer words that extend none
+            for words, tb in itertools.product(walks, TIE_BREAKS + (round_robin(0),)):
+                order = [(kind, x) for kind in FACADE for x in words]
+                order += [(kind, x) for x in words for kind in FACADE]
+                for kind, x in order:
+                    want = outcome(lambda: oracle.prediction(kind, cls, x, tb))
+                    stats = EvalStats()
+                    got = outcome(lambda: tuple(FACADE[kind](cls, x, tb, stats).values))
+                    answered = isinstance(got, tuple)
+                    assert got == (tuple(want) if answered else want), (cls.describe(), x, tb, kind)
+                    # a refused query has made its search at x, and none at xa
+                    searched = searches[kind] if answered else min(searches[kind], 1)
+                    assert stats.map_searches == searched
+
+    def test_prefix_walks_advance_linearly(self, monkeypatch):
+        # Along a growing prefix each query steps from the kept node, so
+        # every member's cursor advances by each symbol once per prefix:
+        # (n + 1) * |C| * k advances for n symbols, where a query from
+        # scratch would also advance along the whole prefix.
+        advances = self._count_advances(monkeypatch)
+        cls = random_measure_class(49, 3, alphabet=Alphabet(3))
+        classes = [
+            (example3_class(), (1,) * 30),
+            (example1_class(5), (1,) * 30),
+            (cls, sample_path(cls.true_model, 30, suite_rng(49, 3))),
+        ]
+        for cls, path in classes:
+            n, per_node = len(path), len(cls) * cls.alphabet.size
+            advances.clear()
+            for t in range(n + 1):
+                for tb in (round_robin(1), round_robin(1)):
+                    predict_dynamic(cls, path[:t], tb)
+                    predict_hybrid(cls, path[:t], tb, EvalStats())
+                    predict_static(cls, path[:t], tb)
+            assert advances["advance"] == (n + 1) * per_node, cls.describe()
+            fresh = WeightedClass(cls.models, cls.weights)
+            advances.clear()
+            normalizer_product(fresh, path)
+            assert advances["advance"] == (n + 1) * per_node, cls.describe()
+
+    def test_another_tie_break_or_class_misses(self, monkeypatch):
+        # The kept node answers only its own class and tie-break: example 3
+        # ties along 1^n, where hybrid follows the tie-break asked for, and
+        # a miss builds from scratch.
+        advances = self._count_advances(monkeypatch)
+        cls, twin = example3_class(), example3_class()
+        x = (1,) * 5
+        node = _node_at(cls, x)
+        assert _node_at(cls, x) is node and _node_at(cls, "11111") is node
+        child = _node_at(cls, x + (1,))
+        assert child.cursors is node.child_cursors[1]
+        scratch = (len(x) + 1) * len(cls) + len(cls) * 2  # along x1, then the children
+        rr0, rr1 = round_robin(0), round_robin(1)
+        calls = [(LARGEST_WEIGHT, 0), (rr0, scratch), (rr1, scratch)]
+        calls += [(LARGEST_WEIGHT, scratch), (LARGEST_WEIGHT, 0), (rr0, scratch)]
+        for tb, built in calls:
+            advances.clear()
+            want = tuple(oracle.prediction(HYBRID, cls, x + (1,), tb))
+            assert predict_hybrid(cls, x + (1,), tb).values == want, tb
+            assert advances["advance"] == built, tb
+        assert len({tuple(oracle.prediction(HYBRID, cls, x + (1,), tb)) for tb, _ in calls}) > 1
+        want = predict_dynamic(cls, x + (1,)).values
+        advances.clear()
+        assert predict_dynamic(twin, x + (1,)).values == want
+        assert advances["advance"] == scratch
 
 
 def _assert_node_matches_oracle(node):
