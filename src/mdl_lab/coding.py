@@ -68,28 +68,26 @@ class TwoPartCode:
 
 def header_codeword(cls: WeightedClass, index: int) -> Bits:
     """Shannon-Fano-Elias codeword for a model index over the weights."""
-    w = cls.weights[index]
-    length = neg_log2_ceil(w) + 1
-    midpoint = sum(cls.weights[:index], Fraction(0)) + w / 2
-    return _binary_expansion(midpoint, length)
+    return _codeword(sum(cls.weights[:index], Fraction(0)), cls.weights[index])
+
+
+def _codeword(below: Fraction, w: Fraction) -> Bits:
+    """The codeword of a weight w placed above cumulative weight ``below``."""
+    return _binary_expansion(below + w / 2, neg_log2_ceil(w) + 1)
 
 
 def _binary_expansion(q: Fraction, bits: int) -> Bits:
-    """First ``bits`` binary digits of q in [0, 1)."""
-    out = []
-    for _ in range(bits):
-        q *= 2
-        digit = int(q)
-        out.append(str(digit))
-        q -= digit
-    return "".join(out)
+    """First ``bits`` binary digits of q in [0, 1): floor(q 2^bits) in binary."""
+    return format((q.numerator << bits) // q.denominator, f"0{bits}b")
 
 
 def _decode_header(cls: WeightedClass, bits: Bits) -> Tuple[int, int]:
-    for i in range(len(cls.models)):
-        code = header_codeword(cls, i)
+    below = Fraction(0)  # the running cumulative weight: one pass, O(k)
+    for i, w in enumerate(cls.weights):
+        code = _codeword(below, w)
         if bits.startswith(code):
             return i, len(code)
+        below += w
     raise MalformedCodeError("no model header matches the bitstring")
 
 
@@ -165,7 +163,7 @@ def block_interval(cls: WeightedClass, index: int, x: Word) -> Tuple[Fraction, F
     Exponential in len(x); exists purely as the independent cross-check
     of :func:`sequential_interval`.
     """
-    model = cls.models[index]
+    model = _member(cls, index)
     k = cls.alphabet.size
     lo = Fraction(0)
     for y in product(range(k), repeat=len(x)):
@@ -295,7 +293,7 @@ def code_length_report(
 
 def kraft_sum(cls: WeightedClass, model_index: int, length: int) -> Fraction:
     """sum over x in X^length of 2^-payload_bits(x); at most 1 (Kraft)."""
-    model = cls.models[model_index]
+    model = _member(cls, model_index)
     total = Fraction(0)
     for y in product(range(cls.alphabet.size), repeat=length):
         p = model.evaluate_exact(y)

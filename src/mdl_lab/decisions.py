@@ -21,10 +21,26 @@ yields, for each MDL predictor with corollary constant c in {2,8,21,32},
 The instantaneous reduction rests on two scalar facts checked here
 numerically: the special-function inequality on the unit square, and the
 super-additivity of (H, L) -> sqrt(H * L).
+
+Actions are decided on integers.  A loss keeps each table it validates in
+integer form, entries L_xa over their common denominator D, and a belief
+num/den takes action 1 exactly when
+
+    (den - num)(L00 - L01) + num (L10 - L11) > 0,
+
+so an exact tie goes to action 0.  At each node of an exact walk the
+mu-expected loss of each action taken is one Fraction over b0 b1 D
+(b_x the denominators of mu(x|.)), shared by every kind, and the truth,
+that takes that action.  A kind whose step loss equals the truth's has
+delta = 0, and 0 <= 2h + 2 sqrt(2 h l) since both terms are nonnegative,
+so its instantaneous check takes no square root; so does a belief equal
+to mu(1), whose Hellinger term is 0.  Each distinct belief's Hellinger
+term is formed once per node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
@@ -57,9 +73,10 @@ class LossFunction:
 
     ``history_key`` maps a history to what the rule reads of it, so
     histories with equal keys get equal tables; exact tree walks merge
-    on it, and a non-stationary table is validated once per key (on
-    every read when the key is the whole history).  It defaults to a
-    constant for stationary losses and to the history itself otherwise.
+    on it, and a non-stationary table is validated, and its integer
+    :meth:`form` made, once per key (on every read when the key is the
+    whole history).  It defaults to a constant for stationary losses and
+    to the history itself otherwise.
     """
 
     def __init__(
@@ -75,9 +92,9 @@ class LossFunction:
         if history_key is None:
             history_key = _constant_key if stationary else prefix_key
         self.history_key = history_key
-        self._validated_keys: set = set()
+        self._validated_keys: dict = {}  # validated history key -> its integer form
         if stationary:
-            self._validate(self.table(()))
+            self._stationary_form = _integer_form(self._validate(self.table(())))
 
     @staticmethod
     def _validate(table: dict) -> dict:
@@ -97,14 +114,30 @@ class LossFunction:
     def table(self, history: Word) -> dict:
         table = self._rule(history)
         if not self.stationary:
-            key = self.history_key(history)
-            if key not in self._validated_keys:
-                self._validate(table)
-                # Whole-history keys are not kept: on sampled paths the
-                # kept histories would hold samples * horizon^2 symbols.
-                if self.history_key is not prefix_key:
-                    self._validated_keys.add(key)
+            self.form(history, table)
         return table
+
+    def form(self, history: Word, table: Optional[dict] = None) -> tuple:
+        """The table at ``history`` as integers (L00, L01, L10, L11, D):
+        loss(x, a) = L[2x + a] / D over the common denominator D.
+
+        Made where the table is validated: once for a stationary loss,
+        once per history key otherwise, and on every read for a
+        whole-history key.
+        """
+        if self.stationary:
+            return self._stationary_form
+        key = self.history_key(history)
+        form = self._validated_keys.get(key)
+        if form is None:
+            if table is None:
+                table = self._rule(history)
+            form = _integer_form(self._validate(table))
+            # Whole-history keys are not kept: on sampled paths the
+            # kept histories would hold samples * horizon^2 symbols.
+            if self.history_key is not prefix_key:
+                self._validated_keys[key] = form
+        return form
 
     def __call__(self, history: Word, outcome: int, action: int) -> Fraction:
         return self.table(history)[(outcome, action)]
@@ -156,21 +189,43 @@ def history_parity_loss(even: dict, odd: dict, name: str = "history_parity") -> 
     return LossFunction(rule, stationary=False, name=name, history_key=_ones_parity)
 
 
+def _integer_form(table: dict) -> tuple:
+    entries = [Fraction(table[(x, a)]) for x in (0, 1) for a in (0, 1)]
+    den = math.lcm(*(e.denominator for e in entries))
+    return (*(e.numerator * (den // e.denominator) for e in entries), den)
+
+
 def bayes_optimal_action(belief: Belief, loss: LossFunction, history: Word = ()) -> int:
     """Least expected loss under the belief; exact ties go to action 0."""
-    return _optimal_action(belief, loss.table(history))
+    return _optimal_action(Fraction(belief), loss.form(history))
 
 
-def _optimal_action(belief: Belief, table: dict) -> int:
-    expected0 = (1 - belief) * table[(0, 0)] + belief * table[(1, 0)]
-    expected1 = (1 - belief) * table[(0, 1)] + belief * table[(1, 1)]
-    return 0 if expected0 <= expected1 else 1
+def _optimal_action(belief: Fraction, form: tuple) -> int:
+    """Action 0 iff (1-b)(L00-L01) + b(L10-L11) <= 0, decided on integers."""
+    num, den = belief.numerator, belief.denominator
+    l00, l01, l10, l11, _ = form
+    return 0 if (den - num) * (l00 - l01) + num * (l10 - l11) <= 0 else 1
 
 
-def _acted_loss(belief: Belief, mu_cond: list, table: dict) -> Tuple[int, Fraction]:
-    """(action, its mu-expected loss) for an actor holding ``belief`` in 1."""
-    action = _optimal_action(belief, table)
-    return action, mu_cond[0] * table[(0, action)] + mu_cond[1] * table[(1, action)]
+def _acted_losses(beliefs: Sequence[Fraction], mu_cond: list, form: tuple) -> list:
+    """(action, its mu-expected loss) for an actor holding each belief in 1.
+
+    The mu-expected loss of each action is one Fraction over b0 b1 D,
+    built at most once however many beliefs choose that action.
+    """
+    m0, m1 = mu_cond
+    n0, b0, n1, b1 = m0.numerator, m0.denominator, m1.numerator, m1.denominator
+    expected: list = [None, None]
+    out = []
+    for belief in beliefs:
+        a = _optimal_action(belief, form)
+        value = expected[a]
+        if value is None:
+            value = expected[a] = Fraction(
+                n0 * b1 * form[a] + n1 * b0 * form[2 + a], b0 * b1 * form[4]
+            )
+        out.append((a, value))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -276,18 +331,25 @@ def decision_traces(
     def visit(node: PredictionNode):
         t = node.t
         w = node.weight
-        table = loss.table(node.prefix)
+        form = loss.form(node.prefix)
         mu_cond = node.true_conditionals()
         mu1 = mu_cond[1]
-        step_mu = _acted_loss(mu1, mu_cond, table)[1]
-        l_mu[t] += w * step_mu
-        for k in kinds:
-            phi1 = node.prediction(k)[1]
-            step_phi = _acted_loss(phi1, mu_cond, table)[1]
-            l_phi[k][t] += w * step_phi
-            h = _belief_hellinger(mu1, phi1)
+        beliefs = [mu1] + [node.prediction(k)[1] for k in kinds]
+        acted = _acted_losses(beliefs, mu_cond, form)
+        step_mu = acted[0][1]
+        weighted = {a: w * step for a, step in dict(acted).items()}  # per action taken
+        l_mu[t] += weighted[acted[0][0]]
+        terms = {}  # phi(1) -> its belief Hellinger term; none where phi(1) = mu(1)
+        for k, phi1, (a, step_phi) in zip(kinds, beliefs[1:], acted[1:]):
+            l_phi[k][t] += weighted[a]
+            if phi1 == mu1:
+                continue  # h = 0, the same action, delta = 0
+            h = terms.get(phi1)
+            if h is None:
+                h = terms[phi1] = _belief_hellinger(mu1, phi1)
             hell[k][t] = hell[k][t] + w * h
-            if inst_ok[k]:
+            # delta = 0 <= 2h + 2 sqrt(2 h l_mu) needs no square root.
+            if inst_ok[k] and step_phi != step_mu:
                 inst_ok[k] = _regret_ineq_certified(step_phi - step_mu, h, step_mu)
 
     walk_support(cls, horizon, visit, tie_break, guard, history_key=loss.history_key)
@@ -362,9 +424,9 @@ def monte_carlo_decision_trace(
         raise ValueError("the decision layer is binary-alphabet only")
 
     def row(x: Word, t: int, mu_cond, phi) -> Tuple[float, float, int]:
-        table = loss.table(x[:t])
-        action, step_phi = _acted_loss(phi[1], mu_cond, table)
-        step_mu = _acted_loss(mu_cond[1], mu_cond, table)[1]
+        (action, step_phi), (_, step_mu) = _acted_losses(
+            (phi[1], mu_cond[1]), mu_cond, loss.form(x[:t])
+        )
         return float(step_phi), float(step_mu), action
 
     paths = sampled_rows(cls, predictor_kind, horizon, samples, seed, row, tie_break, workers)

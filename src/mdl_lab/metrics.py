@@ -581,7 +581,10 @@ def check_bounds(
     """Verify every convergence bound at the given horizon, exactly.
 
     Finite partial sums are valid checks because each bound holds
-    uniformly in the horizon.  Requires a fully materialized class.
+    uniformly in the horizon.  Requires a fully materialized class.  At
+    each node the square and Hellinger terms are formed once per distinct
+    prediction list, and not at all for a list equal to mu's, where both
+    are 0.
     """
     winv = inverse_weight(cls)
     k = cls.alphabet.size
@@ -597,11 +600,20 @@ def check_bounds(
         nonlocal kl_rho_norm, abs_log_sum, one_minus_rho, one_minus_static
         w = node.weight
         mu_cond = node.true_conditionals()
+        terms: list = []  # [phi, w * square, w * Hellinger] per distinct prediction
         for kind in sq:
             phi = node.prediction(kind)
-            sq[kind] += w * _sq_exact(mu_cond, phi)
+            if phi == mu_cond:
+                continue  # both terms are 0
+            entry = next((e for e in terms if e[0] == phi), None)
+            if entry is None:
+                entry = [phi, w * _sq_exact(mu_cond, phi), None]
+                terms.append(entry)
+            sq[kind] += entry[1]
             if kind in hell:
-                hell[kind] = hell[kind] + w * _hell_exact(mu_cond, phi)
+                if entry[2] is None:
+                    entry[2] = w * _hell_exact(mu_cond, phi)
+                hell[kind] = hell[kind] + entry[2]
         d = _kl_exact(mu_cond, node.prediction(RHO_NORM))
         kl_rho_norm = (
             math.inf

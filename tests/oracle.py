@@ -16,6 +16,7 @@ differential tests share: mixed families, leaky wrappers, members with
 only ``evaluate_exact``, truncated tails and exact ties.
 """
 
+import decimal
 import functools
 import itertools
 import math
@@ -459,3 +460,78 @@ def kl_float(mu, phi):
     if any(p > 0 and q == 0 for p, q in zip(mu, phi)):
         return math.inf
     return sum(float(p) * math.log(Fraction(p) / q) for p, q in zip(mu, phi) if p > 0)
+
+
+# ----------------------------------------------------------------------
+# Actions and decision traces under a binary loss table
+# ----------------------------------------------------------------------
+
+_DIGITS = decimal.Context(prec=100)
+# Below this, two 100-digit values are too close to order.
+_TOO_CLOSE = decimal.Decimal(10) ** -80
+
+
+def acted_loss(belief, mu, table):
+    """(action, its mu-expected loss): the action whose expected loss under
+    the belief in 1, (1 - b) loss(0, a) + b loss(1, a), is least, ties to 0."""
+    expected = [(1 - belief) * table[(0, a)] + belief * table[(1, a)] for a in (0, 1)]
+    action = 0 if expected[0] <= expected[1] else 1
+    return action, mu[0] * table[(0, action)] + mu[1] * table[(1, action)]
+
+
+def _decimal(q):
+    return _DIGITS.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
+
+
+def belief_hellinger(mu1, phi1):
+    """(sqrt mu1 - sqrt phi1)^2 + (sqrt(1 - mu1) - sqrt(1 - phi1))^2, to 100 digits."""
+    total = decimal.Decimal(0)
+    for p, q in ((mu1, phi1), (1 - mu1, 1 - phi1)):
+        gap = _DIGITS.subtract(_DIGITS.sqrt(_decimal(p)), _DIGITS.sqrt(_decimal(q)))
+        total = _DIGITS.add(total, _DIGITS.multiply(gap, gap))
+    return total
+
+
+def regret_inequality(delta, h, l_mu):
+    """delta <= 2h + 2 sqrt(2 h l_mu), with h a 100-digit value.
+
+    delta = 0 holds outright, the right-hand side being a sum of
+    nonnegative terms; any other comparison closer than 10^-80 is refused.
+    """
+    rhs = _DIGITS.add(2 * h, 2 * _DIGITS.sqrt(_DIGITS.multiply(2 * h, _decimal(l_mu))))
+    gap = _DIGITS.subtract(rhs, _decimal(delta))
+    if delta == 0:
+        return True
+    assert abs(gap) > _TOO_CLOSE, (delta, h, l_mu)
+    return gap > 0
+
+
+def decision_trace(cls, kind, loss, horizon, tie_break):
+    """(l_phi, l_mu, hellinger, instantaneous_ok) of one kind, prefix by prefix.
+
+    Every word x shorter than the horizon with mu(x) > 0 adds mu(x) times
+    its step's expected losses (Fractions) and belief Hellinger distance
+    (100-digit Decimals) to the ledgers at len(x); ``instantaneous_ok`` is
+    whether every such step satisfies the regret inequality.
+    """
+    truth = cls.true_model
+    l_phi = [Fraction(0)] * horizon
+    l_mu = [Fraction(0)] * horizon
+    hellinger = [decimal.Decimal(0)] * horizon
+    ok = True
+    for x in all_words(horizon - 1):
+        weight = truth.evaluate_exact(x)
+        if weight == 0:
+            continue
+        t = len(x)
+        mu = prediction(TRUE, cls, x, tie_break)
+        phi1 = prediction(kind, cls, x, tie_break)[1]
+        table = loss.table(x)
+        step_mu = acted_loss(mu[1], mu, table)[1]
+        step_phi = acted_loss(phi1, mu, table)[1]
+        h = belief_hellinger(mu[1], phi1)
+        l_mu[t] += weight * step_mu
+        l_phi[t] += weight * step_phi
+        hellinger[t] = _DIGITS.add(hellinger[t], _DIGITS.multiply(_decimal(weight), h))
+        ok = ok and regret_inequality(step_phi - step_mu, h, step_mu)
+    return l_phi, l_mu, hellinger, ok

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from mdl_lab import coding
 from mdl_lab.coding import (
     block_interval,
     code_length_report,
@@ -49,6 +50,27 @@ class TestHeaders:
             for j, other in enumerate(codes):
                 if i != j:
                     assert not code.startswith(other)
+
+    def test_decoded_header_of_every_member_of_a_large_class(self, monkeypatch):
+        # 400 i.i.d. members of unequal weights: each header decodes to its
+        # member, and a decode builds the header codeword only once, to
+        # re-encode, so it walks the weights once rather than once per member.
+        thetas = [F(i, 401) for i in range(1, 401)]
+        cls = bernoulli_class(thetas, [F(1, 400 * 2 ** (i % 7 + 1)) for i in range(400)])
+        for i in range(len(cls)):
+            code = header_codeword(cls, i)
+            assert coding._decode_header(cls, code + "01") == (i, len(code))
+        built = []
+        real = coding.header_codeword
+        monkeypatch.setattr(
+            coding, "header_codeword", lambda c, i: built.append(i) or real(c, i)
+        )
+        for i in (0, 137, 399):
+            for x in ((), (1, 0, 1), (0,) * 9):
+                code = encode(cls, i, x)
+                built.clear()
+                assert decode(cls, code.bits) == x
+                assert built == [i]
 
 
 class TestEncode:
@@ -142,6 +164,14 @@ class TestIndexAndAlphabet:
                 encode(cls, index, "01")
             with pytest.raises(IndexError):
                 sequential_interval(cls, index, "01")
+
+    def test_cross_checks_refuse_an_index_outside_the_class(self):
+        cls = bernoulli_class([F(1, 4), F(3, 4)])
+        for index in (-1, len(cls)):
+            with pytest.raises(IndexError):
+                block_interval(cls, index, (0, 1))
+            with pytest.raises(IndexError):
+                kraft_sum(cls, index, 3)
 
     def test_symbol_outside_the_alphabet_refused(self):
         cls = bernoulli_class([F(1, 4), F(3, 4)])

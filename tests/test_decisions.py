@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mdl_lab import decisions, enclosure
+import oracle
+from mdl_lab import decisions, enclosure, metrics
 from mdl_lab.decisions import (
     DecisionTrace,
     LossFunction,
@@ -22,8 +23,9 @@ from mdl_lab.decisions import (
 )
 from mdl_lab.enclosure import FracInterval
 from mdl_lab.errors import LossFunctionError
-from mdl_lab.measures import IidModel
-from mdl_lab.model_class import WeightedClass, bernoulli_class, example1_class
+from mdl_lab.measures import DeterministicModel, IidModel
+from mdl_lab.model_class import LARGEST_WEIGHT, WeightedClass, bernoulli_class, example1_class
+from mdl_lab.predictors import TRUE
 from mdl_lab.suites import random_measure_class, random_stationary_loss, suite_rng
 
 rational_01 = st.fractions(min_value=0, max_value=1, max_denominator=40)
@@ -114,6 +116,27 @@ class TestBayesOptimalAction:
         # 0.3*(1/4) = 0.075 for action 0 versus 0.7*1 = 0.7 for action 1.
         loss = table_loss({(0, 0): 0, (0, 1): 1, (1, 0): F(1, 4), (1, 1): 0})
         assert bayes_optimal_action(F(3, 10), loss) == 0
+
+    def test_indifference_points_choose_action_zero(self):
+        # At b* = g0 / (g0 + g1), g0 = L01 - L00 and g1 = L10 - L11, both
+        # actions cost the same: the action is 0 there and below, 1 above.
+        # A table with g0 = g1 = 0 is indifferent at every belief.
+        seen = 0
+        for i in range(64):
+            loss = random_stationary_loss(suite_rng(32, i))
+            t = loss.table(())
+            g0, g1 = t[(0, 1)] - t[(0, 0)], t[(1, 0)] - t[(1, 1)]
+            if g0 + g1 == 0:
+                assert all(bayes_optimal_action(F(j, 7), loss) == 0 for j in range(8))
+                continue
+            star = g0 / (g0 + g1)
+            for eps in (F(0), F(1, 10**12), F(1, 97), F(1, 3)):
+                for b, want in ((star - eps, 0), (star + eps, 1 if eps else 0)):
+                    if 0 <= b <= 1:
+                        assert bayes_optimal_action(b, loss) == want, (i, b)
+                        assert oracle.acted_loss(b, (1 - b, b), t)[0] == want
+                        seen += 1
+        assert seen > 300
 
     def test_optimality_grid(self):
         # The returned action never has larger expected loss than the
@@ -365,3 +388,149 @@ class TestPrecisionEscalation:
         with pytest.raises(RuntimeError, match="inconclusive at 1024"):
             trace.cumulative_bound_ok()
         assert sorted(set(bits)) == [64, 128, 256, 512, 1024]
+
+
+# ----------------------------------------------------------------------
+# Decision traces against the prefix-by-prefix oracle
+# ----------------------------------------------------------------------
+
+ORACLE_KINDS = ("true", "xi", "rho", "rho_norm", "static", "static_norm")
+# The oracle's Hellinger ledgers are 100-digit values; the engine's are grid enclosures.
+DIGITS_SLACK = F(1, 10**70)
+
+
+def _classes_with_truths():
+    """The oracle's tail-free differential classes, each under its own truth
+    or, without one, under its first and its last member, and a class whose
+    chosen member's mass runs out on the true path."""
+    out = [
+        WeightedClass([oracle.StopsAfter(2), DeterministicModel((), (1,))], [F(3, 4), F(1, 8)], 1)
+    ]
+    for cls in oracle.differential_classes():
+        if cls.tail_bound is not None:
+            continue
+        truths = [cls.true_index] if cls.true_index is not None else [0, len(cls) - 1]
+        out += [WeightedClass(cls.models, cls.weights, true_index=i) for i in truths]
+    return out
+
+
+def _differential_losses():
+    """Stationary, history-parity, whole-history and shifted losses."""
+    table = [random_stationary_loss(suite_rng(31, i)).table(()) for i in range(5)]
+    parity = history_parity_loss(table[0], table[1])
+    whole = LossFunction(
+        lambda x: table[2 + (len(x) + 2 * sum(x)) % 3], stationary=False, name="whole"
+    )
+    return [random_stationary_loss(suite_rng(31, 5)), parity, whole, parity.shifted()]
+
+
+def _assert_matches(trace, want, where):
+    l_phi, l_mu, hellinger, ok = want
+    assert trace.l_phi == l_phi and trace.l_mu == l_mu, where
+    assert trace.instantaneous_ok is ok, where
+    for h, v in zip(trace.hellinger, hellinger):
+        assert h.lo - DIGITS_SLACK <= F(v) <= h.hi + DIGITS_SLACK, where
+
+
+class TestDecisionOracle:
+    def test_traces_match_the_oracle(self):
+        horizon = 4
+        regrets = refusals = 0
+        for c, cls in enumerate(_classes_with_truths()):
+            for tb in oracle.TIE_BREAKS:
+                for loss in _differential_losses():
+                    want = {
+                        k: oracle.outcome(
+                            lambda: oracle.decision_trace(cls, k, loss, horizon, tb)
+                        )
+                        for k in ORACLE_KINDS
+                    }
+                    fine = [k for k in ORACLE_KINDS if not isinstance(want[k], type)]
+                    traces = decision_traces(cls, fine, loss, horizon, tb)
+                    for k in ORACLE_KINDS:
+                        where = (c, cls.describe(), tb, loss.name, k)
+                        if k in fine:
+                            _assert_matches(traces[k], want[k], where)
+                            regrets += traces[k].regret() > 0
+                        else:
+                            got = oracle.outcome(
+                                lambda: decision_trace(cls, k, loss, horizon, tb)
+                            )
+                            assert got is want[k], where
+                            refusals += 1
+        assert regrets > 100 and refusals > 0
+
+
+def _counting_walk(monkeypatch, module, calls):
+    """Wrap ``module.walk_support`` to record (node, calls made during its visit)."""
+    walk = metrics.walk_support
+    visits = []
+
+    def counted_walk(cls, horizon, visit, *args, **kwargs):
+        def counted(node):
+            before = len(calls)
+            visit(node)
+            visits.append((node, len(calls) - before))
+
+        return walk(cls, horizon, counted, *args, **kwargs)
+
+    monkeypatch.setattr(module, "walk_support", counted_walk)
+    return visits
+
+
+class TestStepTermWork:
+    def test_square_roots_only_where_actions_differ(self, monkeypatch):
+        # A kind whose action is the truth's has regret 0 at that node, so
+        # its inequality holds without a square root; one whose action
+        # differs (and costs more) takes exactly one 64-bit root.
+        bits = recording_sqrt(monkeypatch)
+        visits = _counting_walk(monkeypatch, decisions, bits)
+        kinds = ("rho_norm", "rho", "static", "static_norm")
+        checked = skipped = 0
+        for case in range(10):
+            cls = random_measure_class(92, case, max_models=4)
+            loss = random_stationary_loss(suite_rng(92, case))
+            visits.clear()
+            traces = decision_traces(cls, kinds, loss, 6)
+            assert all(traces[k].instantaneous_ok for k in kinds)
+            for node, roots in visits:
+                x = node.prefix
+                mu = oracle.prediction(TRUE, cls, x, LARGEST_WEIGHT)
+                table = loss.table(x)
+                a_mu, step_mu = oracle.acted_loss(mu[1], mu, table)
+                differ = 0
+                for k in kinds:
+                    phi1 = oracle.prediction(k, cls, x, LARGEST_WEIGHT)[1]
+                    a, step = oracle.acted_loss(phi1, mu, table)
+                    differ += step != step_mu
+                    skipped += phi1 != mu[1] and a == a_mu
+                assert roots == differ, (case, x)
+                checked += differ
+        assert bits == [64] * checked
+        assert checked > 20 and skipped > 100
+
+    def test_bound_terms_once_per_distinct_prediction(self, monkeypatch):
+        # check_bounds forms one Hellinger sum per distinct prediction list
+        # of the Hellinger kinds at a node, and none for a list equal to mu.
+        terms = []
+
+        def hellinger_term(p, q):
+            terms.append((p, q))
+            return enclosure.hellinger_term(p, q)
+
+        monkeypatch.setattr(metrics, "hellinger_term", hellinger_term)
+        visits = _counting_walk(monkeypatch, metrics, terms)
+        kinds = ("rho_norm", "rho", "static", "static_norm")
+        shared = 0
+        for case in range(8):
+            cls = random_measure_class(70, case)
+            visits.clear()
+            assert all(r.passed for r in metrics.check_bounds(cls, 6))
+            for node, made in visits:
+                x = node.prefix
+                mu = oracle.prediction(TRUE, cls, x, LARGEST_WEIGHT)
+                phis = [tuple(oracle.prediction(k, cls, x, LARGEST_WEIGHT)) for k in kinds]
+                distinct = {phi for phi in phis if list(phi) != mu}
+                assert made == 2 * len(distinct), (case, x)
+                shared += len(phis) - len(distinct)
+        assert shared > 100

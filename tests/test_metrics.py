@@ -343,8 +343,8 @@ def _node_decisions(cls, kind, loss, horizon, samples, seed, tie_break):
     def row(node, mu_cond):
         phi = node.prediction(kind)
         table = loss.table(node.prefix)
-        action, step_phi = decisions._acted_loss(phi[1], mu_cond, table)
-        step_mu = decisions._acted_loss(mu_cond[1], mu_cond, table)[1]
+        action, step_phi = oracle.acted_loss(phi[1], mu_cond, table)
+        step_mu = oracle.acted_loss(mu_cond[1], mu_cond, table)[1]
         return float(step_phi), float(step_mu), action
 
     paths = monte_carlo_rows(cls, horizon, samples, seed, row, tie_break)
